@@ -94,6 +94,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.t < 0:
+        _err("--t must be non-negative")
+        return 2
     try:
         code = family.CodeSpec.load(args.code)
     except (OSError, ValueError) as exc:
@@ -212,13 +215,13 @@ def cmd_syndrome(args) -> int:
     try:
         code = family.CodeSpec.load(args.code)
         err = pauli.parse(args.error)
+        group = code.group()
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
     if err.n != code.n:
         _err(f"error acts on {err.n} qubits, code has {code.n}")
         return 2
-    group = code.group()
     syn = stabilizer.syndrome(group, err)
     if args.json:
         print(json.dumps({"error": pauli.format(err), "syndrome": str(syn)}, indent=2))
@@ -229,13 +232,21 @@ def cmd_syndrome(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("STABFORGE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            _err(f"STABFORGE_SEED must be an integer, got {text!r}")
+            return 2
     try:
         code = family.CodeSpec.load(args.code)
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
     try:
-        stats = ecc_sim.run_campaign(code, args.model, args.trials, args.seed)
+        stats = ecc_sim.run_campaign(code, args.model, args.trials, seed)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -349,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("STABFORGE_SEED", "0")),
         help="master seed (default: STABFORGE_SEED or 0)",
     )
     p.add_argument("--json", action="store_true")

@@ -123,19 +123,29 @@ def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
 
     The X-vectors are (i) orthogonal over GF(2) to the Z-vector of every
     type-2 generator, so the seeds keep eigenvalue +1, and (ii) coset
-    representatives of that kernel modulo the span of the type-1 X-parts,
-    taken in ascending order of the X-vector read as an integer (qubit 1 the
-    low bit).  For the 2^j family this rule lands on the X_1 X_c pairs.
+    representatives of that kernel K modulo the span of the type-1 X-parts
+    T, taken in ascending order of the X-vector read as an integer (qubit 1
+    the low bit).  For the 2^j family this rule lands on the X_1 X_c pairs.
+
+    K has the basis v_c of :func:`gf2.nullspace_rref`, one per free column c.
+    In that basis a kernel vector's coordinates are its bits on the free
+    columns, v_c becomes the unit vector e_c, and the highest bit stays the
+    same: it is the highest free column present.  T lies inside K: a type-1
+    generator commutes with every type-2 generator, which is pure Z, so its
+    X-part is orthogonal to their Z-parts.  Hence v_c lies in the span of T
+    and the v_c' with c' < c exactly when c is the highest bit of some
+    vector of span(T), a pivot of T's echelon form; the other v_c are the
+    seeds.
     """
     cls = classify_generators(group)
     n = group.n
     constraints = [g.z_bits for g in cls.type2]
-    span = gf2.Echelon(g.x_bits for g in cls.type1)
-    seeds = []
-    for _, vec in gf2.nullspace_rref(constraints, n):
-        if span.insert(vec):
-            seeds.append(PauliOperator(n, vec, 0, 1))
-    return seeds
+    dropped = gf2.Echelon(g.x_bits for g in cls.type1).pivots
+    return [
+        PauliOperator(n, vec, 0, 1)
+        for c, vec in gf2.nullspace_rref(constraints, n)
+        if c not in dropped
+    ]
 
 
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:

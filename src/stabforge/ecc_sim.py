@@ -14,6 +14,7 @@ are order-independent.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -92,6 +93,8 @@ def parse_error_spec(text: str, n: int) -> ErrorSpec:
         if not sep:
             raise ValueError("matrix error needs @qubit, e.g. matrix:1,0,0,1@3")
         a, b, c, d = (complex(x) for x in entries.split(","))
+        if not all(cmath.isfinite(x) for x in (a, b, c, d)):
+            raise ValueError(f"matrix entries must be finite, got {entries!r}")
         i = int(qubit)
         if not 1 <= i <= n:
             raise ValueError(f"qubit {i} out of range 1..{n}")
@@ -253,6 +256,8 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     The "exhaustive" model ignores ``trials`` and runs every single-qubit
     Pauli error against every logical basis word.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     sim = Simulator(code)
     reports = []
     if model == "exhaustive":

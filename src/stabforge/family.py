@@ -128,18 +128,26 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
+        """Load the JSON form strictly: integer fields must be JSON integers,
+        k must equal n minus the generator count and every operator must act
+        on n qubits.  Any violation raises ValueError("malformed code spec: ...")."""
         try:
-            return cls(
-                n=int(data["n"]),
-                k=int(data["k"]),
-                j=int(data["j"]),
-                generators=tuple(pauli.parse(s) for s in data["generators"]),
-                seed_generators=tuple(pauli.parse(s) for s in data["seed_generators"]),
-                construction=str(data.get("construction", CONSTRUCTION_NAME)),
-                version=int(data.get("version", 1)),
-            )
+            n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
+            version = _json_int(data, "version", 1)
+            generators = _json_operators(data, "generators")
+            seeds = _json_operators(data, "seed_generators")
+            construction = str(data.get("construction", CONSTRUCTION_NAME))
+            if n < 1:
+                raise ValueError(f"n must be positive, got {n}")
+            if k != n - len(generators):
+                raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
+            for role, ops in (("generator", generators), ("seed generator", seeds)):
+                for idx, op in enumerate(ops, 1):
+                    if op.n != n:
+                        raise ValueError(f"{role} {idx} acts on {op.n} qubits, expected {n}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed code spec: {exc}") from exc
+        return cls(n, k, j, generators, seeds, construction, version)
 
     @classmethod
     def load(cls, path) -> "CodeSpec":
@@ -148,6 +156,20 @@ class CodeSpec:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed code spec file: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _json_int(data: dict, key: str, default: int | None = None) -> int:
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not int:  # rejects floats, strings and booleans
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:
+    texts = data[key]
+    if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+        raise TypeError(f"{key} must be a list of Pauli strings")
+    return tuple(pauli.parse(s) for s in texts)
 
 
 def build_code(j: int) -> CodeSpec:

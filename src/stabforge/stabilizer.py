@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import gf2
 from .pauli import PauliOperator, commutes, identity, multiply, single, square_sign
 
 
@@ -186,43 +187,42 @@ def weight_one_syndromes(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray
     n, a = group.n, group.a
     if a > 62:
         raise ValueError("vectorized weight-1 syndromes need a <= 62")
-    nbytes = (n + 7) // 8
     sx = np.zeros(n, dtype=np.int64)
     sz = np.zeros(n, dtype=np.int64)
     for r, g in enumerate(group.generators):
         w = 1 << (a - 1 - r)
-        zcol = np.unpackbits(
-            np.frombuffer(g.z_bits.to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little", count=n,
-        )
-        xcol = np.unpackbits(
-            np.frombuffer(g.x_bits.to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little", count=n,
-        )
-        sx += zcol.astype(np.int64) * w
-        sz += xcol.astype(np.int64) * w
+        sx += gf2.bits(g.z_bits, n).astype(np.int64) * w
+        sz += gf2.bits(g.x_bits, n).astype(np.int64) * w
     return sx, sx ^ sz, sz
 
 
-def _iter_error_syndromes(group: StabilizerGroup, t: int):
-    """(descriptor, syndrome value) pairs in iter_errors order.
+def _light_syndromes(group: StabilizerGroup) -> np.ndarray:
+    """Syndrome values of I, X_1, Y_1, Z_1, X_2, ... (iter_errors order, t = 1).
 
-    Weight-1 syndromes come from the vectorized bit columns, which keeps the
-    t=1 scan O(n) cheap small-int work even at n = 2^16.
+    int64 from the bit columns when a <= 62, else Python ints in an object
+    array.
     """
+    if group.a <= 62:
+        sx, sy, sz = weight_one_syndromes(group)
+        return np.concatenate(([0], np.column_stack((sx, sy, sz)).ravel()))
     n = group.n
-    yield (), 0
-    if t >= 1:
-        if group.a <= 62:
-            sx, sy, sz = weight_one_syndromes(group)
-            for i in range(1, n + 1):
-                yield ((i, "X"),), int(sx[i - 1])
-                yield ((i, "Y"),), int(sy[i - 1])
-                yield ((i, "Z"),), int(sz[i - 1])
-        else:
-            for i in range(1, n + 1):
-                for L in "XYZ":
-                    yield ((i, L),), syndrome(group, single(n, i, L)).value
+    values = [0] + [
+        syndrome(group, single(n, i, L)).value for i in range(1, n + 1) for L in "XYZ"
+    ]
+    return np.array(values, dtype=object)
+
+
+def _light_descriptor(m: int) -> tuple:
+    """Descriptor of the m-th error of weight <= 1 in iter_errors order."""
+    if m == 0:
+        return ()
+    i, letter = divmod(m - 1, 3)
+    return ((i + 1, "XYZ"[letter]),)
+
+
+def _iter_heavy_error_syndromes(group: StabilizerGroup, t: int):
+    """(descriptor, syndrome value) pairs of weight 2..t in iter_errors order."""
+    n = group.n
     for ell in range(2, t + 1):
         for qubits in itertools.combinations(range(1, n + 1), ell):
             for letters in itertools.product("XYZ", repeat=ell):
@@ -243,17 +243,30 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     """Verify that f is injective on errors of weight <= t.
 
     A collision is a report outcome, not an exception; the first colliding
-    pair in enumeration order is returned as the witness.
+    pair in enumeration order is returned as the witness.  Errors of weight
+    <= 1 are checked as one array; heavier ones are streamed, so the scan
+    stops at the first repeat without holding them all.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    seen: dict[int, tuple] = {}
-    total = 0
-    for desc, value in _iter_error_syndromes(group, t):
+    n = group.n
+    light = _light_syndromes(group) if t >= 1 else np.zeros(1, dtype=np.int64)
+    _, first_index, inverse = np.unique(light, return_index=True, return_inverse=True)
+    first_of = first_index[inverse.ravel()]
+    repeats = np.flatnonzero(first_of != np.arange(len(light)))
+    if repeats.size:
+        m = int(repeats[0])
+        first = _materialize(n, _light_descriptor(int(first_of[m])))
+        pair = (first, _materialize(n, _light_descriptor(m)))
+        return CorrectabilityReport(False, t, m + 1, m, pair)
+    total = len(light)
+    if t < 2:
+        return CorrectabilityReport(True, t, total, total)
+    seen = {value: _light_descriptor(m) for m, value in enumerate(light.tolist())}
+    for desc, value in _iter_heavy_error_syndromes(group, t):
         total += 1
         if value in seen:
-            first = _materialize(group.n, seen[value])
-            second = _materialize(group.n, desc)
-            return CorrectabilityReport(False, t, total, len(seen), (first, second))
+            pair = (_materialize(n, seen[value]), _materialize(n, desc))
+            return CorrectabilityReport(False, t, total, len(seen), pair)
         seen[value] = desc
     return CorrectabilityReport(True, t, total, len(seen))

@@ -222,3 +222,61 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["unknown-command"]) == 2
     capsys.readouterr()
+
+
+def _one_line_error(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_negative_t_exit_2(capsys, code_path):
+    code, out, err = run_cli(capsys, "verify", str(code_path), "--t", "-1")
+    assert code == 2 and out == ""
+    assert _one_line_error(err)
+
+
+def test_verify_generator_length_mismatch_exit_2(capsys, code_path, tmp_path):
+    data = json.loads(code_path.read_text())
+    data["generators"][0] += "I"
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and "malformed code spec" in err
+
+
+def test_syndrome_invalid_group_exit_2(capsys, code_path, tmp_path):
+    data = json.loads(code_path.read_text())
+    data["generators"][0] = "+ZXXXXXXX"  # anticommutes with M_2
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "syndrome", str(bad), "--error", "XIIIIIII")
+    assert code == 2
+    assert _one_line_error(err) and "anticommute" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "depolarizing:0.1", "--trials", "-1"],
+        ["--model", "exhaustive", "--trials", "-3"],
+        ["--model", "matrix:nan,0,0,1@1", "--json"],
+        ["--model", "matrix:1,inf,0,1@2", "--json"],
+        ["--model", "matrix:1,0,0,nanj@3"],
+    ],
+)
+def test_simulate_bad_input_exit_2(capsys, code_path, argv):
+    code, out, err = run_cli(capsys, "simulate", str(code_path), *argv)
+    assert code == 2 and out == ""
+    assert _one_line_error(err)
+
+
+def test_simulate_bad_env_seed_exit_2(capsys, code_path, monkeypatch):
+    monkeypatch.setenv("STABFORGE_SEED", "1.5")
+    code, out, err = run_cli(capsys, "simulate", str(code_path), "--model", "exhaustive")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and "STABFORGE_SEED" in err
+    # an explicit --seed does not read the variable
+    code, out, _ = run_cli(capsys, "simulate", str(code_path), "--model", "pauli:+XIIIIIII",
+                           "--trials", "2", "--seed", "4", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 4

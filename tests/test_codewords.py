@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_data
+from strategies import valid_groups
 from stabforge import codewords
 from stabforge.codewords import (
     FormalState,
@@ -286,3 +287,57 @@ def test_random_groups_full_construction(rng):
                 assert not supports[i] & supports[j]
         dense = [dense_from_formal(s) for s in states]
         assert np.allclose(gram(dense), np.eye(len(dense)), atol=1e-12)
+
+
+def reference_seed_generators(group):
+    """The seed rule column by column: each nullspace vector v_c of the type-2
+    Z-constraints is kept when it is independent of the type-1 X-parts and
+    of the v_c' before it."""
+    from stabforge import gf2
+    from stabforge.pauli import PauliOperator
+
+    cls = classify_generators(group)
+    n = group.n
+    pivot_rows = {}
+    for row in (g.z_bits for g in cls.type2):
+        while row:
+            low = (row & -row).bit_length() - 1
+            if low not in pivot_rows:
+                pivot_rows[low] = row
+                break
+            row ^= pivot_rows[low]
+    for low in sorted(pivot_rows):
+        for other in pivot_rows:
+            if other != low and (pivot_rows[other] >> low) & 1:
+                pivot_rows[other] ^= pivot_rows[low]
+    span = gf2.Echelon(g.x_bits for g in cls.type1)
+    seeds = []
+    for c in range(n):
+        if c in pivot_rows:
+            continue
+        v = 1 << c
+        for low, row in pivot_rows.items():
+            if (row >> c) & 1:
+                v |= 1 << low
+        if span.insert(v):
+            seeds.append(PauliOperator(n, v, 0, 1))
+    return seeds
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_seed_generators_match_reference_family(j):
+    from stabforge import family
+
+    group = family.build_code(j).group()
+    assert seed_generators(group) == reference_seed_generators(group)
+
+
+@given(valid_groups())
+def test_seed_generators_match_reference_random(group):
+    try:
+        expected = reference_seed_generators(group)
+    except MinusSignPureZError:
+        with pytest.raises(MinusSignPureZError):
+            seed_generators(group)
+        return
+    assert seed_generators(group) == expected

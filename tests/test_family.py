@@ -170,3 +170,53 @@ def test_codespec_load_rejects_garbage(tmp_path):
                                 "seed_generators": []}))
     with pytest.raises(ValueError):
         CodeSpec.load(path)
+
+
+@pytest.mark.parametrize("j", range(3, 9))
+def test_codespec_family_out_round_trip_byte_identical(j, tmp_path):
+    from stabforge import cli
+
+    path = tmp_path / "code.json"
+    assert cli.main(["family", "--j", str(j), "--out", str(path), "--json"]) == 0
+    again = tmp_path / "again.json"
+    CodeSpec.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": 8.9},
+        {"n": 8.0},
+        {"n": "8"},
+        {"n": True},
+        {"k": True},
+        {"j": 3.0},
+        {"version": True},
+        {"version": "1"},
+        {"k": 4},
+        {"n": 0, "k": -5},
+        {"n": 9, "k": 4},
+        {"generators": "+XXXXXXXX"},
+        {"generators": [["+XXXXXXXX"]]},
+        {"seed_generators": [7]},
+        {"seed_generators": ["+XXII"]},
+    ],
+)
+def test_codespec_load_is_strict(code8, change):
+    data = {**code8.to_json_dict(), **change}
+    with pytest.raises(ValueError, match="malformed code spec"):
+        CodeSpec.from_json_dict(data)
+
+
+def test_codespec_load_rejects_short_generator(code8):
+    data = code8.to_json_dict()
+    data["generators"][2] = data["generators"][2][:-1]
+    with pytest.raises(ValueError, match="generator 3 acts on 7 qubits, expected 8"):
+        CodeSpec.from_json_dict(data)
+
+
+def test_codespec_version_defaults_to_1(code8):
+    data = code8.to_json_dict()
+    del data["version"]
+    assert CodeSpec.from_json_dict(data) == code8

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_data
+from strategies import valid_groups
 from stabforge import stabilizer
 from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import (
+    CorrectabilityReport,
     DependentGeneratorsWarning,
     MinusIdentityError,
     NotAbelianError,
@@ -171,3 +173,58 @@ def test_weight_one_fast_path_matches_syndrome_j4():
         assert int(sx[i - 1]) == syndrome(group, single(16, i, "X")).value
         assert int(sy[i - 1]) == syndrome(group, single(16, i, "Y")).value
         assert int(sz[i - 1]) == syndrome(group, single(16, i, "Z")).value
+
+
+def reference_check_correctability(group, t):
+    """Injectivity of f by brute force: every error of weight <= t through
+    the generic syndrome, in iter_errors order, stopping at the first repeat."""
+    seen = {}
+    total = 0
+    for err in iter_errors(group.n, t):
+        total += 1
+        value = syndrome(group, err).value
+        if value in seen:
+            return CorrectabilityReport(False, t, total, len(seen), (seen[value], err))
+        seen[value] = err
+    return CorrectabilityReport(True, t, total, len(seen))
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_correctability_matches_reference_family(j):
+    from stabforge import family
+
+    group = family.build_code(j).group()
+    for t in (0, 1, 2):
+        assert check_correctability(group, t) == reference_check_correctability(group, t)
+
+
+@given(valid_groups(), st.integers(0, 2))
+def test_correctability_matches_reference_random(group, t):
+    assert check_correctability(group, t) == reference_check_correctability(group, t)
+
+
+def test_correctability_matches_reference_above_62_generators():
+    # 13 copies of the [[5,1,3]] code with 11 logical Z's added: a = 63, so
+    # the weight-1 syndromes no longer fit an int64; every weight-1 error
+    # still has its own syndrome, and two errors on one copy collide.
+    blocks = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+    n = 65
+    gens = [
+        parse("I" * (5 * c) + b + "I" * (n - 5 * c - 5)) for c in range(13) for b in blocks
+    ] + [parse("I" * (5 * c) + "ZZZZZ" + "I" * (n - 5 * c - 5)) for c in range(11)]
+    group = validate(n, gens)
+    assert group.a == 63
+    for t in (1, 2):
+        assert check_correctability(group, t) == reference_check_correctability(group, t)
+    assert check_correctability(group, 1).ok
+
+
+def test_correctability_t2_early_exit_j16():
+    from stabforge import family
+
+    report = check_correctability(family.build_code(16).group(), 2)
+    assert not report.ok
+    assert (report.total_errors, report.distinct_syndromes) == (196_611, 196_610)
+    first, second = report.collision
+    assert (first.x_bits, first.z_bits, first.sign) == (0, 0b1000, 1)  # +IIIZ...
+    assert (second.x_bits, second.z_bits, second.sign) == (0b11, 0b10, 1)  # +XY...
