@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -92,15 +93,27 @@ def parse_error_spec(text: str, n: int) -> ErrorSpec:
         entries, sep, qubit = rest.partition("@")
         if not sep:
             raise ValueError("matrix error needs @qubit, e.g. matrix:1,0,0,1@3")
-        a, b, c, d = (complex(x) for x in entries.split(","))
+        texts = entries.split(",")
+        if len(texts) != 4:
+            raise ValueError(f"matrix error needs 4 comma-separated entries, got {len(texts)}")
+        try:
+            a, b, c, d = (complex(x) for x in texts)
+        except ValueError:
+            raise ValueError(f"matrix entries must be complex numbers, got {entries!r}") from None
         if not all(cmath.isfinite(x) for x in (a, b, c, d)):
             raise ValueError(f"matrix entries must be finite, got {entries!r}")
-        i = int(qubit)
+        try:
+            i = int(qubit)
+        except ValueError:
+            raise ValueError(f"matrix qubit must be an integer, got {qubit!r}") from None
         if not 1 <= i <= n:
             raise ValueError(f"qubit {i} out of range 1..{n}")
         return MatrixError(np.array([[a, b], [c, d]]), i)
     if kind == "depolarizing":
-        p = float(rest)
+        try:
+            p = float(rest)
+        except ValueError:
+            raise ValueError(f"depolarizing probability must be a number, got {rest!r}") from None
         if not 0 <= p <= 1:
             raise ValueError(f"depolarizing probability must lie in [0, 1], got {p}")
         return DepolarizingError(p)
@@ -158,6 +171,23 @@ def measure_syndrome(
     return Syndrome(value, group.a), StateVector(v.n, amps)
 
 
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """m times the power of two that puts its largest real or imaginary
+    part in [1, 2); an all-zero m stays zero.
+
+    The syndrome measurement normalizes the damaged state, so the scale
+    only matters for keeping it finite and away from zero: huge entries
+    would overflow to inf and tiny ones would read as annihilation.  A
+    power of two is exact for every entry that stays a normal float, and a
+    matrix already in range is not touched.  Parts rather than moduli set
+    the scale, because |x + iy| can overflow when x and y do not.
+    """
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    parts = m.view(np.float64)  # real and imaginary parts side by side
+    shift = 1 - math.frexp(float(np.abs(parts).max()))[1]
+    return m if shift == 0 else np.ldexp(parts, shift).view(np.complex128)
+
+
 class Simulator:
     """Reusable context for one code: group, dense basis, syndrome table."""
 
@@ -183,7 +213,7 @@ class Simulator:
         if isinstance(error, PauliError):
             return apply_pauli(error.op, v)
         if isinstance(error, MatrixError):
-            return apply_single_qubit(error.matrix, error.qubit, v)
+            return apply_single_qubit(_unit_scaled(error.matrix), error.qubit, v)
         if isinstance(error, DepolarizingError):
             op = identity(self.code.n)
             for i in range(1, self.code.n + 1):

@@ -19,6 +19,7 @@ from .stabilizer import iter_errors, syndrome, validate
 
 MAX_QUBITS = 12
 ATOL = 1e-10
+GRAM_BLOCK_ROWS = 256
 
 # the real single-qubit basis matrices; Y = X @ Z
 MAT_I = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -190,20 +191,24 @@ def verify_code(code, t: int) -> VerificationReport:
             images.append(apply_pauli(e, s).amplitudes)
             meta.append((e, sval, i))
     v = np.stack(images)
-    g = v.conj() @ v.T
 
     num = len(images)
     svals = np.array([m[1] for m in meta])
     lidx = np.array([m[2] for m in meta])
-    must_vanish = (svals[:, None] != svals[None, :]) | (lidx[:, None] != lidx[None, :])
-    violations = must_vanish & (np.abs(g) > ATOL)
-    orth_ok = not violations.any()
+    # Gram matrix in row blocks, so peak memory stays O(block * num)
     witness = None
-    if not orth_ok:
-        row, col = map(int, np.argwhere(violations)[0])
-        e_r, _, i_r = meta[row]
-        e_c, _, i_c = meta[col]
-        witness = (str(e_r), i_r, str(e_c), i_c)
+    for start in range(0, num, GRAM_BLOCK_ROWS):
+        rows = slice(start, start + GRAM_BLOCK_ROWS)
+        g = v[rows].conj() @ v.T
+        must_vanish = (svals[rows, None] != svals[None, :]) | (lidx[rows, None] != lidx[None, :])
+        violations = must_vanish & (np.abs(g) > ATOL)
+        if violations.any():
+            row, col = map(int, np.argwhere(violations)[0])
+            e_r, _, i_r = meta[start + row]
+            e_c, _, i_c = meta[col]
+            witness = (str(e_r), i_r, str(e_c), i_c)
+            break
+    orth_ok = witness is None
 
     rank = int(np.linalg.matrix_rank(v, tol=ATOL))
     rank_ok = rank == num

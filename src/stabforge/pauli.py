@@ -13,18 +13,30 @@ with the per-qubit convention Y := X*Z, i.e. the real matrix
 ever pick up signs, never imaginary phases.
 
 Text form: an explicit "+" or "-" followed by one character per qubit
-from {I, X, Y, Z}, qubit 1 leftmost, e.g. "+XIXIZYZY".
+from {I, X, Y, Z}, qubit 1 leftmost, e.g. "+XIXIZYZY".  ``parse`` also
+reads an unsigned string as +1 and U+2212 "−" as a minus sign.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+import numpy as np
+
+from .gf2 import bits
 
 LETTERS = "IXYZ"
 
 # (x_bit, z_bit) per letter
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+# letters indexed by the per-qubit code x | z << 1
+_CODE_ORDER = "IXZY"
+_CODE_LETTERS = np.frombuffer(_CODE_ORDER.encode("ascii"), dtype=np.uint8)
+_ILLEGAL = re.compile("[^IXYZ]")
+# letter -> x bit and letter -> z bit, as binary digits
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
@@ -104,7 +116,7 @@ def letter(p: PauliOperator, i: int) -> str:
     if not 1 <= i <= p.n:
         raise ValueError(f"qubit index {i} out of range 1..{p.n}")
     bit = i - 1
-    return _BITS_LETTER[((p.x_bits >> bit) & 1, (p.z_bits >> bit) & 1)]
+    return _CODE_ORDER[((p.x_bits >> bit) & 1) | ((p.z_bits >> bit) & 1) << 1]
 
 
 def parse(s: str) -> PauliOperator:
@@ -117,21 +129,17 @@ def parse(s: str) -> PauliOperator:
         s = s[1:]
     if not s:
         raise ValueError("Pauli string has a sign but no letters")
-    x_bits = 0
-    z_bits = 0
-    for pos, ch in enumerate(s):
-        try:
-            x, z = _LETTER_BITS[ch]
-        except KeyError:
-            raise ValueError(f"illegal character {ch!r} in Pauli string") from None
-        x_bits |= x << pos
-        z_bits |= z << pos
+    bad = _ILLEGAL.search(s)
+    if bad:
+        raise ValueError(f"illegal character {bad.group()!r} in Pauli string")
+    # qubit 1 is bit 0, so the leftmost letter is the least significant digit
+    body = s[::-1]
+    x_bits = int(body.translate(_X_DIGITS), 2)
+    z_bits = int(body.translate(_Z_DIGITS), 2)
     return PauliOperator(len(s), x_bits, z_bits, sign)
 
 
 def format(p: PauliOperator) -> str:
     """Canonical text form: explicit sign, then one letter per qubit."""
-    body = "".join(
-        _BITS_LETTER[((p.x_bits >> b) & 1, (p.z_bits >> b) & 1)] for b in range(p.n)
-    )
-    return ("+" if p.sign == 1 else "-") + body
+    codes = bits(p.x_bits, p.n) | bits(p.z_bits, p.n) << 1
+    return ("+" if p.sign == 1 else "-") + _CODE_LETTERS[codes].tobytes().decode("ascii")

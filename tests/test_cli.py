@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,3 +281,32 @@ def test_simulate_bad_env_seed_exit_2(capsys, code_path, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", str(code_path), "--model", "pauli:+XIIIIIII",
                            "--trials", "2", "--seed", "4", "--json")
     assert code == 0 and json.loads(out)["seed"] == 4
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ("matrix:1,0,0@1", "error: matrix error needs 4 comma-separated entries, got 3"),
+        ("matrix:1,0,0,1@x", "error: matrix qubit must be an integer, got 'x'"),
+        ("matrix:1,a,0,1@1", "error: matrix entries must be complex numbers, got '1,a,0,1'"),
+        ("depolarizing:abc", "error: depolarizing probability must be a number, got 'abc'"),
+    ],
+)
+def test_simulate_malformed_model_message(capsys, code_path, model, message):
+    code, out, err = run_cli(capsys, "simulate", str(code_path), "--model", model)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_simulate_scaled_identity_matrix(capsys, code_path, scale):
+    # the identity up to a huge or tiny factor must neither overflow nor
+    # read as annihilation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "simulate", str(code_path), "--model",
+                               f"matrix:{scale},0,0,{scale}@1", "--trials", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["successes"] == 3
+    assert data["syndrome_histogram"] == {"00000": 3}

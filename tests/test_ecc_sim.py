@@ -127,6 +127,21 @@ def test_trial_random_matrix_errors(sim):
         assert report.success, f"trial {t} fidelity {report.fidelity}"
 
 
+@pytest.mark.parametrize("exponent", [-1000, -600, -3, 3, 600, 1000])
+def test_trial_matrix_scale_invariant(sim, exponent):
+    # a power-of-two multiple of an error matrix is the same error; huge and
+    # tiny multiples must neither overflow nor read as annihilation
+    for t in range(10):
+        rng = trial_rng(77, t)
+        m = rng.standard_normal((2, 2))
+        if t % 2:
+            m = m + 1j * rng.standard_normal((2, 2))
+        with np.errstate(all="raise"):
+            got = sim.trial(MatrixError(m * 2.0**exponent, 4), trial_rng(78, t))
+        assert got == sim.trial(MatrixError(m, 4), trial_rng(78, t))
+        assert got.success
+
+
 def test_trial_superposition_logical(sim):
     rng = trial_rng(42, 0)
     c = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -127,6 +127,16 @@ def test_verify_code_t2_fails(code8):
     assert parse(e).n == 8 and parse(e2).n == 8
 
 
+@pytest.mark.parametrize("t", [1, 2])
+def test_verify_code_blocked_gram_matches_one_block(code8, monkeypatch, t):
+    # one block is the whole Gram matrix; the first witness is row-major
+    monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", 1 << 20)
+    whole = verify_code(code8, t)
+    for block in (1, 7, 256):
+        monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", block)
+        assert verify_code(code8, t) == whole
+
+
 def test_verify_trivial_code():
     from stabforge.family import CodeSpec
 

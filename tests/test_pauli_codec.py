@@ -1,0 +1,125 @@
+"""Differential tests of the Pauli text codec against a per-character reference.
+
+The reference below is the straightforward loop over every letter; the
+library's ``format``/``parse`` must agree with it on every operator, on every
+string it accepts, and on the exact ``ValueError`` message of every string it
+rejects.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from stabforge import family, pauli
+from stabforge.pauli import PauliOperator
+
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+
+
+def ref_parse(s):
+    if not s:
+        raise ValueError("empty Pauli string")
+    sign = 1
+    if s[0] in "+-−":
+        sign = 1 if s[0] == "+" else -1
+        s = s[1:]
+    if not s:
+        raise ValueError("Pauli string has a sign but no letters")
+    x_bits = 0
+    z_bits = 0
+    for pos, ch in enumerate(s):
+        try:
+            x, z = _LETTER_BITS[ch]
+        except KeyError:
+            raise ValueError(f"illegal character {ch!r} in Pauli string") from None
+        x_bits |= x << pos
+        z_bits |= z << pos
+    return PauliOperator(len(s), x_bits, z_bits, sign)
+
+
+def ref_format(p):
+    body = "".join(
+        _BITS_LETTER[((p.x_bits >> b) & 1, (p.z_bits >> b) & 1)] for b in range(p.n)
+    )
+    return ("+" if p.sign == 1 else "-") + body
+
+
+def outcome(fn, s):
+    try:
+        return fn(s)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def operators(draw, max_n=300):
+    n = draw(st.integers(1, max_n))
+    bits = st.integers(0, (1 << n) - 1)
+    return PauliOperator(n, draw(bits), draw(bits), draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=300)
+@given(operators())
+def test_format_and_parse_match_reference(op):
+    text = pauli.format(op)
+    assert text == ref_format(op)
+    assert pauli.parse(text) == op
+    # the sign prefix is optional, and U+2212 also reads as minus
+    assert pauli.parse(text[1:]) == PauliOperator(op.n, op.x_bits, op.z_bits, 1)
+    assert pauli.parse("−" + text[1:]) == PauliOperator(op.n, op.x_bits, op.z_bits, -1)
+
+
+# int(..., 2) accepts "_", surrounding whitespace and non-ASCII digits, so
+# they must be rejected before the digits are converted
+_NOISE = st.sampled_from(list("IXYZ" * 4 + "ixyz01_ \t\n+-−") + ["١", "é", "Ｘ", " "])
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(_NOISE, max_size=40), st.text(max_size=20)))
+@example("")
+@example("+")
+@example("-")
+@example("−")
+@example("+-X")
+@example("X_X")
+@example("0101")
+@example(" XX")
+@example("XX\n")
+@example("١")
+def test_parse_matches_reference_on_any_text(s):
+    assert outcome(pauli.parse, s) == outcome(ref_parse, s)
+
+
+def test_round_trip_above_int_digit_limit(rng):
+    # 65,536 letters is far above CPython's 4,300-digit int/str limit, which
+    # exempts base 2 only
+    n = 1 << 16
+    op = PauliOperator(
+        n,
+        int.from_bytes(rng.bytes(n // 8), "little"),
+        int.from_bytes(rng.bytes(n // 8), "little"),
+        -1,
+    )
+    text = pauli.format(op)
+    assert text == ref_format(op)
+    assert pauli.parse(text) == op
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_codespec_save_bytes_match_reference(tmp_path, j):
+    code = family.build_code(j)
+    data = {
+        "n": code.n,
+        "k": code.k,
+        "j": code.j,
+        "generators": [ref_format(g) for g in code.generators],
+        "seed_generators": [ref_format(g) for g in code.seed_generators],
+        "construction": code.construction,
+        "version": code.version,
+    }
+    path = tmp_path / "code.json"
+    code.save(path)
+    assert path.read_bytes() == (json.dumps(data, indent=2) + "\n").encode("utf-8")
+    assert family.CodeSpec.load(path) == code
