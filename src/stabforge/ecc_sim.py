@@ -23,18 +23,16 @@ from typing import Optional, Union
 import numpy as np
 
 from . import codewords
-from .oracle import StateVector, apply_pauli, apply_single_qubit, dense_from_formal
-from .pauli import PauliOperator, identity, multiply, parse as parse_pauli, single
-from .stabilizer import (
-    StabilizerGroup,
-    Syndrome,
-    iter_errors,
-    syndrome as syndrome_of,
-    validate,
-)
+from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
+from .pauli import PauliOperator, parse as parse_pauli, single
+from .stabilizer import StabilizerGroup, Syndrome, error_syndromes, materialize, validate
 
 FIDELITY_TOL = 1e-10
+# trials simulated together as rows of one (rows, 2^n) array; bounds the
+# extra memory of a campaign to a few such arrays
+TRIAL_BLOCK_ROWS = 8
 _PROB_EPS = 1e-12
+_ZERO_NORM = 1e-15
 
 
 class DegenerateSyndromesError(ValueError):
@@ -125,14 +123,70 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
     syndrome; a repeated syndrome means the code cannot correct t errors."""
     group = validate(code.n, code.generators)
     entries: dict[Syndrome, PauliOperator] = {}
-    for err in iter_errors(code.n, t):
-        syn = syndrome_of(group, err)
+    for desc, value in error_syndromes(group, t):
+        syn = Syndrome(value, group.a)
+        err = materialize(code.n, desc)
         if syn in entries:
             raise DegenerateSyndromesError(
                 f"syndrome {syn} of {err} already assigned to {entries[syn]}"
             )
         entries[syn] = err
     return SyndromeTable(t, entries)
+
+
+def _generator_actions(group: StabilizerGroup) -> list:
+    return [pauli_action(group.n, g.x_bits, g.z_bits, g.sign) for g in group.generators]
+
+
+def _sqnorm(row: np.ndarray) -> float:
+    """np.linalg.norm(row) ** 2 before its square root, reduced the same way."""
+    re, im = row.real, row.imag
+    return float(re.dot(re)) + float(im.dot(im))
+
+
+def _outcome_plus(p_plus: float, rng: np.random.Generator) -> bool:
+    """Probabilities within _PROB_EPS of 0 or 1 are exact, so eigenstates
+    measure deterministically regardless of roundoff."""
+    if p_plus >= 1.0 - _PROB_EPS:
+        return True
+    if p_plus <= _PROB_EPS:
+        return False
+    return rng.random() < p_plus
+
+
+def _measure_rows(amps, norms, actions, rngs) -> tuple[list[int], np.ndarray]:
+    """Projectively measure each generator in order on every row of amps.
+
+    Row r has norm norms[r] > 0 and draws only from rngs[r].  The
+    arithmetic is element-wise or per row, so each row gets the floats it
+    would get alone.  Returns the syndrome values and the collapsed rows.
+    """
+    amps = amps / norms[:, None]
+    values = [0] * len(rngs)
+    for perm, coef in actions:
+        # in place where a temporary can be reused: a campaign's peak memory
+        # is mostly these (rows, 2^n) arrays
+        moved = amps.take(perm, axis=1)
+        moved *= coef
+        plus = amps + moved
+        plus /= 2.0
+        keep_plus, kept = [], []
+        for r, rng in enumerate(rngs):
+            # math.sqrt and ** are the correctly rounded sqrt and the libm
+            # pow that np.linalg.norm(plus) ** 2 uses
+            p_plus = math.sqrt(_sqnorm(plus[r])) ** 2
+            up = _outcome_plus(p_plus, rng)
+            keep_plus.append(up)
+            kept.append(p_plus if up else 1.0 - p_plus)
+            values[r] = (values[r] << 1) | (not up)
+        if all(keep_plus):
+            amps = plus
+        else:
+            amps -= moved
+            amps /= 2.0  # the minus projection
+            amps = np.where(np.array(keep_plus)[:, None], plus, amps)
+        amps /= np.sqrt(kept)[:, None]
+    return values, amps
 
 
 def measure_syndrome(
@@ -142,33 +196,16 @@ def measure_syndrome(
 
     Bit r of the syndrome is 0 for outcome +1.  Outcome probabilities within
     1e-12 of 0 or 1 are taken as exact so eigenstates measure
-    deterministically regardless of roundoff.
+    deterministically regardless of roundoff.  This is the trial kernel's
+    measurement on one row.
     """
     if v.n != group.n:
         raise ValueError("state and group qubit counts differ")
     nrm = v.norm()
-    if nrm < 1e-15:
+    if nrm < _ZERO_NORM:
         raise ValueError("cannot measure the zero state")
-    amps = v.amplitudes / nrm
-    value = 0
-    for g in group.generators:
-        moved = apply_pauli(g, StateVector(v.n, amps)).amplitudes
-        plus = (amps + moved) / 2.0
-        p_plus = float(np.linalg.norm(plus) ** 2)
-        if p_plus >= 1.0 - _PROB_EPS:
-            outcome_plus = True
-        elif p_plus <= _PROB_EPS:
-            outcome_plus = False
-        else:
-            outcome_plus = rng.random() < p_plus
-        if outcome_plus:
-            amps = plus / np.sqrt(p_plus)
-            value = value << 1
-        else:
-            minus = (amps - moved) / 2.0
-            amps = minus / np.sqrt(1.0 - p_plus)
-            value = (value << 1) | 1
-    return Syndrome(value, group.a), StateVector(v.n, amps)
+    values, amps = _measure_rows(v.amplitudes[None, :], np.array([nrm]), _generator_actions(group), [rng])
+    return Syndrome(values[0], group.a), StateVector(v.n, amps[0])
 
 
 def _unit_scaled(m: np.ndarray) -> np.ndarray:
@@ -192,6 +229,7 @@ class Simulator:
     """Reusable context for one code: group, dense basis, syndrome table."""
 
     def __init__(self, code, t: int = 1):
+        _check_n(code.n)  # before the 2^k basis, which a large code cannot hold
         self.code = code
         self.group = validate(code.n, code.generators)
         self.table = build_syndrome_table(code, t)
@@ -199,27 +237,54 @@ class Simulator:
         self.basis = [dense_from_formal(s) for s in formal]
         self.k = code.n - self.group.a
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
+        self._generator_actions = _generator_actions(self.group)
 
     def logical_state(self, coeffs: np.ndarray) -> StateVector:
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        amps = coeffs @ self._basis_matrix
-        return StateVector(self.code.n, amps)
+        return StateVector(self.code.n, self._encode(coeffs))
+
+    def _encode(self, coeffs) -> np.ndarray:
+        return np.asarray(coeffs, dtype=np.complex128) @ self._basis_matrix
 
     def random_logical(self, rng: np.random.Generator) -> StateVector:
-        c = rng.standard_normal(1 << self.k) + 1j * rng.standard_normal(1 << self.k)
-        return self.logical_state(c / np.linalg.norm(c))
+        return StateVector(self.code.n, self._random_amplitudes(rng))
 
-    def _apply_error(self, error: ErrorSpec, v: StateVector, rng) -> StateVector:
+    def _random_amplitudes(self, rng: np.random.Generator) -> np.ndarray:
+        c = rng.standard_normal(1 << self.k) + 1j * rng.standard_normal(1 << self.k)
+        return self._encode(c / math.sqrt(_sqnorm(c)))  # np.linalg.norm(c), inlined
+
+    def _input_amplitudes(self, logical, rng) -> np.ndarray:
+        if logical is None:
+            return self._random_amplitudes(rng)
+        if isinstance(logical, (int, np.integer)):
+            return self._basis_matrix[int(logical)]
+        return self._encode(logical)
+
+    def _depolarizing_action(self, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
+        # one draw per qubit, then a letter for each hit; the qubits are
+        # distinct, so the product of the single-qubit letters has sign +1
+        x = z = 0
+        for bit in range(self.code.n):
+            if rng.random() < p:
+                letter = rng.integers(3)  # X, Y, Z
+                x |= (letter != 2) << bit
+                z |= (letter != 0) << bit
+        return pauli_action(self.code.n, x, z)
+
+    def _damage(self, error: ErrorSpec, psi: np.ndarray, rngs) -> np.ndarray:
         if isinstance(error, PauliError):
-            return apply_pauli(error.op, v)
+            op = error.op
+            perm, coef = pauli_action(op.n, op.x_bits, op.z_bits, op.sign)
+            damaged = psi.take(perm, axis=1)
+            damaged *= coef
+            return damaged
         if isinstance(error, MatrixError):
-            return apply_single_qubit(_unit_scaled(error.matrix), error.qubit, v)
+            return single_qubit_product(_unit_scaled(error.matrix), error.qubit, psi)
         if isinstance(error, DepolarizingError):
-            op = identity(self.code.n)
-            for i in range(1, self.code.n + 1):
-                if rng.random() < error.p:
-                    op = multiply(op, single(self.code.n, i, "XYZ"[rng.integers(3)]))
-            return apply_pauli(op, v)
+            damaged = np.empty_like(psi)
+            for r, rng in enumerate(rngs):
+                perm, coef = self._depolarizing_action(error.p, rng)
+                damaged[r] = coef * psi[r, perm]
+            return damaged
         raise TypeError(f"unsupported error spec {error!r}")
 
     def trial(self, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
@@ -230,22 +295,32 @@ class Simulator:
         annihilates the state or a syndrome outside the table is reported,
         not raised.
         """
-        if logical is None:
-            psi_in = self.random_logical(rng)
-        elif isinstance(logical, (int, np.integer)):
-            psi_in = self.basis[int(logical)]
-        else:
-            psi_in = self.logical_state(logical)
+        return self._trial_block(error, [rng], [logical])[0]
 
-        damaged = self._apply_error(error, psi_in, rng)
-        if damaged.norm() < 1e-15:
-            return RecoveryReport(None, None, 0.0, False)
-        syn, collapsed = measure_syndrome(damaged, self.group, rng)
-        corr = self.table.correction(syn)
-        out = collapsed if corr is None else apply_pauli(corr, collapsed)
-        fidelity = float(abs(np.vdot(psi_in.amplitudes, out.amplitudes)))
-        success = corr is not None and fidelity >= 1.0 - FIDELITY_TOL
-        return RecoveryReport(syn, corr, fidelity, success)
+    def _trial_block(self, error: ErrorSpec, rngs, logicals) -> list[RecoveryReport]:
+        """Simulator.trial for each (rng, logical) pair, as one row each.
+
+        Row r draws only from rngs[r], in the order of a lone trial: the
+        logical amplitudes, then the error, then the measurement.
+        """
+        psi = np.stack([self._input_amplitudes(lg, rng) for lg, rng in zip(logicals, rngs)])
+        damaged = self._damage(error, psi, rngs)
+        norms = np.sqrt([_sqnorm(row) for row in damaged])
+        live = np.flatnonzero(norms >= _ZERO_NORM)
+        reports = [RecoveryReport(None, None, 0.0, False)] * len(rngs)
+        values, out = _measure_rows(
+            damaged[live], norms[live], self._generator_actions, [rngs[r] for r in live]
+        )
+        for i, r in enumerate(live):
+            syn = Syndrome(values[i], self.group.a)
+            corr = self.table.correction(syn)
+            if corr is not None:
+                perm, coef = pauli_action(corr.n, corr.x_bits, corr.z_bits, corr.sign)
+                out[i] = coef * out[i, perm]
+            fidelity = float(abs(np.vdot(psi[r], out[i])))
+            success = corr is not None and fidelity >= 1.0 - FIDELITY_TOL
+            reports[r] = RecoveryReport(syn, corr, fidelity, success)
+        return reports
 
 
 def run_trial(code, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
@@ -280,6 +355,12 @@ class CampaignStats:
         return json.dumps(data, indent=2)
 
 
+def _blocks(indices: range):
+    """Consecutive slices of at most TRIAL_BLOCK_ROWS indices."""
+    for start in range(0, len(indices), TRIAL_BLOCK_ROWS):
+        yield indices[start : start + TRIAL_BLOCK_ROWS]
+
+
 def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     """Aggregate run_trial over a model; same seed gives identical output.
 
@@ -295,13 +376,14 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
         for i in range(1, code.n + 1):
             for letter in "XYZ":
                 err = PauliError(single(code.n, i, letter))
-                for word in range(1 << sim.k):
-                    reports.append(sim.trial(err, trial_rng(seed, index), logical=word))
-                    index += 1
+                for words in _blocks(range(1 << sim.k)):
+                    rngs = [trial_rng(seed, index + j) for j in range(len(words))]
+                    reports += sim._trial_block(err, rngs, list(words))
+                    index += len(words)
     else:
         spec = parse_error_spec(model, code.n)
-        for index in range(trials):
-            reports.append(sim.trial(spec, trial_rng(seed, index)))
+        for block in _blocks(range(trials)):
+            reports += sim._trial_block(spec, [trial_rng(seed, i) for i in block], [None] * len(block))
 
     histogram: dict[str, int] = {}
     for r in reports:

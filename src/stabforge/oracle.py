@@ -83,26 +83,36 @@ def dense_from_formal(state: FormalState) -> StateVector:
     return StateVector(state.n, amps)
 
 
-def _and_parity(values: np.ndarray, mask: int) -> np.ndarray:
-    v = values & mask
-    v ^= v >> 32
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(label) for labels 0 .. 2^n - 1: setting the top bit of
+    a label flips its parity, so each qubit doubles the table."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate((signs, -signs))
+    return signs
+
+
+_PARITY_SIGNS = _parity_signs(MAX_QUBITS)
+
+
+def pauli_action(n: int, x_bits: int, z_bits: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form of a Pauli on n qubits: op|v> = coef * v[perm].
+
+    Label j receives the amplitude of j ^ x_bits, times sign and -1 for
+    each Z-component on a set bit of j ^ x_bits.
+    """
+    _check_n(n)
+    perm = np.arange(1 << n, dtype=np.int64) ^ x_bits
+    # complex, as the multiply would cast it anyway
+    return perm, (sign * _PARITY_SIGNS[perm & z_bits]).astype(np.complex128)
 
 
 def apply_pauli(op: PauliOperator, v: StateVector) -> StateVector:
     """Exact action: label -> label ^ x_bits with sign from the Z-components."""
     if op.n != v.n:
         raise ValueError("qubit count mismatch")
-    idx = np.arange(1 << v.n, dtype=np.int64)
-    signs = 1.0 - 2.0 * _and_parity(idx, op.z_bits)
-    out = np.empty_like(v.amplitudes)
-    out[idx ^ op.x_bits] = op.sign * signs * v.amplitudes
-    return StateVector(v.n, out)
+    perm, coef = pauli_action(v.n, op.x_bits, op.z_bits, op.sign)
+    return StateVector(v.n, coef * v.amplitudes[perm])
 
 
 def apply_single_qubit(matrix, i: int, v: StateVector) -> StateVector:
@@ -112,10 +122,13 @@ def apply_single_qubit(matrix, i: int, v: StateVector) -> StateVector:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not 1 <= i <= v.n:
         raise ValueError(f"qubit index {i} out of range 1..{v.n}")
-    block = 1 << (i - 1)
-    cube = v.amplitudes.reshape(-1, 2, block)
-    out = np.einsum("ab,xbz->xaz", m, cube).reshape(-1)
-    return StateVector(v.n, out)
+    return StateVector(v.n, single_qubit_product(m, i, v.amplitudes))
+
+
+def single_qubit_product(m: np.ndarray, i: int, amps: np.ndarray) -> np.ndarray:
+    """The 2x2 complex matrix m on qubit i of every row of amps (..., 2^n)."""
+    cube = amps.reshape(-1, 2, 1 << (i - 1))
+    return np.einsum("ab,xbz->xaz", m, cube).reshape(amps.shape)
 
 
 def pauli_matrix(op: PauliOperator) -> np.ndarray:

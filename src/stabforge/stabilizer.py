@@ -163,16 +163,18 @@ class CorrectabilityReport:
     collision: Optional[tuple[PauliOperator, PauliOperator]] = None
 
 
-def iter_errors(n: int, t: int) -> Iterator[PauliOperator]:
-    """Pauli errors of weight <= t: weight ascending, then qubits, then XYZ."""
-    yield identity(n)
-    for ell in range(1, t + 1):
+def _descriptors(n: int, lo: int, t: int) -> Iterator[tuple]:
+    """(qubit, letter) tuples of weight lo..t: weight ascending, then qubits, then XYZ."""
+    for ell in range(lo, t + 1):
         for qubits in itertools.combinations(range(1, n + 1), ell):
             for letters in itertools.product("XYZ", repeat=ell):
-                err = identity(n)
-                for i, L in zip(qubits, letters):
-                    err = multiply(err, single(n, i, L))
-                yield err
+                yield tuple(zip(qubits, letters))
+
+
+def iter_errors(n: int, t: int) -> Iterator[PauliOperator]:
+    """Pauli errors of weight <= t: weight ascending, then qubits, then XYZ."""
+    for desc in _descriptors(n, 0, max(t, 0)):
+        yield materialize(n, desc)
 
 
 def weight_one_syndromes(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,21 +224,26 @@ def _light_descriptor(m: int) -> tuple:
 
 def _iter_heavy_error_syndromes(group: StabilizerGroup, t: int):
     """(descriptor, syndrome value) pairs of weight 2..t in iter_errors order."""
-    n = group.n
-    for ell in range(2, t + 1):
-        for qubits in itertools.combinations(range(1, n + 1), ell):
-            for letters in itertools.product("XYZ", repeat=ell):
-                err = identity(n)
-                for i, L in zip(qubits, letters):
-                    err = multiply(err, single(n, i, L))
-                yield tuple(zip(qubits, letters)), syndrome(group, err).value
+    for desc in _descriptors(group.n, 2, t):
+        yield desc, syndrome(group, materialize(group.n, desc)).value
 
 
-def _materialize(n: int, desc) -> PauliOperator:
+def materialize(n: int, desc) -> PauliOperator:
+    """The error named by a descriptor of (qubit, letter) pairs."""
     err = identity(n)
     for i, L in desc:
         err = multiply(err, single(n, i, L))
     return err
+
+
+def error_syndromes(group: StabilizerGroup, t: int) -> Iterator[tuple[tuple, int]]:
+    """(descriptor, syndrome value) of every error of weight <= t in
+    iter_errors order: weight <= 1 from the bit columns, heavier ones
+    streamed."""
+    light = _light_syndromes(group) if t >= 1 else np.zeros(1, dtype=np.int64)
+    for m, value in enumerate(light.tolist()):
+        yield _light_descriptor(m), value
+    yield from _iter_heavy_error_syndromes(group, t)
 
 
 def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport:
@@ -256,8 +263,8 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     repeats = np.flatnonzero(first_of != np.arange(len(light)))
     if repeats.size:
         m = int(repeats[0])
-        first = _materialize(n, _light_descriptor(int(first_of[m])))
-        pair = (first, _materialize(n, _light_descriptor(m)))
+        first = materialize(n, _light_descriptor(int(first_of[m])))
+        pair = (first, materialize(n, _light_descriptor(m)))
         return CorrectabilityReport(False, t, m + 1, m, pair)
     total = len(light)
     if t < 2:
@@ -266,7 +273,7 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     for desc, value in _iter_heavy_error_syndromes(group, t):
         total += 1
         if value in seen:
-            pair = (_materialize(n, seen[value]), _materialize(n, desc))
+            pair = (materialize(n, seen[value]), materialize(n, desc))
             return CorrectabilityReport(False, t, total, len(seen), pair)
         seen[value] = desc
     return CorrectabilityReport(True, t, total, len(seen))

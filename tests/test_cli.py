@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -310,3 +311,16 @@ def test_simulate_scaled_identity_matrix(capsys, code_path, scale):
     data = json.loads(out)
     assert data["successes"] == 3
     assert data["syndrome_histogram"] == {"00000": 3}
+
+
+def test_simulate_large_code_exits_2_quickly(capsys, tmp_path):
+    # j = 5 has n = 32 and 2^25 code words; the 12-qubit dense cap must stop
+    # simulate before any of them is built
+    path = tmp_path / "c32.json"
+    code, _, _ = run_cli(capsys, "family", "--j", "5", "--out", str(path))
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", str(path), "--model", "depolarizing:0.1", "--trials", "3")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: dense oracle is capped at 12 qubits, got 32"]

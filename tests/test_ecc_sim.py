@@ -1,13 +1,25 @@
+import itertools
+import math
+import re
+import time
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from stabforge import ecc_sim
+from stabforge import codewords, ecc_sim, family
 from stabforge.ecc_sim import (
+    TRIAL_BLOCK_ROWS,
+    CampaignStats,
     DegenerateSyndromesError,
     DepolarizingError,
     MatrixError,
     PauliError,
+    RecoveryReport,
     Simulator,
+    SyndromeTable,
     build_syndrome_table,
     measure_syndrome,
     parse_error_spec,
@@ -15,9 +27,10 @@ from stabforge.ecc_sim import (
     run_trial,
     trial_rng,
 )
-from stabforge.oracle import StateVector, apply_pauli
-from stabforge.pauli import identity, parse, single
-from stabforge.stabilizer import Syndrome, syndrome
+from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit
+from stabforge.pauli import identity, multiply, parse, single
+from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome
+from strategies import valid_groups
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +215,308 @@ def test_parse_error_spec(code8):
                 "depolarizing:2", "exhaustive"):
         with pytest.raises(ValueError):
             parse_error_spec(bad, 8)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the blocked trial kernel against a frozen copy of the
+# per-trial dense path it replaced.  Reports, fidelities included, and
+# campaign JSON must be identical, not merely close.
+
+B = TRIAL_BLOCK_ROWS
+
+
+def _ref_and_parity(values, mask):
+    v = values & mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
+
+
+def _ref_apply_pauli(op, amps):
+    idx = np.arange(len(amps), dtype=np.int64)
+    signs = 1.0 - 2.0 * _ref_and_parity(idx, op.z_bits)
+    out = np.empty_like(amps)
+    out[idx ^ op.x_bits] = op.sign * signs * amps
+    return out
+
+
+def _ref_unit_scaled(m):
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    parts = m.view(np.float64)
+    shift = 1 - math.frexp(float(np.abs(parts).max()))[1]
+    return m if shift == 0 else np.ldexp(parts, shift).view(np.complex128)
+
+
+def _ref_table(group: StabilizerGroup, t: int) -> SyndromeTable:
+    n = group.n
+    entries = {}
+    errors = [identity(n)]
+    for ell in range(1, t + 1):
+        for qubits in itertools.combinations(range(1, n + 1), ell):
+            for letters in itertools.product("XYZ", repeat=ell):
+                err = identity(n)
+                for i, L in zip(qubits, letters):
+                    err = multiply(err, single(n, i, L))
+                errors.append(err)
+    for err in errors:
+        syn = syndrome(group, err)
+        if syn in entries:
+            raise DegenerateSyndromesError(f"syndrome {syn} of {err} already assigned to {entries[syn]}")
+        entries[syn] = err
+    return SyndromeTable(t, entries)
+
+
+def _ref_measure(amps, group, rng):
+    amps = amps / float(np.linalg.norm(amps))
+    value = 0
+    for g in group.generators:
+        moved = _ref_apply_pauli(g, amps)
+        plus = (amps + moved) / 2.0
+        p_plus = float(np.linalg.norm(plus) ** 2)
+        if p_plus >= 1.0 - 1e-12:
+            outcome_plus = True
+        elif p_plus <= 1e-12:
+            outcome_plus = False
+        else:
+            outcome_plus = rng.random() < p_plus
+        if outcome_plus:
+            amps = plus / np.sqrt(p_plus)
+            value = value << 1
+        else:
+            minus = (amps - moved) / 2.0
+            amps = minus / np.sqrt(1.0 - p_plus)
+            value = (value << 1) | 1
+    return Syndrome(value, group.a), amps
+
+
+def _ref_trial(sim, error, rng, logical=None) -> RecoveryReport:
+    n = sim.code.n
+    basis = np.stack([s.amplitudes for s in sim.basis])
+    if logical is None:
+        c = rng.standard_normal(1 << sim.k) + 1j * rng.standard_normal(1 << sim.k)
+        psi = np.asarray(c / np.linalg.norm(c), dtype=np.complex128) @ basis
+    elif isinstance(logical, (int, np.integer)):
+        psi = sim.basis[int(logical)].amplitudes
+    else:
+        psi = np.asarray(logical, dtype=np.complex128) @ basis
+    if isinstance(error, PauliError):
+        damaged = _ref_apply_pauli(error.op, psi)
+    elif isinstance(error, MatrixError):
+        m = _ref_unit_scaled(error.matrix)
+        cube = psi.reshape(-1, 2, 1 << (error.qubit - 1))
+        damaged = np.einsum("ab,xbz->xaz", m, cube).reshape(-1)
+    else:
+        op = identity(n)
+        for i in range(1, n + 1):
+            if rng.random() < error.p:
+                op = multiply(op, single(n, i, "XYZ"[rng.integers(3)]))
+        damaged = _ref_apply_pauli(op, psi)
+    if float(np.linalg.norm(damaged)) < 1e-15:
+        return RecoveryReport(None, None, 0.0, False)
+    syn, collapsed = _ref_measure(damaged, sim.group, rng)
+    corr = _ref_table(sim.group, sim.table.t).correction(syn)
+    out = collapsed if corr is None else _ref_apply_pauli(corr, collapsed)
+    fidelity = float(abs(np.vdot(psi, out)))
+    return RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - 1e-10)
+
+
+def _ref_campaign(code, model, trials, seed) -> str:
+    sim = Simulator(code)
+    reports = []
+    if model == "exhaustive":
+        index = 0
+        for i in range(1, code.n + 1):
+            for letter in "XYZ":
+                err = PauliError(single(code.n, i, letter))
+                for word in range(1 << sim.k):
+                    reports.append(_ref_trial(sim, err, trial_rng(seed, index), logical=word))
+                    index += 1
+    else:
+        spec = parse_error_spec(model, code.n)
+        for index in range(trials):
+            reports.append(_ref_trial(sim, spec, trial_rng(seed, index)))
+    histogram = {}
+    for r in reports:
+        key = str(r.syndrome) if r.syndrome is not None else "annihilated"
+        histogram[key] = histogram.get(key, 0) + 1
+    successes = sum(r.success for r in reports)
+    return CampaignStats(
+        model=model,
+        seed=seed,
+        trials=len(reports),
+        successes=successes,
+        success_rate=successes / len(reports) if reports else 0.0,
+        min_fidelity=min((r.fidelity for r in reports), default=0.0),
+        syndrome_histogram=histogram,
+    ).to_json()
+
+
+def _matrix_model(m, qubit):
+    return "matrix:" + ",".join(repr(complex(x)) for x in np.ravel(m)) + f"@{qubit}"
+
+
+_RANDOM_COMPLEX = np.array([[0.3 + 1.1j, -0.7], [0.2j, 1 - 0.4j]])
+CAMPAIGN_MODELS = [
+    "pauli:+IIIIIYII",
+    "pauli:+XXIIIIII",  # syndrome 00001, outside the table
+    "pauli:-ZIIIIIIX",
+    "depolarizing:0",
+    "depolarizing:0.05",
+    "depolarizing:0.3",
+    "depolarizing:1",
+    "matrix:0.5,0.1j,1,0@3",
+    _matrix_model(_RANDOM_COMPLEX, 8),
+    "matrix:1,0,0,0@4",  # projector
+    "matrix:0,0,0,0@1",  # annihilates every trial
+    _matrix_model(_RANDOM_COMPLEX * 2.0**600, 2),
+    _matrix_model(_RANDOM_COMPLEX * 2.0**-600, 5),
+]
+
+
+@pytest.mark.parametrize("trials", [0, 1, B - 1, B, B + 1])
+@pytest.mark.parametrize("model", CAMPAIGN_MODELS)
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_campaign_matches_per_trial_reference(code8, model, trials, seed):
+    got = run_campaign(code8, model, trials, seed).to_json()
+    assert got == _ref_campaign(code8, model, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99])
+def test_exhaustive_campaign_matches_per_trial_reference(code8, seed):
+    assert run_campaign(code8, "exhaustive", 0, seed).to_json() == _ref_campaign(code8, "exhaustive", 0, seed)
+
+
+def _error_specs():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return [
+        PauliError(parse("+IIXIIIII")),
+        PauliError(parse("-YIIIIIIZ")),
+        DepolarizingError(0.0),
+        DepolarizingError(0.05),
+        DepolarizingError(0.3),
+        DepolarizingError(1.0),
+        MatrixError(m, 6),
+        MatrixError(m * 2.0**600, 1),
+        MatrixError(m * 2.0**-600, 8),
+        MatrixError(np.array([[0.0, 0.0], [0.0, 1.0]]), 3),  # projector
+        MatrixError(np.zeros((2, 2)), 2),
+    ]
+
+
+ERROR_SPECS = _error_specs()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    error=st.sampled_from(ERROR_SPECS),
+    logical=st.one_of(st.none(), st.integers(0, 7), st.integers(0, 2**32 - 1).map(lambda s: s + 1j)),
+)
+def test_trial_matches_per_trial_reference(sim, seed, error, logical):
+    if isinstance(logical, complex):  # a vector over the logical words
+        r = np.random.default_rng(int(logical.real))
+        logical = r.standard_normal(8) + 1j * r.standard_normal(8)
+        logical /= np.linalg.norm(logical)
+    got = sim.trial(error, trial_rng(seed, 3), logical=logical)
+    assert got == _ref_trial(sim, error, trial_rng(seed, 3), logical=logical)
+
+
+@pytest.mark.parametrize("error", ERROR_SPECS, ids=lambda e: type(e).__name__)
+def test_block_rows_match_lone_trials(sim, error):
+    # one block mixing every kind of logical input; each row must match the
+    # same trial run alone, whatever the other rows do
+    vec = np.arange(8) + 1j * np.arange(8)[::-1]
+    logicals = [None, 0, 5, vec / np.linalg.norm(vec), None, 7, None]
+    rngs = [trial_rng(11, i) for i in range(len(logicals))]
+    block = sim._trial_block(error, rngs, logicals)
+    for i, logical in enumerate(logicals):
+        assert block[i] == sim.trial(error, trial_rng(11, i), logical=logical)
+        assert block[i] == _ref_trial(sim, error, trial_rng(11, i), logical=logical)
+
+
+def test_measure_syndrome_matches_reference(sim, group8):
+    for t in range(30):
+        rng = trial_rng(8, t)
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        damaged = apply_single_qubit(m, int(rng.integers(1, 9)), sim.random_logical(rng))
+        syn, collapsed = measure_syndrome(damaged, group8, trial_rng(9, t))
+        ref_syn, ref_amps = _ref_measure(damaged.amplitudes, group8, trial_rng(9, t))
+        assert syn == ref_syn
+        assert np.array_equal(collapsed.amplitudes.view(np.float64), ref_amps.view(np.float64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
+def test_random_groups_match_per_trial_reference(group, seed, p):
+    # signed generators and codes of every shape on n <= 7 qubits
+    try:
+        seeds = codewords.seed_generators(group)
+    except codewords.MinusSignPureZError:
+        assume(False)
+    code = SimpleNamespace(n=group.n, generators=group.generators, seed_generators=seeds)
+    try:
+        sim = Simulator(code, t=1)
+    except DegenerateSyndromesError:
+        sim = Simulator(code, t=0)
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for error in (DepolarizingError(p), MatrixError(m, int(rng.integers(1, group.n + 1)))):
+        rngs = [trial_rng(seed, i) for i in range(5)]
+        block = sim._trial_block(error, rngs, [None] * 5)
+        assert block == [_ref_trial(sim, error, trial_rng(seed, i)) for i in range(5)]
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_table_matches_reference_code8(code8, group8, t):
+    try:
+        expected = _ref_table(group8, t)
+    except DegenerateSyndromesError as exc:
+        with pytest.raises(DegenerateSyndromesError, match=re.escape(str(exc))):
+            build_syndrome_table(code8, t)
+    else:
+        assert build_syndrome_table(code8, t) == expected
+
+
+@given(valid_groups(), st.integers(0, 2))
+def test_table_matches_reference_random(group, t):
+    code = SimpleNamespace(n=group.n, generators=group.generators)
+    try:
+        expected = _ref_table(group, t)
+    except DegenerateSyndromesError as exc:
+        with pytest.raises(DegenerateSyndromesError) as info:
+            build_syndrome_table(code, t)
+        assert str(info.value) == str(exc)
+    else:
+        assert build_syndrome_table(code, t) == expected
+
+
+def _toy_code():
+    # <ZZ> on two qubits: logical words |00> and |11>, so a |1><1| projector
+    # on qubit 1 annihilates word 0 and keeps word 1
+    return SimpleNamespace(n=2, generators=(parse("+ZZ"),), seed_generators=(parse("+XX"),))
+
+
+def test_kernel_raises_no_numpy_warnings(code8):
+    toy = Simulator(_toy_code(), t=0)
+    projector = MatrixError(np.array([[0.0, 0.0], [0.0, 1.0]]), 1)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in ("matrix:0,0,0,0@1", "depolarizing:0", "depolarizing:1", "depolarizing:0.3"):
+            for trials in (1, B + 1):
+                run_campaign(code8, model, trials, 4)
+        # dead and live rows in one block
+        reports = toy._trial_block(projector, [trial_rng(2, i) for i in range(4)], [0, 1, 0, None])
+    assert reports[0] == reports[2] == RecoveryReport(None, None, 0.0, False)
+    assert reports[1].syndrome is not None and reports[1].success
+    for i, logical in enumerate([0, 1, 0, None]):
+        assert reports[i] == _ref_trial(toy, projector, trial_rng(2, i), logical=logical)
+
+
+def test_simulator_rejects_large_code_before_building_it():
+    code = family.build_code(5)  # n = 32: 2^25 code words if the cap came late
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dense oracle is capped at 12 qubits, got 32"):
+        Simulator(code)
+    assert time.perf_counter() - start < 2.0
