@@ -6,7 +6,7 @@ from .codewords import FormalState, basis, codeword, encode, seed_generators
 from .bounds import degenerate_max_k, qhb_max_k, qhb_table, rate_bound
 from .family import CodeSpec, assign_numbers, build_code, derive_generators
 from .oracle import StateVector, dense_from_formal, verify_code
-from .ecc_sim import Simulator, build_syndrome_table, run_campaign, run_trial
+from .ecc_sim import Simulator, build_syndrome_table, run_campaign
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "degenerate_max_k", "qhb_max_k", "qhb_table", "rate_bound",
     "CodeSpec", "assign_numbers", "build_code", "derive_generators",
     "StateVector", "dense_from_formal", "verify_code",
-    "Simulator", "build_syndrome_table", "run_campaign", "run_trial",
+    "Simulator", "build_syndrome_table", "run_campaign",
     "__version__",
 ]

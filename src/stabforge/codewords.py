@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import gf2
 from .pauli import PauliOperator, identity, multiply
-from .stabilizer import GroupTooLargeError, StabilizerGroup
+from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup
 
 
 class MinusSignPureZError(ValueError):
@@ -99,16 +99,11 @@ def classify_generators(group: StabilizerGroup) -> GeneratorClassification:
     """
     type1: list[PauliOperator] = []
     type2: list[PauliOperator] = []
-    pivots: dict[int, int] = {}  # high bit of x-part -> index into type1
+    echelon = SignedEchelon()  # holds the type-1 rows only
     for g in group.generators:
-        cur = g
-        while cur.x_bits:
-            h = cur.x_bits.bit_length() - 1
-            if h not in pivots:
-                break
-            cur = multiply(cur, type1[pivots[h]])
+        cur = echelon.reduce(g)
         if cur.x_bits:
-            pivots[cur.x_bits.bit_length() - 1] = len(type1)
+            echelon.insert(cur)
             type1.append(cur)
         else:
             if cur.sign == -1:
@@ -135,12 +130,13 @@ def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
     X-part is orthogonal to their Z-parts.  Hence v_c lies in the span of T
     and the v_c' with c' < c exactly when c is the highest bit of some
     vector of span(T), a pivot of T's echelon form; the other v_c are the
-    seeds.
+    seeds.  Classification leaves the type-1 X-parts in echelon form, so
+    those pivots are their highest bits.
     """
     cls = classify_generators(group)
     n = group.n
     constraints = [g.z_bits for g in cls.type2]
-    dropped = gf2.Echelon(g.x_bits for g in cls.type1).pivots
+    dropped = {g.x_bits.bit_length() - 1 for g in cls.type1}
     return [
         PauliOperator(n, vec, 0, 1)
         for c, vec in gf2.nullspace_rref(constraints, n)
@@ -149,14 +145,21 @@ def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
 
 
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
-    """Problems with a claimed seed-generator list; empty means valid."""
+    """Problems with a claimed seed-generator list; empty means valid.
+
+    A group outside the seed construction (MinusSignPureZError) is one more
+    problem, after the count check.
+    """
     seeds = list(seeds)
     problems = []
     k = group.n - group.a
     if len(seeds) != k:
         problems.append(f"expected {k} seed generators, got {len(seeds)}")
-    cls = classify_generators(group)
-    span = gf2.Echelon(g.x_bits for g in cls.type1)
+    try:
+        cls = classify_generators(group)
+    except MinusSignPureZError as exc:
+        return problems + [str(exc)]
+    span = SignedEchelon(cls.type1)
     for idx, s in enumerate(seeds, 1):
         if s.n != group.n:
             problems.append(f"seed {idx} acts on {s.n} qubits, expected {group.n}")
@@ -167,7 +170,7 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
         if any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
             problems.append(f"seed {idx} anticommutes with a type-2 generator")
             continue
-        if not span.insert(s.x_bits):
+        if not span.insert(s).x_bits:
             problems.append(f"seed {idx} is dependent modulo the type-1 X-parts")
     return problems
 

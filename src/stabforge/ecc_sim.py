@@ -239,9 +239,6 @@ class Simulator:
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
         self._generator_actions = _generator_actions(self.group)
 
-    def logical_state(self, coeffs: np.ndarray) -> StateVector:
-        return StateVector(self.code.n, self._encode(coeffs))
-
     def _encode(self, coeffs) -> np.ndarray:
         return np.asarray(coeffs, dtype=np.complex128) @ self._basis_matrix
 
@@ -323,10 +320,6 @@ class Simulator:
         return reports
 
 
-def run_trial(code, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
-    return Simulator(code).trial(error, rng, logical=logical)
-
-
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trial, keyed by (master seed, trial index)."""
     return np.random.default_rng([seed, index])
@@ -362,7 +355,7 @@ def _blocks(indices: range):
 
 
 def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
-    """Aggregate run_trial over a model; same seed gives identical output.
+    """Aggregate Simulator.trial over a model; same seed gives identical output.
 
     The "exhaustive" model ignores ``trials`` and runs every single-qubit
     Pauli error against every logical basis word.

@@ -5,41 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class Echelon:
-    """Row space in echelon form, rows keyed by highest set bit."""
-
-    def __init__(self, rows=()):
-        self.pivots: dict[int, int] = {}
-        for row in rows:
-            self.insert(row)
-
-    def reduce(self, v: int) -> int:
-        """Reduce v against the stored rows; 0 means v is in the span."""
-        while v:
-            h = v.bit_length() - 1
-            row = self.pivots.get(h)
-            if row is None:
-                break
-            v ^= row
-        return v
-
-    def insert(self, v: int) -> int:
-        """Reduce v and store the residue if nonzero; returns the residue."""
-        r = self.reduce(v)
-        if r:
-            self.pivots[r.bit_length() - 1] = r
-        return r
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def rank(rows) -> int:
-    """Rank of a collection of int-bitset rows over GF(2)."""
-    return Echelon(rows).rank
-
-
 def bits(v: int, n: int) -> np.ndarray:
     """The low n bits of v as a uint8 array, bit k at index k."""
     raw = np.frombuffer(v.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)

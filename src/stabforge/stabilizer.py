@@ -85,6 +85,41 @@ class Syndrome:
         return cls(int(s, 2) if s else 0, len(s))
 
 
+class SignedEchelon:
+    """Signed GF(2) echelon form of Pauli operators.
+
+    Rows are keyed by the highest set bit of x << n | z, so X-parts are
+    eliminated before Z-parts.  Reduction multiplies op on the right by
+    stored rows, so the residue is exactly that product, sign included.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, PauliOperator] = {}
+        for row in rows:
+            self.insert(row)
+
+    @staticmethod
+    def _key(op: PauliOperator) -> int:
+        if op.x_bits:
+            return op.n + op.x_bits.bit_length() - 1
+        return op.z_bits.bit_length() - 1  # -1 for +-identity, never a key
+
+    def reduce(self, op: PauliOperator) -> PauliOperator:
+        """op times stored rows until no row shares its leading bit; a
+        +-identity residue means op lies in the span, up to that sign."""
+        while (row := self.rows.get(self._key(op))) is not None:
+            op = multiply(op, row)
+        return op
+
+    def insert(self, op: PauliOperator) -> PauliOperator:
+        """Reduce op and store the residue unless it is +-identity."""
+        residue = self.reduce(op)
+        key = self._key(residue)
+        if key >= 0:
+            self.rows[key] = residue
+        return residue
+
+
 def validate(n: int, generators) -> StabilizerGroup:
     """Check the stabilizer conditions and return the validated group.
 
@@ -103,28 +138,20 @@ def validate(n: int, generators) -> StabilizerGroup:
         if not commutes(g, h):
             raise NotAbelianError(r, s)
 
-    # Independence over GF(2), tracking signed products so that a dependent
-    # row can be classified as +identity (redundant) or -identity (empty code).
-    echelon: dict[int, tuple[int, PauliOperator]] = {}
+    # A dependent generator reduces to +identity (redundant) or -identity
+    # (empty code).  The generators commute, so the sign of that product
+    # does not depend on the pivot order.
+    echelon = SignedEchelon()
     kept = []
     dropped = []
     for r, g in enumerate(gens, 1):
-        v = g.x_bits | (g.z_bits << n)
-        prod = g
-        while v:
-            h = v.bit_length() - 1
-            if h not in echelon:
-                break
-            row, row_prod = echelon[h]
-            v ^= row
-            prod = multiply(prod, row_prod)
-        if v == 0:
-            if prod.sign == -1:
-                raise MinusIdentityError(r)
-            dropped.append(r)
-        else:
-            echelon[v.bit_length() - 1] = (v, prod)
+        residue = echelon.insert(g)
+        if residue.x_bits or residue.z_bits:
             kept.append(g)
+        elif residue.sign == -1:
+            raise MinusIdentityError(r)
+        else:
+            dropped.append(r)
     if dropped:
         warnings.warn(
             f"dropped dependent generators at positions {dropped}",

@@ -1,10 +1,40 @@
-"""Hypothesis strategies shared by the differential tests."""
+"""Hypothesis strategies and a reference GF(2) echelon shared by the tests."""
 
 from hypothesis import strategies as st
 
-from stabforge import gf2
 from stabforge.pauli import PauliOperator, commutes
 from stabforge.stabilizer import validate
+
+
+class IntEchelon:
+    """Unsigned GF(2) row space of int bitsets, rows keyed by highest set bit.
+
+    Kept separate from the library's signed elimination so that tests check
+    it against an independent reference.
+    """
+
+    def __init__(self, rows=()):
+        self.pivots: dict[int, int] = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, v: int) -> int:
+        """Reduce v against the stored rows; 0 means v is in the span."""
+        while v and (row := self.pivots.get(v.bit_length() - 1)) is not None:
+            v ^= row
+        return v
+
+    def insert(self, v: int) -> int:
+        """Reduce v and store the residue if nonzero; returns the residue."""
+        r = self.reduce(v)
+        if r:
+            self.pivots[r.bit_length() - 1] = r
+        return r
+
+
+def rank(rows) -> int:
+    """Rank of a collection of int-bitset rows over GF(2)."""
+    return len(IntEchelon(rows).pivots)
 
 
 @st.composite
@@ -22,7 +52,7 @@ def valid_groups(draw):
     candidate = st.tuples(bits, bits, signs, st.booleans())
     candidates = draw(st.lists(candidate, min_size=1, max_size=2 * n))
     gens = []
-    rows = gf2.Echelon()
+    rows = IntEchelon()
     for x, z, sign, pure_z in candidates:
         if pure_z:  # signed pure-Z generators mostly fall to MinusSignPureZError
             x, sign = 0, 1

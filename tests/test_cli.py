@@ -120,6 +120,27 @@ def test_verify_tampered_spec(capsys, code_path, tmp_path):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "n, generators, seeds, message",
+    [
+        (2, ["-ZZ"], ["+XX"], "generator -ZZ reduces to -ZZ"),
+        (3, ["+ZZI", "-IZZ"], ["+XXX"], "generator -IZZ reduces to -IZZ"),
+    ],
+)
+def test_verify_minus_sign_pure_z_is_a_seed_failure(capsys, tmp_path, n, generators, seeds, message):
+    # a legal group outside the all-zeros-seed construction
+    spec = {"n": n, "k": 1, "j": 1, "generators": generators, "seed_generators": seeds, "version": 1}
+    path = tmp_path / "minus_z.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert f"seed generators: FAIL ({message})" in out
+    assert "result: FAIL" in out and err == ""
+    code, out, _ = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 1
+    assert "seeds" in json.loads(out)["failures"]
+
+
 def test_verify_oracle_skipped_above_cap(capsys, tmp_path):
     path = tmp_path / "code16.json"
     assert cli.main(["family", "--j", "4", "--out", str(path)]) == 0

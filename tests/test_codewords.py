@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_data
-from strategies import valid_groups
+from strategies import IntEchelon, rank, valid_groups
 from stabforge import codewords
 from stabforge.codewords import (
     FormalState,
@@ -29,16 +29,14 @@ def test_labels_round_trip():
 
 
 def test_classify_family(group8, code8):
-    from stabforge import gf2
-
     cls = classify_generators(group8)
     assert cls.b == 4
     assert cls.type2 == (code8.generators[1],)  # M_2, the all-Z row
     # elimination may replace generators by products, but the X-part span
     # must match that of the original type-1 rows M_1, M_3, M_4, M_5
-    original = gf2.Echelon(code8.generators[i].x_bits for i in (0, 2, 3, 4))
+    original = IntEchelon(code8.generators[i].x_bits for i in (0, 2, 3, 4))
     assert all(original.reduce(g.x_bits) == 0 for g in cls.type1)
-    assert gf2.rank([g.x_bits for g in cls.type1]) == 4
+    assert rank([g.x_bits for g in cls.type1]) == 4
 
 
 def test_classify_pure_z():
@@ -234,7 +232,6 @@ def test_negative_sign_type1_generator():
 
 def _random_valid_group(rng, n, a):
     """Rejection-sample a commuting independent generator set, +1 signs."""
-    from stabforge import gf2
     from stabforge.pauli import PauliOperator, commutes
 
     for _ in range(400):
@@ -250,7 +247,7 @@ def _random_valid_group(rng, n, a):
                 continue
             if not all(commutes(cand, g) for g in gens):
                 continue
-            if gf2.rank(rows + [cand.x_bits | (cand.z_bits << n)]) != len(rows) + 1:
+            if rank(rows + [cand.x_bits | (cand.z_bits << n)]) != len(rows) + 1:
                 continue
             gens.append(cand)
             rows.append(cand.x_bits | (cand.z_bits << n))
@@ -293,7 +290,6 @@ def reference_seed_generators(group):
     """The seed rule column by column: each nullspace vector v_c of the type-2
     Z-constraints is kept when it is independent of the type-1 X-parts and
     of the v_c' before it."""
-    from stabforge import gf2
     from stabforge.pauli import PauliOperator
 
     cls = classify_generators(group)
@@ -310,7 +306,7 @@ def reference_seed_generators(group):
         for other in pivot_rows:
             if other != low and (pivot_rows[other] >> low) & 1:
                 pivot_rows[other] ^= pivot_rows[low]
-    span = gf2.Echelon(g.x_bits for g in cls.type1)
+    span = IntEchelon(g.x_bits for g in cls.type1)
     seeds = []
     for c in range(n):
         if c in pivot_rows:

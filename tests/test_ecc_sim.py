@@ -24,7 +24,6 @@ from stabforge.ecc_sim import (
     measure_syndrome,
     parse_error_spec,
     run_campaign,
-    run_trial,
     trial_rng,
 )
 from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit
@@ -159,11 +158,6 @@ def test_trial_superposition_logical(sim):
     rng = trial_rng(42, 0)
     c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     report = sim.trial(PauliError(single(8, 2, "X")), rng, logical=c / np.linalg.norm(c))
-    assert report.success
-
-
-def test_run_trial_function(code8, rng):
-    report = run_trial(code8, PauliError(single(8, 1, "Z")), rng, logical=0)
     assert report.success
 
 

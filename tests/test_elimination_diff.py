@@ -1,0 +1,270 @@
+"""Differential test of the signed elimination against frozen reference code.
+
+The reference functions below are copies of the elimination code that came
+before ``stabilizer.SignedEchelon``: the inline signed loop of
+``validate`` (keyed by the highest bit of z << n | x), the inline X-part loop
+of ``classify_generators``, and the unsigned echelon (here ``IntEchelon``)
+behind the seed pivots and the ``check_seeds`` span.  They are frozen here so
+that any change in kept generators, dropped positions, rejections,
+classification, seeds or seed problems shows up.
+"""
+
+import itertools
+import re
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import IntEchelon
+from stabforge import family, gf2
+from stabforge.codewords import (
+    GeneratorClassification,
+    MinusSignPureZError,
+    check_seeds,
+    classify_generators,
+    seed_generators,
+)
+from stabforge.pauli import PauliOperator, commutes, multiply, square_sign
+from stabforge.stabilizer import (
+    DependentGeneratorsWarning,
+    MinusIdentityError,
+    NotAbelianError,
+    SquaresToMinusOneError,
+    StabilizerGroup,
+    StabilizerValidationError,
+    validate,
+)
+
+
+def reference_validate(n, generators):
+    gens = list(generators)
+    for r, g in enumerate(gens, 1):
+        if g.n != n:
+            raise ValueError(f"generator {r} acts on {g.n} qubits, expected {n}")
+        if square_sign(g) == -1:
+            raise SquaresToMinusOneError(r)
+    for (r, g), (s, h) in itertools.combinations(enumerate(gens, 1), 2):
+        if not commutes(g, h):
+            raise NotAbelianError(r, s)
+
+    echelon = {}
+    kept = []
+    dropped = []
+    for r, g in enumerate(gens, 1):
+        v = g.x_bits | (g.z_bits << n)
+        prod = g
+        while v:
+            h = v.bit_length() - 1
+            if h not in echelon:
+                break
+            row, row_prod = echelon[h]
+            v ^= row
+            prod = multiply(prod, row_prod)
+        if v == 0:
+            if prod.sign == -1:
+                raise MinusIdentityError(r)
+            dropped.append(r)
+        else:
+            echelon[v.bit_length() - 1] = (v, prod)
+            kept.append(g)
+    if dropped:
+        warnings.warn(
+            f"dropped dependent generators at positions {dropped}",
+            DependentGeneratorsWarning,
+            stacklevel=2,
+        )
+    return StabilizerGroup(n, tuple(kept))
+
+
+def reference_classify(group):
+    type1 = []
+    type2 = []
+    pivots = {}  # high bit of x-part -> index into type1
+    for g in group.generators:
+        cur = g
+        while cur.x_bits:
+            h = cur.x_bits.bit_length() - 1
+            if h not in pivots:
+                break
+            cur = multiply(cur, type1[pivots[h]])
+        if cur.x_bits:
+            pivots[cur.x_bits.bit_length() - 1] = len(type1)
+            type1.append(cur)
+        else:
+            if cur.sign == -1:
+                raise MinusSignPureZError(f"generator {g} reduces to {cur}")
+            if cur.z_bits:
+                type2.append(cur)
+    return GeneratorClassification(tuple(type1), tuple(type2))
+
+
+def reference_seed_generators(group):
+    cls = reference_classify(group)
+    n = group.n
+    constraints = [g.z_bits for g in cls.type2]
+    dropped = IntEchelon(g.x_bits for g in cls.type1).pivots
+    return [
+        PauliOperator(n, vec, 0, 1)
+        for c, vec in gf2.nullspace_rref(constraints, n)
+        if c not in dropped
+    ]
+
+
+def reference_check_seeds(group, seeds):
+    seeds = list(seeds)
+    problems = []
+    k = group.n - group.a
+    if len(seeds) != k:
+        problems.append(f"expected {k} seed generators, got {len(seeds)}")
+    cls = reference_classify(group)
+    span = IntEchelon(g.x_bits for g in cls.type1)
+    for idx, s in enumerate(seeds, 1):
+        if s.n != group.n:
+            problems.append(f"seed {idx} acts on {s.n} qubits, expected {group.n}")
+            continue
+        if s.z_bits or s.sign != 1:
+            problems.append(f"seed {idx} is not a +1 pure-X operator")
+            continue
+        if any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
+            problems.append(f"seed {idx} anticommutes with a type-2 generator")
+            continue
+        if not span.insert(s.x_bits):
+            problems.append(f"seed {idx} is dependent modulo the type-1 X-parts")
+    return problems
+
+
+def _validation(fn, n, gens):
+    """(outcome, group): kept generators and dropped positions, or the rejection."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            group = fn(n, gens)
+        except StabilizerValidationError as exc:
+            return ("rejected", type(exc), exc.r, str(exc)), None
+    dropped = [
+        re.fullmatch(r"dropped dependent generators at positions \[(.*)\]", str(w.message)).group(1)
+        for w in caught
+        if issubclass(w.category, DependentGeneratorsWarning)
+    ]
+    return ("kept", group.generators, dropped), group
+
+
+def _classification(fn, group):
+    try:
+        cls = fn(group)
+    except MinusSignPureZError as exc:
+        return str(exc)
+    return cls.type1, cls.type2
+
+
+def _reference_problems(group, seeds):
+    """Seed problems; a classification failure, which the reference raised,
+    is the last problem after the count check."""
+    try:
+        return reference_check_seeds(group, seeds)
+    except MinusSignPureZError as exc:
+        k = group.n - group.a
+        count = [] if len(seeds) == k else [f"expected {k} seed generators, got {len(seeds)}"]
+        return count + [str(exc)]
+
+
+def assert_same_as_reference(n, gens, claimed_seeds=()):
+    outcome, group = _validation(validate, n, gens)
+    ref_outcome, ref_group = _validation(reference_validate, n, gens)
+    assert outcome == ref_outcome
+    if group is None:
+        return outcome, None
+    assert group == ref_group
+    cls = _classification(classify_generators, group)
+    assert cls == _classification(reference_classify, group)
+    seed_lists = [list(claimed_seeds)]
+    if not isinstance(cls, str):
+        seeds = seed_generators(group)
+        assert seeds == reference_seed_generators(group)
+        seed_lists.append(seeds)
+        if len(seeds) >= 2:  # one more seed, dependent on two others
+            seed_lists.append(seeds + [multiply(seeds[0], seeds[1])])
+    for seeds in seed_lists:
+        assert check_seeds(group, seeds) == _reference_problems(group, seeds)
+    return outcome, cls
+
+
+@st.composite
+def candidate_lists(draw):
+    """Raw generator candidates on n <= 7 qubits with random signs.
+
+    About half the fresh candidates are pure Z; about a quarter of all
+    candidates are a product of earlier ones with a random sign, so
+    dependent (+identity) and -identity cases are common.  Most lists keep
+    only candidates that square to +1 and commute with those before, so
+    validate accepts them; the rest are left raw to exercise the
+    rejections too.
+    """
+    n = draw(st.integers(1, 7))
+    bits = st.integers(0, (1 << n) - 1)
+    commuting = draw(st.integers(0, 3)) > 0
+    gens = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        sign = draw(st.sampled_from([1, -1]))
+        if gens and draw(st.integers(0, 3)) == 0:
+            subset = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+            x = z = 0
+            for g in subset:
+                x, z = x ^ g.x_bits, z ^ g.z_bits
+        else:
+            x = 0 if draw(st.booleans()) else draw(bits)
+            z = draw(bits)
+        op = PauliOperator(n, x, z, sign)
+        if commuting and (square_sign(op) == -1 or not all(commutes(op, g) for g in gens)):
+            continue
+        gens.append(op)
+    claimed = draw(
+        st.lists(
+            st.builds(
+                lambda x, z, sign: PauliOperator(n, x, z, sign),
+                bits,
+                st.just(0) | bits,
+                st.just(1) | st.just(-1),
+            ),
+            max_size=n + 1,
+        )
+    )
+    return n, gens, claimed
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_lists())
+def test_elimination_matches_reference(case):
+    n, gens, claimed = case
+    assert_same_as_reference(n, gens, claimed)
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        (["XX", "ZZ", "YY"], ("kept", 2, ["3"])),  # XX * ZZ = +YY, so YY is redundant
+        (["XX", "ZZ", "-YY"], ("rejected", MinusIdentityError, 3)),
+        (["ZZI", "IZZ", "ZIZ", "XXX"], ("kept", 3, ["3"])),
+        (["-ZZ"], "generator -ZZ reduces to -ZZ"),
+        (["XXX", "-ZZI", "IZZ"], "generator -ZZI reduces to -ZZI"),
+        (["XX", "-YY"], "generator -YY reduces to -ZZ"),
+    ],
+)
+def test_elimination_examples(texts, expected):
+    from stabforge.pauli import parse
+
+    gens = [parse(t) for t in texts]
+    outcome, cls = assert_same_as_reference(gens[0].n, gens)
+    if isinstance(expected, str):
+        assert cls == expected
+    elif expected[0] == "kept":
+        assert (outcome[0], len(outcome[1]), outcome[2]) == expected
+    else:
+        assert outcome[:3] == expected
+
+
+@pytest.mark.parametrize("j", range(3, 11))
+def test_family_matches_reference(j):
+    code = family.build_code(j)
+    assert_same_as_reference(code.n, code.generators, code.seed_generators)

@@ -55,6 +55,18 @@ def test_validate_drops_redundant_with_warning():
     assert group.a == 1
 
 
+def test_signed_echelon_tracks_signs_and_x_first_pivots():
+    echelon = stabilizer.SignedEchelon([parse("ZZ"), parse("XX")])
+    # X-parts are keyed above Z-parts, so the XX row sits above the ZZ row
+    assert sorted(echelon.rows) == [1, 3]
+    assert str(echelon.reduce(parse("-YY"))) == "-II"  # -YY * XX * ZZ
+    assert str(echelon.reduce(parse("ZY"))) == "+YZ"  # ZY * XX = (-Y)(-Z)
+    residue = echelon.insert(parse("ZI"))
+    assert str(residue) == "+ZI" and echelon.rows[0] == residue
+    assert str(echelon.insert(parse("-IZ"))) == "-II"  # -IZ * ZZ * ZI
+    assert len(echelon.rows) == 3
+
+
 def test_validate_rejects_wrong_n():
     with pytest.raises(ValueError):
         validate(3, [parse("ZZ")])
