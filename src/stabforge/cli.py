@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import bounds, codewords, ecc_sim, family, oracle, pauli, stabilizer
 
@@ -109,7 +110,7 @@ def cmd_verify(args) -> int:
     try:
         group = stabilizer.validate(code.n, code.generators)
         lines.append("validate: ok")
-    except stabilizer.StabilizerValidationError as exc:
+    except (stabilizer.StabilizerValidationError, stabilizer.DependentGeneratorsWarning) as exc:
         lines.append(f"validate: FAIL ({exc})")
         failures.append("validate")
 
@@ -168,6 +169,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.max_n < 1:
+        _err("--max-n must be at least 1")
+        return 2
+    if args.t < 0:
+        _err("--t must be non-negative")
+        return 2
     rows = bounds.qhb_table(args.max_n, args.t)
     if args.json:
         print(json.dumps([{"n": n, "t": args.t, "max_k": k} for n, k in rows], indent=2))
@@ -216,7 +223,7 @@ def cmd_syndrome(args) -> int:
         code = family.CodeSpec.load(args.code)
         err = pauli.parse(args.error)
         group = code.group()
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, stabilizer.DependentGeneratorsWarning) as exc:
         _err(str(exc))
         return 2
     if err.n != code.n:
@@ -247,7 +254,7 @@ def cmd_simulate(args) -> int:
         return 2
     try:
         stats = ecc_sim.run_campaign(code, args.model, args.trials, seed)
-    except ValueError as exc:
+    except (ValueError, stabilizer.DependentGeneratorsWarning) as exc:
         _err(str(exc))
         return 2
     if args.json:
@@ -378,7 +385,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    with warnings.catch_warnings():
+        # a CodeSpec's k counts every generator, so a dependent one is bad input
+        warnings.simplefilter("error", stabilizer.DependentGeneratorsWarning)
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import gf2
-from .pauli import PauliOperator, identity, multiply
-from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup
+from .pauli import PauliOperator
+from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup, enumerate_elements
 
 
 class MinusSignPureZError(ValueError):
@@ -175,13 +175,6 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     return problems
 
 
-def _type1_products(cls: GeneratorClassification, n: int) -> list[PauliOperator]:
-    prods = [identity(n)]
-    for g in cls.type1:
-        prods += [multiply(p, g) for p in prods]
-    return prods
-
-
 def _as_label(seed, n: int) -> int:
     if isinstance(seed, str):
         seed = string_to_label(seed)
@@ -204,7 +197,7 @@ def codeword(group: StabilizerGroup, seed, _cls: GeneratorClassification | None 
         if (g.z_bits & label).bit_count() % 2:
             return FormalState(group.n, {})
     terms: dict[int, int] = {}
-    for p in _type1_products(cls, group.n):
+    for p in enumerate_elements(StabilizerGroup(group.n, cls.type1)):
         phase = -1 if (p.z_bits & label).bit_count() % 2 else 1
         terms[label ^ p.x_bits] = p.sign * phase
     return FormalState(group.n, terms).canonical()

@@ -25,7 +25,9 @@ import numpy as np
 from . import codewords
 from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
 from .pauli import PauliOperator, parse as parse_pauli, single
-from .stabilizer import StabilizerGroup, Syndrome, error_syndromes, materialize, validate
+from .stabilizer import (
+    StabilizerGroup, Syndrome, check_correctability, error_syndromes, materialize, syndrome, validate,
+)
 
 FIDELITY_TOL = 1e-10
 # trials simulated together as rows of one (rows, 2^n) array; bounds the
@@ -119,18 +121,23 @@ def parse_error_spec(text: str, n: int) -> ErrorSpec:
 
 
 def build_syndrome_table(code, t: int) -> SyndromeTable:
-    """Enumerate errors in increasing weight and record one correction per
-    syndrome; a repeated syndrome means the code cannot correct t errors."""
+    """Map the syndrome of each error of weight <= t to that error.
+
+    check_correctability decides whether the syndromes are distinct; if two
+    collide, DegenerateSyndromesError names its witness pair.  Otherwise
+    the entries come from stabilizer.error_syndromes in its order, weight
+    ascending, so each is a minimal-weight correction.
+    """
     group = validate(code.n, code.generators)
-    entries: dict[Syndrome, PauliOperator] = {}
-    for desc, value in error_syndromes(group, t):
-        syn = Syndrome(value, group.a)
-        err = materialize(code.n, desc)
-        if syn in entries:
-            raise DegenerateSyndromesError(
-                f"syndrome {syn} of {err} already assigned to {entries[syn]}"
-            )
-        entries[syn] = err
+    report = check_correctability(group, t)
+    if not report.ok:
+        first, second = report.collision
+        raise DegenerateSyndromesError(
+            f"syndrome {syndrome(group, second)} of {second} already assigned to {first}"
+        )
+    entries = {
+        Syndrome(value, group.a): materialize(code.n, desc) for desc, value in error_syndromes(group, t)
+    }
     return SyndromeTable(t, entries)
 
 

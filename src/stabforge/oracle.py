@@ -57,12 +57,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n, self.amplitudes / nrm)
-
 
 def basis_state(n: int, label: int) -> StateVector:
     _check_n(n)

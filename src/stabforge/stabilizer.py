@@ -210,49 +210,17 @@ def weight_one_syndromes(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray
     A single-qubit error anticommutes with M_r exactly when M_r carries the
     conjugate component on that qubit, so the syndromes are bit columns of
     the generators: f(X_i)_r = z-bit of M_r at i, f(Z_i)_r = x-bit at i.
-    Returns int64 arrays (sx, sy, sz) indexed by i-1, M_1 as the high bit.
-    Requires a <= 62 so the values fit an int64.
+    Returns arrays (sx, sy, sz) indexed by i-1, M_1 as the high bit: int64
+    when a <= 62, else object arrays of Python ints, so any a works.
     """
     n, a = group.n, group.a
-    if a > 62:
-        raise ValueError("vectorized weight-1 syndromes need a <= 62")
-    sx = np.zeros(n, dtype=np.int64)
-    sz = np.zeros(n, dtype=np.int64)
+    dtype = np.int64 if a <= 62 else object
+    sx, sz = np.zeros((2, n), dtype=dtype)
     for r, g in enumerate(group.generators):
         w = 1 << (a - 1 - r)
-        sx += gf2.bits(g.z_bits, n).astype(np.int64) * w
-        sz += gf2.bits(g.x_bits, n).astype(np.int64) * w
+        sx += gf2.bits(g.z_bits, n).astype(dtype) * w
+        sz += gf2.bits(g.x_bits, n).astype(dtype) * w
     return sx, sx ^ sz, sz
-
-
-def _light_syndromes(group: StabilizerGroup) -> np.ndarray:
-    """Syndrome values of I, X_1, Y_1, Z_1, X_2, ... (iter_errors order, t = 1).
-
-    int64 from the bit columns when a <= 62, else Python ints in an object
-    array.
-    """
-    if group.a <= 62:
-        sx, sy, sz = weight_one_syndromes(group)
-        return np.concatenate(([0], np.column_stack((sx, sy, sz)).ravel()))
-    n = group.n
-    values = [0] + [
-        syndrome(group, single(n, i, L)).value for i in range(1, n + 1) for L in "XYZ"
-    ]
-    return np.array(values, dtype=object)
-
-
-def _light_descriptor(m: int) -> tuple:
-    """Descriptor of the m-th error of weight <= 1 in iter_errors order."""
-    if m == 0:
-        return ()
-    i, letter = divmod(m - 1, 3)
-    return ((i + 1, "XYZ"[letter]),)
-
-
-def _iter_heavy_error_syndromes(group: StabilizerGroup, t: int):
-    """(descriptor, syndrome value) pairs of weight 2..t in iter_errors order."""
-    for desc in _descriptors(group.n, 2, t):
-        yield desc, syndrome(group, materialize(group.n, desc)).value
 
 
 def materialize(n: int, desc) -> PauliOperator:
@@ -263,41 +231,67 @@ def materialize(n: int, desc) -> PauliOperator:
     return err
 
 
+def _light_syndromes(group: StabilizerGroup, t: int) -> np.ndarray:
+    """Syndrome values of I, X_1, Y_1, Z_1, X_2, ... (iter_errors order), or
+    of I alone when t < 1."""
+    if t < 1:
+        return np.zeros(1, dtype=np.int64)
+    sx, sy, sz = weight_one_syndromes(group)
+    return np.concatenate((np.zeros(1, dtype=sx.dtype), np.column_stack((sx, sy, sz)).ravel()))
+
+
+def _light_descriptors(n: int) -> list[tuple]:
+    """Descriptors of I, X_1, Y_1, Z_1, X_2, ...: _descriptors(n, 0, 1), listed."""
+    return [()] + [((i, L),) for i in range(1, n + 1) for L in "XYZ"]
+
+
+def _heavy_syndromes(n: int, light: list, t: int) -> Iterator[tuple[tuple, int]]:
+    """(descriptor, syndrome value) of the errors of weight 2..t in iter_errors
+    order: f is a homomorphism, so each value is the XOR of the light values
+    of the error's letters, and no operator is built."""
+    for desc in _descriptors(n, 2, t):
+        value = 0
+        for i, L in desc:
+            value ^= light[3 * i - 2 + "XYZ".index(L)]
+        yield desc, value
+
+
 def error_syndromes(group: StabilizerGroup, t: int) -> Iterator[tuple[tuple, int]]:
     """(descriptor, syndrome value) of every error of weight <= t in
-    iter_errors order: weight <= 1 from the bit columns, heavier ones
-    streamed."""
-    light = _light_syndromes(group) if t >= 1 else np.zeros(1, dtype=np.int64)
-    for m, value in enumerate(light.tolist()):
-        yield _light_descriptor(m), value
-    yield from _iter_heavy_error_syndromes(group, t)
+    iter_errors order: the one walk over errors and their syndromes.  Values
+    are bit columns (weight_one_syndromes) and, above weight 1, their XORs."""
+    light = _light_syndromes(group, t).tolist()
+    yield from zip(_light_descriptors(group.n), light)  # just I when t < 1
+    yield from _heavy_syndromes(group.n, light, t)
 
 
 def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport:
     """Verify that f is injective on errors of weight <= t.
 
     A collision is a report outcome, not an exception; the first colliding
-    pair in enumeration order is returned as the witness.  Errors of weight
-    <= 1 are checked as one array; heavier ones are streamed, so the scan
-    stops at the first repeat without holding them all.
+    pair in enumeration order is returned as the witness.  This is the one
+    first-repeat rule: build_syndrome_table takes its verdict.  The values
+    are error_syndromes': weight <= 1 checked as one array, heavier ones
+    streamed, so the scan stops at the first repeat without holding them all.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = group.n
-    light = _light_syndromes(group) if t >= 1 else np.zeros(1, dtype=np.int64)
+    light = _light_syndromes(group, t)
     _, first_index, inverse = np.unique(light, return_index=True, return_inverse=True)
     first_of = first_index[inverse.ravel()]
     repeats = np.flatnonzero(first_of != np.arange(len(light)))
     if repeats.size:
         m = int(repeats[0])
-        first = materialize(n, _light_descriptor(int(first_of[m])))
-        pair = (first, materialize(n, _light_descriptor(m)))
+        descs = _light_descriptors(n)
+        pair = (materialize(n, descs[first_of[m]]), materialize(n, descs[m]))
         return CorrectabilityReport(False, t, m + 1, m, pair)
     total = len(light)
     if t < 2:
         return CorrectabilityReport(True, t, total, total)
-    seen = {value: _light_descriptor(m) for m, value in enumerate(light.tolist())}
-    for desc, value in _iter_heavy_error_syndromes(group, t):
+    values = light.tolist()
+    seen = dict(zip(values, _light_descriptors(n)))
+    for desc, value in _heavy_syndromes(n, values, t):
         total += 1
         if value in seen:
             pair = (materialize(n, seen[value]), materialize(n, desc))

@@ -178,6 +178,22 @@ def test_bound_json(capsys):
     assert rows[-1] == {"n": 8, "t": 1, "max_k": 3}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--t", "-1", "--max-n", "3"], "error: --t must be non-negative"),
+        (["--max-n", "0"], "error: --max-n must be at least 1"),
+        (["--max-n", "-5", "--t", "2"], "error: --max-n must be at least 1"),
+    ],
+    ids=["negative-t", "zero-max-n", "negative-max-n"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_bound_bad_input_exit_2(capsys, argv, message, json_flag):
+    code, out, err = run_cli(capsys, "bound", *argv, *json_flag)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_degenerate_bound(capsys):
     code, out, _ = run_cli(capsys, "degenerate-bound", "--n", "6")
     assert code == 0
@@ -276,6 +292,44 @@ def test_syndrome_invalid_group_exit_2(capsys, code_path, tmp_path):
     code, _, err = run_cli(capsys, "syndrome", str(bad), "--error", "XIIIIIII")
     assert code == 2
     assert _one_line_error(err) and "anticommute" in err
+
+
+# a repeated generator: the spec loads (k = n - 2), but the group has rank 1
+DEPENDENT_SPEC = {"n": 2, "k": 0, "j": 1, "generators": ["+ZZ", "+ZZ"], "seed_generators": [], "version": 1}
+DEPENDENT_MESSAGE = "dropped dependent generators at positions [2]"
+
+
+@pytest.fixture
+def dependent_path(tmp_path):
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(DEPENDENT_SPEC))
+    return path
+
+
+def test_verify_dependent_generators_fail_validate(capsys, recwarn, dependent_path):
+    code, out, err = run_cli(capsys, "verify", str(dependent_path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["code: n=2, k=0, a=2", f"validate: FAIL ({DEPENDENT_MESSAGE})", "result: FAIL"]
+    code, out, err = run_cli(capsys, "verify", str(dependent_path), "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"n": 2, "k": 0, "t": 1, "ok": False, "failures": ["validate"]}
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["syndrome", "--error", "+XI"],
+        ["syndrome", "--error", "+XI", "--json"],
+        ["simulate", "--model", "exhaustive"],
+        ["simulate", "--model", "exhaustive", "--json"],
+    ],
+)
+def test_dependent_generators_exit_2(capsys, recwarn, dependent_path, argv):
+    code, out, err = run_cli(capsys, argv[0], str(dependent_path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {DEPENDENT_MESSAGE}"]
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize(

@@ -473,7 +473,7 @@ def test_table_matches_reference_code8(code8, group8, t):
         assert build_syndrome_table(code8, t) == expected
 
 
-@given(valid_groups(), st.integers(0, 2))
+@given(valid_groups(), st.integers(0, 3))
 def test_table_matches_reference_random(group, t):
     code = SimpleNamespace(n=group.n, generators=group.generators)
     try:

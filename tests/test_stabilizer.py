@@ -15,7 +15,9 @@ from stabforge.stabilizer import (
     Syndrome,
     check_correctability,
     enumerate_elements,
+    error_syndromes,
     iter_errors,
+    materialize,
     syndrome,
     validate,
     weight_one_syndromes,
@@ -187,6 +189,37 @@ def test_weight_one_fast_path_matches_syndrome_j4():
         assert int(sz[i - 1]) == syndrome(group, single(16, i, "Z")).value
 
 
+def group_a63():
+    # 13 copies of the [[5,1,3]] code with 11 logical Z's added: a = 63, so
+    # the weight-1 syndromes no longer fit an int64; every weight-1 error
+    # still has its own syndrome, and two errors on one copy collide.
+    blocks = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+    n = 65
+    gens = [
+        parse("I" * (5 * c) + b + "I" * (n - 5 * c - 5)) for c in range(13) for b in blocks
+    ] + [parse("I" * (5 * c) + "ZZZZZ" + "I" * (n - 5 * c - 5)) for c in range(11)]
+    group = validate(n, gens)
+    assert group.a == 63
+    return group
+
+
+def test_weight_one_fast_path_matches_syndrome_above_62_generators():
+    group = group_a63()
+    sx, sy, sz = weight_one_syndromes(group)
+    assert sx.dtype == object
+    for i in range(1, group.n + 1):
+        assert sx[i - 1] == syndrome(group, single(group.n, i, "X")).value
+        assert sy[i - 1] == syndrome(group, single(group.n, i, "Y")).value
+        assert sz[i - 1] == syndrome(group, single(group.n, i, "Z")).value
+
+
+@given(valid_groups(), st.integers(0, 3))
+def test_error_syndromes_match_generic_syndrome(group, t):
+    # the walk's XORs of bit columns against syndrome() on every error
+    walk = [(materialize(group.n, desc), value) for desc, value in error_syndromes(group, t)]
+    assert walk == [(err, syndrome(group, err).value) for err in iter_errors(group.n, t)]
+
+
 def reference_check_correctability(group, t):
     """Injectivity of f by brute force: every error of weight <= t through
     the generic syndrome, in iter_errors order, stopping at the first repeat."""
@@ -210,22 +243,13 @@ def test_correctability_matches_reference_family(j):
         assert check_correctability(group, t) == reference_check_correctability(group, t)
 
 
-@given(valid_groups(), st.integers(0, 2))
+@given(valid_groups(), st.integers(0, 3))
 def test_correctability_matches_reference_random(group, t):
     assert check_correctability(group, t) == reference_check_correctability(group, t)
 
 
 def test_correctability_matches_reference_above_62_generators():
-    # 13 copies of the [[5,1,3]] code with 11 logical Z's added: a = 63, so
-    # the weight-1 syndromes no longer fit an int64; every weight-1 error
-    # still has its own syndrome, and two errors on one copy collide.
-    blocks = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
-    n = 65
-    gens = [
-        parse("I" * (5 * c) + b + "I" * (n - 5 * c - 5)) for c in range(13) for b in blocks
-    ] + [parse("I" * (5 * c) + "ZZZZZ" + "I" * (n - 5 * c - 5)) for c in range(11)]
-    group = validate(n, gens)
-    assert group.a == 63
+    group = group_a63()
     for t in (1, 2):
         assert check_correctability(group, t) == reference_check_correctability(group, t)
     assert check_correctability(group, 1).ok
