@@ -5,19 +5,25 @@ value -1 means no code exists even at k=0."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+
+
+def hamming_terms(n: int, t: int) -> Iterator[int]:
+    """Number of Pauli errors of each weight l = 0..min(t, n) on n qubits:
+    3^l C(n,l).  No error has weight above n, so larger t adds nothing."""
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    return (3**ell * math.comb(n, ell) for ell in range(min(t, n) + 1))
 
 
 def hamming_sum(n: int, t: int) -> int:
     """Number of Pauli errors of weight <= t on n qubits: sum 3^l C(n,l)."""
-    return sum(3**ell * math.comb(n, ell) for ell in range(t + 1))
+    return sum(hamming_terms(n, t))
 
 
 def qhb_max_k(n: int, t: int) -> int:
     """Largest k with 2^k * hamming_sum(n, t) <= 2^n, or -1 if none."""
-    s = hamming_sum(n, t)
-    if s > 1 << n:
-        return -1
-    return ((1 << n) // s).bit_length() - 1
+    return _max_k_satisfying(hamming_sum(n, t), n)
 
 
 def qhb_table(max_n: int, t: int) -> list[tuple[int, int]]:
@@ -38,11 +44,14 @@ def rate_bound(t_over_n) -> float:
     return 1.0 - x * math.log2(3) - h
 
 
-def _max_k_satisfying(factor: int, budget: int) -> int:
-    """Largest k >= 0 with factor * 2^k <= budget, or -1 if none."""
-    if factor > budget:
-        return -1
-    return (budget // factor).bit_length() - 1
+def _max_k_satisfying(factor: int, m: int) -> int:
+    """Largest k >= 0 with factor * 2^k <= 2^m, or -1 if none.
+
+    That is k = m - ceil(log2 factor), read off factor's bit length, so no
+    2^m-sized integer is built.
+    """
+    k = m - (factor - 1).bit_length()
+    return k if k >= 0 else -1
 
 
 def degenerate_max_k(n: int, l: int) -> int:
@@ -61,7 +70,7 @@ def degenerate_max_k(n: int, l: int) -> int:
         return 0
     bounds = [n - l - 2]
     if 2 * l <= n:
-        bounds.append(_max_k_satisfying(1 + 3 * (n - 2 * l), 1 << (n - l)))
+        bounds.append(_max_k_satisfying(1 + 3 * (n - 2 * l), n - l))
     return min(bounds)
 
 

@@ -2,11 +2,13 @@
 diffed against golden files, --json emits the machine form.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or input error.
+Every exit 2 is a UsageError, which main alone prints as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,9 +19,31 @@ from . import bounds, codewords, ecc_sim, family, oracle, pauli, stabilizer
 MAX_TEXT_QUBITS = 64  # generator listings above this go to --out / --json only
 MAX_GRID_QUBITS = 32  # same for the per-qubit syndrome grid
 
+# work caps, each checked before the loop it bounds
+BOUND_MAX_TERMS = 1 << 17  # bound: binomial terms, max_n * (min(t, max_n) + 1)
+DEGENERATE_MAX_N = 1 << 16  # degenerate-bound: one output row per l < n
+SPEC_MAX_J = 13  # family --out/--json: the CodeSpec grows 4x per step of j, 64 MiB at j = 13
+VERIFY_MAX_ERRORS = 1 << 22  # verify: errors the correctability walk may visit
 
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+
+class UsageError(Exception):
+    """Bad input: main prints it as one ``error:`` line and returns 2."""
+
+
+# line breaks that str.splitlines honours, escaped so an echoed input cannot split the error line
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _load_spec(path) -> family.CodeSpec:
+    try:
+        return family.CodeSpec.load(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _syndrome_grid(assignment: family.NumberAssignment) -> str:
@@ -56,14 +80,19 @@ def _codeword_listing(states) -> str:
 
 def cmd_family(args) -> int:
     if not family.MIN_J <= args.j <= family.MAX_J:
-        _err(f"--j must lie in [{family.MIN_J}, {family.MAX_J}]")
-        return 2
+        raise UsageError(f"--j must lie in [{family.MIN_J}, {family.MAX_J}]")
     if args.emit == "codewords" and (1 << args.j) > oracle.MAX_QUBITS:
-        _err(f"--emit codewords requires n <= {oracle.MAX_QUBITS}")
-        return 2
+        raise UsageError(f"--emit codewords requires n <= {oracle.MAX_QUBITS}")
+    if args.emit == "codewords" and args.json:
+        raise UsageError("--emit codewords has no --json form")
+    if (args.out or args.json) and args.j > SPEC_MAX_J:
+        raise UsageError(f"--out and --json require --j <= {SPEC_MAX_J}")
     code = family.build_code(args.j)
     if args.out:
-        code.save(args.out)
+        try:
+            code.save(args.out)
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     if args.json:
         print(json.dumps(code.to_json_dict(), indent=2))
     else:
@@ -96,16 +125,19 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.t < 0:
-        _err("--t must be non-negative")
-        return 2
-    try:
-        code = family.CodeSpec.load(args.code)
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+        raise UsageError("--t must be non-negative")
+    code = _load_spec(args.code)
+    a = len(code.generators)
+    # a repeat among the 2^a syndrome values comes within 2^a + 1 errors
+    if (1 << a) + 1 > VERIFY_MAX_ERRORS and any(
+        s > VERIFY_MAX_ERRORS for s in itertools.accumulate(bounds.hamming_terms(code.n, args.t))
+    ):
+        raise UsageError(
+            f"the correctability walk at t={args.t} (n={code.n}, a={a}) may exceed {VERIFY_MAX_ERRORS} errors"
+        )
 
     failures = []
-    lines = [f"code: n={code.n}, k={code.k}, a={len(code.generators)}"]
+    lines = [f"code: n={code.n}, k={code.k}, a={a}"]
     group = None
     try:
         group = stabilizer.validate(code.n, code.generators)
@@ -170,11 +202,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.max_n < 1:
-        _err("--max-n must be at least 1")
-        return 2
+        raise UsageError("--max-n must be at least 1")
     if args.t < 0:
-        _err("--t must be non-negative")
-        return 2
+        raise UsageError("--t must be non-negative")
+    if args.max_n * (min(args.t, args.max_n) + 1) > BOUND_MAX_TERMS:
+        raise UsageError(f"--max-n * (min(--t, --max-n) + 1) must be at most {BOUND_MAX_TERMS}")
     rows = bounds.qhb_table(args.max_n, args.t)
     if args.json:
         print(json.dumps([{"n": n, "t": args.t, "max_k": k} for n, k in rows], indent=2))
@@ -189,8 +221,9 @@ def cmd_bound(args) -> int:
 
 def cmd_degenerate_bound(args) -> int:
     if args.n < 2:
-        _err("--n must be at least 2")
-        return 2
+        raise UsageError("--n must be at least 2")
+    if args.n > DEGENERATE_MAX_N:
+        raise UsageError(f"--n must be at most {DEGENERATE_MAX_N}")
     rows = [(l, bounds.degenerate_max_k(args.n, l)) for l in range(args.n)]
     holds, witness = bounds.degenerate_never_beats_qhb(args.n)
     qhb = bounds.qhb_max_k(args.n, 1)
@@ -219,16 +252,14 @@ def cmd_degenerate_bound(args) -> int:
 
 
 def cmd_syndrome(args) -> int:
+    code = _load_spec(args.code)
     try:
-        code = family.CodeSpec.load(args.code)
         err = pauli.parse(args.error)
         group = code.group()
-    except (OSError, ValueError, stabilizer.DependentGeneratorsWarning) as exc:
-        _err(str(exc))
-        return 2
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if err.n != code.n:
-        _err(f"error acts on {err.n} qubits, code has {code.n}")
-        return 2
+        raise UsageError(f"error acts on {err.n} qubits, code has {code.n}")
     syn = stabilizer.syndrome(group, err)
     if args.json:
         print(json.dumps({"error": pauli.format(err), "syndrome": str(syn)}, indent=2))
@@ -245,18 +276,12 @@ def cmd_simulate(args) -> int:
         try:
             seed = int(text)
         except ValueError:
-            _err(f"STABFORGE_SEED must be an integer, got {text!r}")
-            return 2
-    try:
-        code = family.CodeSpec.load(args.code)
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+            raise UsageError(f"STABFORGE_SEED must be an integer, got {text!r}") from None
+    code = _load_spec(args.code)
     try:
         stats = ecc_sim.run_campaign(code, args.model, args.trials, seed)
-    except (ValueError, stabilizer.DependentGeneratorsWarning) as exc:
-        _err(str(exc))
-        return 2
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.json:
         print(stats.to_json())
     else:
@@ -319,7 +344,7 @@ def cmd_tables(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabforge",
         description="construct, verify and simulate stabilizer error-correcting codes",
     )
@@ -380,15 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    with warnings.catch_warnings():
-        # a CodeSpec's k counts every generator, so a dependent one is bad input
-        warnings.simplefilter("error", stabilizer.DependentGeneratorsWarning)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            # a CodeSpec's k counts every generator, so a dependent one is bad input
+            warnings.simplefilter("error", stabilizer.DependentGeneratorsWarning)
+            return args.func(args)
+    except (UsageError, stabilizer.DependentGeneratorsWarning) as exc:
+        print(f"error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
+        return 2
+    except SystemExit:  # --help has printed its text
+        return 0
 
 
 if __name__ == "__main__":

@@ -240,6 +240,9 @@ class Simulator:
         self.code = code
         self.group = validate(code.n, code.generators)
         self.table = build_syndrome_table(code, t)
+        problems = codewords.check_seeds(self.group, code.seed_generators)
+        if problems:  # the logical basis is built from the seeds
+            raise ValueError("; ".join(problems))
         formal = codewords.basis(self.group, code.seed_generators)
         self.basis = [dense_from_formal(s) for s in formal]
         self.k = code.n - self.group.a

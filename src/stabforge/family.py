@@ -129,8 +129,9 @@ class CodeSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
         """Load the JSON form strictly: integer fields must be JSON integers,
-        k must equal n minus the generator count and every operator must act
-        on n qubits.  Any violation raises ValueError("malformed code spec: ...")."""
+        n is at most that of the largest family code, k must equal n minus
+        the generator count and every operator must act on n qubits.  Any
+        violation raises ValueError("malformed code spec: ...")."""
         try:
             n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
             version = _json_int(data, "version", 1)
@@ -139,6 +140,8 @@ class CodeSpec:
             construction = str(data.get("construction", CONSTRUCTION_NAME))
             if n < 1:
                 raise ValueError(f"n must be positive, got {n}")
+            if n > 1 << MAX_J:
+                raise ValueError(f"n must be at most {1 << MAX_J}, got {n}")
             if k != n - len(generators):
                 raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
             for role, ops in (("generator", generators), ("seed generator", seeds)):
@@ -155,6 +158,8 @@ class CodeSpec:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed code spec file: {exc}") from exc
+        except RecursionError:
+            raise ValueError("malformed code spec: JSON nested too deeply") from None
         return cls.from_json_dict(data)
 
 

@@ -191,8 +191,8 @@ class CorrectabilityReport:
 
 
 def _descriptors(n: int, lo: int, t: int) -> Iterator[tuple]:
-    """(qubit, letter) tuples of weight lo..t: weight ascending, then qubits, then XYZ."""
-    for ell in range(lo, t + 1):
+    """(qubit, letter) tuples of weight lo..min(t, n): weight ascending, then qubits, then XYZ."""
+    for ell in range(lo, min(t, n) + 1):
         for qubits in itertools.combinations(range(1, n + 1), ell):
             for letters in itertools.product("XYZ", repeat=ell):
                 yield tuple(zip(qubits, letters))

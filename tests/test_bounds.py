@@ -115,3 +115,18 @@ def test_degenerate_never_beats_qhb_sweep():
 def test_degenerate_never_beats_examples():
     assert degenerate_never_beats_qhb(6)[0]
     assert degenerate_never_beats_qhb(13)[0]
+
+
+def test_hamming_sum_stops_at_weight_n():
+    # no error has weight above n, so every t >= n counts all 4^n errors
+    for n in range(1, 12):
+        assert hamming_sum(n, n) == 4**n
+        assert hamming_sum(n, n + 1) == hamming_sum(n, 10**30) == 4**n
+    assert qhb_max_k(13, 20000) == qhb_max_k(13, 13) == -1
+    assert qhb_table(5, 10**30) == qhb_table(5, 5)
+
+
+@pytest.mark.parametrize("call", [hamming_sum, qhb_max_k, qhb_table])
+def test_negative_t_rejected(call):
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        call(5, -1)

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import warnings
 from pathlib import Path
@@ -399,3 +400,158 @@ def test_simulate_large_code_exits_2_quickly(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: dense oracle is capped at 12 qubits, got 32"]
+
+
+def _refused_quickly(capsys, *argv):
+    """Run argv and return its one-line error message, requiring exit 2, no
+    stdout and a run under 2 s."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert _one_line_error(err)
+    return err
+
+
+def test_bound_t_above_n_counts_every_error_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bound", "--max-n", "13", "--t", "20000", "--json")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    # t >= n counts all 4^n > 2^n errors, so no n admits a code
+    assert [row["max_k"] for row in json.loads(out)] == [-1] * 13
+
+
+@pytest.mark.parametrize("max_n, t", [("2000", "1000"), ("200000", "2"), ("1000000", "1000000")])
+def test_bound_work_cap_exit_2(capsys, max_n, t):
+    err = _refused_quickly(capsys, "bound", "--max-n", max_n, "--t", t)
+    assert err == f"error: --max-n * (min(--t, --max-n) + 1) must be at most {cli.BOUND_MAX_TERMS}\n"
+
+
+def test_bound_at_work_cap_runs(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bound", "--max-n", str(cli.BOUND_MAX_TERMS // 2), "--t", "1")
+    assert time.perf_counter() - start < 2.0
+    # the j = 16 family code meets the bound: k = n - j - 2
+    assert code == 0 and out.splitlines()[-1].split() == ["65536", "65518"]
+
+
+def test_degenerate_bound_cap_exit_2(capsys):
+    err = _refused_quickly(capsys, "degenerate-bound", "--n", str(cli.DEGENERATE_MAX_N + 1))
+    assert err == f"error: --n must be at most {cli.DEGENERATE_MAX_N}\n"
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["--out", "never-written.json"]])
+@pytest.mark.parametrize("j", ["14", "16"])
+def test_family_spec_output_cap_exit_2(capsys, tmp_path, monkeypatch, flags, j):
+    monkeypatch.chdir(tmp_path)
+    err = _refused_quickly(capsys, "family", "--j", j, *flags)
+    assert err == "error: --out and --json require --j <= 13\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_family_unwritable_out_exit_2(capsys, tmp_path):
+    err = _refused_quickly(capsys, "family", "--j", "3", "--out", str(tmp_path / "missing" / "c.json"))
+    assert "No such file or directory" in err
+
+
+def test_verify_nested_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    err = _refused_quickly(capsys, "verify", str(path))
+    assert err == "error: malformed code spec: JSON nested too deeply\n"
+
+
+def test_verify_huge_n_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**30, "k": 10**30, "j": 1, "generators": [], "seed_generators": []}))
+    err = _refused_quickly(capsys, "verify", str(path))
+    assert err == f"error: malformed code spec: n must be at most 65536, got {10**30}\n"
+
+
+def _graph_state_spec(n, degree, seed):
+    """A CodeSpec for a random graph state: generator v is X_v times Z_u
+    over the neighbours u of v, so all n generators commute and k = 0."""
+    rng = random.Random(seed)
+    edges = {frozenset(rng.sample(range(n), 2)) for _ in range(n * degree // 2)}
+    gens = []
+    for v in range(n):
+        letters = ["I"] * n
+        letters[v] = "X"
+        for e in edges:
+            if v in e:
+                (u,) = e - {v}
+                letters[u] = "Z"
+        gens.append("+" + "".join(letters))
+    return {"n": n, "k": 0, "j": 0, "generators": gens, "seed_generators": [], "version": 1}
+
+
+def test_verify_walk_cap_exit_2(capsys, tmp_path):
+    # 40 generators: a repeat is only forced after 2^40 + 1 errors, and there
+    # are hamming_sum(40, 5) = 1.6e8 errors of weight <= 5
+    path = tmp_path / "graph40.json"
+    path.write_text(json.dumps(_graph_state_spec(40, 6, seed=3)))
+    err = _refused_quickly(capsys, "verify", str(path), "--t", "5")
+    assert err == (
+        f"error: the correctability walk at t=5 (n=40, a=40) may exceed {cli.VERIFY_MAX_ERRORS} errors\n"
+    )
+    # t = 3 has 273,901 errors and stays accepted
+    code, out, _ = run_cli(capsys, "verify", str(path), "--t", "3", "--json")
+    assert code in (0, 1) and json.loads(out)["t"] == 3
+
+
+def test_verify_walk_cap_skips_few_generators(capsys, code_path):
+    # a = 5: a repeat is forced within 33 errors, whatever t asks for
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--t", str(10**30))
+    assert code == 1
+    assert "correctability t=1000000000000000000000000000000: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family"], "error: the following arguments are required: --j"),
+        (["bound", "--t", "x"], "error: argument --t: invalid int value: 'x'"),
+        (["verify"], "error: the following arguments are required: code"),
+        (["unknown-command"], None),
+    ],
+)
+def test_argparse_errors_are_one_line(capsys, argv, message):
+    err = _refused_quickly(capsys, *argv)
+    if message is not None:
+        assert err == message + "\n"
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "bound", "--help")
+    assert code == 0 and "--max-n" in out and err == ""
+
+
+def test_family_emit_codewords_json_exit_2(capsys):
+    # the code words have no JSON form, so the two flags would mix text into --json output
+    err = _refused_quickly(capsys, "family", "--j", "3", "--json", "--emit", "codewords")
+    assert err == "error: --emit codewords has no --json form\n"
+
+
+def test_error_line_escapes_line_breaks(capsys):
+    err = _refused_quickly(capsys, "bound", "extra\rline\n")
+    assert err == "error: unrecognized arguments: extra\\rline\\n\n"
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ([], "error: expected 3 seed generators, got 0"),
+        (["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"], "error: seed 3 is not a +1 pure-X operator"),
+        (["+XXIIIIII", "+XIXIIIII", "+XXIIIIII"], "error: seed 3 is dependent modulo the type-1 X-parts"),
+    ],
+    ids=["missing", "not-pure-x", "dependent"],
+)
+def test_simulate_bad_seeds_exit_2(capsys, code_path, tmp_path, seeds, message):
+    # the logical basis is built from the seeds, so a spec whose seeds verify rejects cannot be simulated
+    data = json.loads(code_path.read_text())
+    data["seed_generators"] = seeds
+    bad = tmp_path / "seeds.json"
+    bad.write_text(json.dumps(data))
+    err = _refused_quickly(capsys, "simulate", str(bad), "--model", "exhaustive", "--json")
+    assert err == message + "\n"

@@ -168,6 +168,11 @@ def test_iter_errors_order_and_count():
     assert len(list(iter_errors(3, 2))) == 1 + 9 + 27
 
 
+def test_iter_errors_stops_at_weight_n():
+    # no error has weight above n: t = 10**30 walks the 4^n errors and stops
+    assert len(list(iter_errors(2, 10**30))) == 16
+
+
 def test_weight_one_fast_path_matches_syndrome(group8):
     sx, sy, sz = weight_one_syndromes(group8)
     for i in range(1, 9):
