@@ -270,13 +270,15 @@ def cmd_syndrome(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None:
-        text = os.environ.get("STABFORGE_SEED", "0")
+        text, source = os.environ.get("STABFORGE_SEED", "0"), "STABFORGE_SEED"
         try:
             seed = int(text)
         except ValueError:
             raise UsageError(f"STABFORGE_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
     code = _load_spec(args.code)
     try:
         stats = ecc_sim.run_campaign(code, args.model, args.trials, seed)

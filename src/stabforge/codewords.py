@@ -14,10 +14,13 @@ qubit 1 leftmost, matching the Pauli string convention.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gf2
-from .pauli import PauliOperator
+from .pauli import PauliOperator, PureX
 from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup, enumerate_elements
 
 
@@ -113,7 +116,7 @@ def classify_generators(group: StabilizerGroup) -> GeneratorClassification:
     return GeneratorClassification(tuple(type1), tuple(type2))
 
 
-def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
+def seed_generators(group: StabilizerGroup) -> list[PureX]:
     """Pure-X operators N_1..N_{n-a} whose products seed all the code words.
 
     The X-vectors are (i) orthogonal over GF(2) to the Z-vector of every
@@ -132,14 +135,17 @@ def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
     vector of span(T), a pivot of T's echelon form; the other v_c are the
     seeds.  Classification leaves the type-1 X-parts in echelon form, so
     those pivots are their highest bits.
+
+    Each seed is a PureX built from v_c's support, which nullspace_rref
+    gives as columns; no seed is held as an n-bit int.
     """
     cls = classify_generators(group)
     n = group.n
     constraints = [g.z_bits for g in cls.type2]
     dropped = {g.x_bits.bit_length() - 1 for g in cls.type1}
     return [
-        PauliOperator(n, vec, 0, 1)
-        for c, vec in gf2.nullspace_rref(constraints, n)
+        PureX(n, [col + 1 for col in support])
+        for c, support in gf2.nullspace_rref(constraints, n)
         if c not in dropped
     ]
 
@@ -147,32 +153,81 @@ def seed_generators(group: StabilizerGroup) -> list[PauliOperator]:
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     """Problems with a claimed seed-generator list; empty means valid.
 
+    Seeds may be PureX or PauliOperator, mixed.  In seed order each must act
+    on n qubits, be a +1 pure-X operator, commute with every type-2
+    generator and be independent modulo the type-1 X-parts and the seeds
+    before it; a seed gets the first of these it fails as its problem.  The
+    type-2 parities and the leading (highest) X bit of the PureX seeds come
+    from their supports, all at once; those of a dense seed from & and
+    bit_length.  Vectors with distinct leading bits are independent, and the
+    type-1 X-parts are in echelon form, so when no valid seed is the
+    identity and their leading bits differ from each other and from the
+    type-1 pivots, no seed is dependent.  Otherwise SignedEchelon, the one
+    independence decision, takes the valid seeds in order.
+
     A group outside the seed construction (MinusSignPureZError) is one more
     problem, after the count check.
     """
     seeds = list(seeds)
     problems = []
-    k = group.n - group.a
+    n = group.n
+    k = n - group.a
     if len(seeds) != k:
         problems.append(f"expected {k} seed generators, got {len(seeds)}")
     try:
         cls = classify_generators(group)
     except MinusSignPureZError as exc:
         return problems + [str(exc)]
-    span = SignedEchelon(cls.type1)
+    found: dict[int, str] = {}  # seed index -> its problem
+    dense_ok, dense_leads = [], []  # dense seeds that pass the first three checks, and their leading bits
+    sparse_idx, supports = [], []  # PureX seeds on n qubits
     for idx, s in enumerate(seeds, 1):
-        if s.n != group.n:
-            problems.append(f"seed {idx} acts on {s.n} qubits, expected {group.n}")
-            continue
-        if s.z_bits or s.sign != 1:
-            problems.append(f"seed {idx} is not a +1 pure-X operator")
-            continue
-        if any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
-            problems.append(f"seed {idx} anticommutes with a type-2 generator")
-            continue
-        if not span.insert(s).x_bits:
-            problems.append(f"seed {idx} is dependent modulo the type-1 X-parts")
-    return problems
+        if s.n != n:
+            found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
+        elif isinstance(s, PureX):
+            sparse_idx.append(idx)
+            supports.append(s.support)
+        elif s.z_bits or s.sign != 1:
+            found[idx] = f"seed {idx} is not a +1 pure-X operator"
+        elif any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
+            found[idx] = f"seed {idx} anticommutes with a type-2 generator"
+        else:
+            dense_ok.append(idx)
+            dense_leads.append(s.x_bits.bit_length() - 1)
+    odd, sparse_leads = _support_checks(supports, cls.type2, n)
+    sparse_idx = np.array(sparse_idx, dtype=np.int64)
+    for idx in sparse_idx[odd].tolist():
+        found[idx] = f"seed {idx} anticommutes with a type-2 generator"
+    ok = np.concatenate((np.array(dense_ok, dtype=np.int64), sparse_idx[~odd]))
+    pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
+    leads = np.concatenate((np.array(pivots + dense_leads, dtype=np.int64), sparse_leads[~odd]))
+    counts = np.bincount(leads + 1, minlength=1)  # bin 0 counts identities, leading bit -1
+    if counts[0] or counts.max() > 1:
+        span = SignedEchelon(cls.type1)
+        for idx in np.sort(ok).tolist():
+            if not span.insert(seeds[idx - 1]).x_bits:
+                found[idx] = f"seed {idx} is dependent modulo the type-1 X-parts"
+    return problems + [found[idx] for idx in sorted(found)]
+
+
+def _support_checks(supports, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each support (ascending 1-based qubits), whether its X-string
+    anticommutes with some type-2 generator, and its leading bit (the
+    highest qubit minus one; -1 for the empty support)."""
+    lengths = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
+    ends = np.cumsum(lengths)
+    total = int(lengths.sum())
+    bits = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64, count=total) - 1
+    # prefix XORs of the type-2 Z bits along the concatenated supports: a
+    # support's parities are the XOR of the prefixes at its two ends
+    zbits = np.array([gf2.bits(g.z_bits, n) for g in type2], dtype=np.uint8).reshape(len(type2), n)
+    prefix = np.zeros((len(type2), total + 1), dtype=np.uint8)
+    np.bitwise_xor.accumulate(zbits[:, bits], axis=1, out=prefix[:, 1:])
+    odd = (prefix[:, ends] ^ prefix[:, ends - lengths]).any(axis=0)
+    leading = np.full(len(supports), -1, dtype=np.int64)
+    nonempty = lengths > 0
+    leading[nonempty] = bits[ends[nonempty] - 1]
+    return odd, leading
 
 
 def _as_label(seed, n: int) -> int:

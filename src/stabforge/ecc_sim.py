@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -370,8 +371,8 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     The "exhaustive" model ignores ``trials`` and runs every single-qubit
     Pauli error against every logical basis word.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
+    if not 0 <= trials <= sys.maxsize:  # a range longer than sys.maxsize has no len()
+        raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {trials}")
     sim = Simulator(code)
     reports = []
     if model == "exhaustive":

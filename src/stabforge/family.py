@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codewords, pauli
-from .pauli import PauliOperator
+from .pauli import PauliOperator, PureX
 from .stabilizer import StabilizerGroup, validate
 
 CONSTRUCTION_NAME = "gottesman-hamming-saturating"
@@ -105,7 +105,7 @@ class CodeSpec:
     k: int
     j: int
     generators: tuple[PauliOperator, ...]
-    seed_generators: tuple[PauliOperator, ...]
+    seed_generators: tuple[PauliOperator | PureX, ...]  # PureX from build_code, dense when loaded
     construction: str = CONSTRUCTION_NAME
     version: int = 1
 

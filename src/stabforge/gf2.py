@@ -18,7 +18,11 @@ def nullspace_rref(constraints, n_cols: int):
     reduced, so v_c = e_c + (pivot corrections) has c as its highest set bit
     and no other free column.  Hence the coordinates of a kernel vector in
     this basis are its bits on the free columns, and its highest bit is the
-    highest free column among them.  Yields (c, v_c) in ascending c.
+    highest free column among them.  Yields (c, support) in ascending c,
+    where support is the ascending tuple of v_c's columns: the pivots whose
+    reduced row has a 1 in column c, then c itself.  Free columns with the
+    same pattern of pivot-row bits share one tuple of pivots, so no vector
+    is built as an int.
     """
     pivot_rows: dict[int, int] = {}
     for row in constraints:
@@ -35,12 +39,21 @@ def nullspace_rref(constraints, n_cols: int):
         for other in pivot_rows:
             if other != low and (pivot_rows[other] >> low) & 1:
                 pivot_rows[other] ^= pivot_rows[low]
-    # column c's correction sets bit `low` of every pivot row with a 1 in column c
-    correction = [0] * n_cols
-    for low, row in pivot_rows.items():
-        bit = 1 << low
-        for c in np.flatnonzero(bits(row, n_cols)).tolist():
-            correction[c] |= bit
-    for c in range(n_cols):
-        if c not in pivot_rows:
-            yield c, (1 << c) | correction[c]
+    lows = np.array(sorted(pivot_rows), dtype=np.int64)
+    free = np.ones(n_cols, dtype=bool)
+    free[lows] = False
+    free_cols = np.flatnonzero(free)
+    # row r holds the bits of the r-th lowest pivot row on the free columns;
+    # one row at least, so that each column's packed key is a byte or more
+    rows = np.zeros((max(len(lows), 1), len(free_cols)), dtype=np.uint8)
+    for r, low in enumerate(lows.tolist()):
+        rows[r] = bits(pivot_rows[low], n_cols)[free_cols]
+    packed = np.ascontiguousarray(np.packbits(rows, axis=0, bitorder="little").T)
+    width = packed.shape[1]
+    keys, which = np.unique(packed.view(f"V{width}").ravel(), return_inverse=True)
+    masks = np.unpackbits(
+        keys.view(np.uint8).reshape(len(keys), width), axis=1, count=len(lows), bitorder="little"
+    )
+    heads = [tuple(lows[mask.astype(bool)].tolist()) for mask in masks]
+    for c, h in zip(free_cols.tolist(), which.ravel().tolist()):
+        yield c, heads[h] + (c,)

@@ -15,11 +15,16 @@ ever pick up signs, never imaginary phases.
 Text form: an explicit "+" or "-" followed by one character per qubit
 from {I, X, Y, Z}, qubit 1 leftmost, e.g. "+XIXIZYZY".  ``parse`` also
 reads an unsigned string as +1 and U+2212 "−" as a minus sign.
+
+``PureX`` holds a +1 pure-X operator as its qubit support instead, so a
+seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,9 @@ _ILLEGAL = re.compile("[^IXYZ]")
 # letter -> x bit and letter -> z bit, as binary digits
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
+# hash() of a non-negative int is its residue modulo this Mersenne prime 2^w - 1
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_WIDTH = _HASH_MODULUS.bit_length()
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,58 @@ class PauliOperator:
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
+
+    def __str__(self) -> str:
+        return format(self)
+
+
+class PureX:
+    """Immutable +1 pure-X operator on n qubits, held as its support: the
+    strictly ascending 1-based qubits on which it acts as X.
+
+    It reads like a PauliOperator (``n``, ``x_bits``, ``z_bits``, ``sign``,
+    all read-only), and equals and hashes like the PauliOperator of the same
+    value, so the two mix in comparisons, sets and the functions of this
+    module.  ``x_bits`` is built on each access and not kept.
+    """
+
+    __slots__ = ("_n", "_support")
+    z_bits = 0
+    sign = 1
+
+    def __init__(self, n: int, support):
+        support = tuple(map(operator.index, support))
+        if n < 1:
+            raise ValueError(f"qubit count must be positive, got {n}")
+        if support and not (1 <= support[0] and support[-1] <= n):
+            raise ValueError(f"support out of range 1..{n}")
+        if not all(map(operator.lt, support, support[1:])):
+            raise ValueError("support must be strictly ascending")
+        self._n = n
+        self._support = support
+
+    n = property(operator.attrgetter("_n"))
+    support = property(operator.attrgetter("_support"))
+
+    @property
+    def x_bits(self) -> int:
+        return sum(1 << (q - 1) for q in self.support)  # the bits are distinct
+
+    def __eq__(self, other):
+        if isinstance(other, PureX):
+            return self.n == other.n and self.support == other.support
+        if isinstance(other, PauliOperator):
+            return (other.n, other.x_bits, other.z_bits, other.sign) == (self.n, self.x_bits, 0, 1)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # PauliOperator hashes (n, x_bits, z_bits, sign); x_bits is a sum of
+        # distinct powers of two, and 2^(q-1) = 2^((q-1) mod w) modulo 2^w - 1
+        x_hash = sum(1 << ((q - 1) % _HASH_WIDTH) for q in self.support) % _HASH_MODULUS
+        return hash((self.n, x_hash, 0, 1))
+
+    def __repr__(self) -> str:
+        return f"PureX(n={self.n}, support={self.support})"
 
     def __str__(self) -> str:
         return format(self)
@@ -141,5 +201,7 @@ def parse(s: str) -> PauliOperator:
 
 def format(p: PauliOperator) -> str:
     """Canonical text form: explicit sign, then one letter per qubit."""
-    codes = bits(p.x_bits, p.n) | bits(p.z_bits, p.n) << 1
+    codes = bits(p.x_bits, p.n)
+    if p.z_bits:  # seeds are pure X
+        codes |= bits(p.z_bits, p.n) << 1
     return ("+" if p.sign == 1 else "-") + _CODE_LETTERS[codes].tobytes().decode("ascii")

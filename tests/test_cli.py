@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -338,6 +339,8 @@ def test_dependent_generators_exit_2(capsys, recwarn, dependent_path, argv):
     [
         ["--model", "depolarizing:0.1", "--trials", "-1"],
         ["--model", "exhaustive", "--trials", "-3"],
+        ["--model", "depolarizing:0.1", "--trials", str(10**30)],  # past the C ssize_t range
+        ["--model", "exhaustive", "--trials", str(2**63)],
         ["--model", "matrix:nan,0,0,1@1", "--json"],
         ["--model", "matrix:1,inf,0,1@2", "--json"],
         ["--model", "matrix:1,0,0,nanj@3"],
@@ -347,6 +350,26 @@ def test_simulate_bad_input_exit_2(capsys, code_path, argv):
     code, out, err = run_cli(capsys, "simulate", str(code_path), *argv)
     assert code == 2 and out == ""
     assert _one_line_error(err)
+
+
+def test_simulate_trials_past_ssize_t_exit_2(capsys, code_path):
+    code, out, err = run_cli(capsys, "simulate", str(code_path), "--model", "depolarizing:0.1",
+                             "--trials", str(10**30))
+    assert code == 2 and out == ""
+    assert err == f"error: trials must lie in [0, {sys.maxsize}], got {10**30}\n"
+
+
+def test_simulate_negative_seed_names_the_flag(capsys, code_path):
+    code, out, err = run_cli(capsys, "simulate", str(code_path), "--model", "exhaustive", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
+
+
+def test_simulate_negative_env_seed_names_the_variable(capsys, code_path, monkeypatch):
+    monkeypatch.setenv("STABFORGE_SEED", "-1")
+    code, out, err = run_cli(capsys, "simulate", str(code_path), "--model", "exhaustive")
+    assert code == 2 and out == ""
+    assert err == "error: STABFORGE_SEED must be non-negative, got -1\n"
 
 
 def test_simulate_bad_env_seed_exit_2(capsys, code_path, monkeypatch):

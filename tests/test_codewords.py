@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,23 @@ def test_seed_generators_repetition_code():
     group = validate(2, [parse("ZZ")])
     seeds = seed_generators(group)
     assert [str(s) for s in seeds] == ["+XX"]
+
+
+def test_j16_seeds_build_and_check_in_little_memory():
+    """The 65,518 seeds of the j = 16 code are held as supports: building the
+    code and checking its seeds peaks well under the 275 MiB that the seeds
+    took as dense n-bit ints."""
+    from stabforge import family
+
+    tracemalloc.start()
+    try:
+        code = family.build_code(16)
+        problems = check_seeds(validate(code.n, code.generators), code.seed_generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problems == []
+    assert peak < 64 * 2**20
 
 
 def test_check_seeds(group8, code8):

@@ -4,15 +4,19 @@ The reference functions below are copies of the elimination code that came
 before ``stabilizer.SignedEchelon``: the inline signed loop of
 ``validate`` (keyed by the highest bit of z << n | x), the inline X-part loop
 of ``classify_generators``, and the unsigned echelon (here ``IntEchelon``)
-behind the seed pivots and the ``check_seeds`` span.  They are frozen here so
-that any change in kept generators, dropped positions, rejections,
-classification, seeds or seed problems shows up.
+behind the seed pivots and the ``check_seeds`` span.  ``nullspace_rref`` is
+the int-yielding nullspace from before the seeds were held as ``PureX``
+supports, and ``reference_check_seeds`` reduces every seed one at a time, as
+``check_seeds`` did before it took the leading bits of all seeds at once.
+They are frozen here so that any change in kept generators, dropped
+positions, rejections, classification, seeds or seed problems shows up.
 """
 
 import itertools
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +29,7 @@ from stabforge.codewords import (
     classify_generators,
     seed_generators,
 )
-from stabforge.pauli import PauliOperator, commutes, multiply, square_sign
+from stabforge.pauli import PauliOperator, PureX, commutes, multiply, parse, square_sign
 from stabforge.stabilizer import (
     DependentGeneratorsWarning,
     MinusIdentityError,
@@ -99,6 +103,31 @@ def reference_classify(group):
     return GeneratorClassification(tuple(type1), tuple(type2))
 
 
+def nullspace_rref(constraints, n_cols):
+    pivot_rows = {}
+    for row in constraints:
+        r = row
+        while r:
+            low = (r & -r).bit_length() - 1
+            if low in pivot_rows:
+                r ^= pivot_rows[low]
+            else:
+                pivot_rows[low] = r
+                break
+    for low in sorted(pivot_rows):
+        for other in pivot_rows:
+            if other != low and (pivot_rows[other] >> low) & 1:
+                pivot_rows[other] ^= pivot_rows[low]
+    correction = [0] * n_cols
+    for low, row in pivot_rows.items():
+        bit = 1 << low
+        for c in np.flatnonzero(gf2.bits(row, n_cols)).tolist():
+            correction[c] |= bit
+    for c in range(n_cols):
+        if c not in pivot_rows:
+            yield c, (1 << c) | correction[c]
+
+
 def reference_seed_generators(group):
     cls = reference_classify(group)
     n = group.n
@@ -106,7 +135,7 @@ def reference_seed_generators(group):
     dropped = IntEchelon(g.x_bits for g in cls.type1).pivots
     return [
         PauliOperator(n, vec, 0, 1)
-        for c, vec in gf2.nullspace_rref(constraints, n)
+        for c, vec in nullspace_rref(constraints, n)
         if c not in dropped
     ]
 
@@ -182,12 +211,32 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
     if not isinstance(cls, str):
         seeds = seed_generators(group)
         assert seeds == reference_seed_generators(group)
-        seed_lists.append(seeds)
-        if len(seeds) >= 2:  # one more seed, dependent on two others
-            seed_lists.append(seeds + [multiply(seeds[0], seeds[1])])
+        seed_lists += collision_lists(n, cls, seeds)
     for seeds in seed_lists:
         assert check_seeds(group, seeds) == _reference_problems(group, seeds)
     return outcome, cls
+
+
+def pure_x(n, x_bits):
+    return PureX(n, [q for q in range(1, n + 1) if (x_bits >> (q - 1)) & 1])
+
+
+def collision_lists(n, cls, seeds):
+    """The constructed seeds, then lists whose leading bits collide, so that
+    check_seeds must run its echelon: a dense product of two seeds, a
+    repeated seed, a seed on a type-1 pivot, and dense and PureX seeds
+    mixed with a dense duplicate."""
+    type1 = cls[0]
+    lists = [seeds]
+    if len(seeds) >= 2:  # one more seed, dependent on two others
+        lists.append(seeds + [multiply(seeds[0], seeds[1])])
+    if seeds:
+        lists.append(seeds + [seeds[0]])
+        dense = [PauliOperator(n, s.x_bits, 0, 1) for s in seeds]
+        lists.append(dense[::2] + seeds[1::2] + [dense[-1]])
+    if type1:  # the X-part of a type-1 generator lies in their span
+        lists.append([pure_x(n, type1[0].x_bits)] + seeds)
+    return lists
 
 
 @st.composite
@@ -199,7 +248,8 @@ def candidate_lists(draw):
     dependent (+identity) and -identity cases are common.  Most lists keep
     only candidates that square to +1 and commute with those before, so
     validate accepts them; the rest are left raw to exercise the
-    rejections too.
+    rejections too.  Claimed seeds are dense operators or PureX supports,
+    some of them on another qubit count.
     """
     n = draw(st.integers(1, 7))
     bits = st.integers(0, (1 << n) - 1)
@@ -219,18 +269,53 @@ def candidate_lists(draw):
         if commuting and (square_sign(op) == -1 or not all(commutes(op, g) for g in gens)):
             continue
         gens.append(op)
-    claimed = draw(
-        st.lists(
-            st.builds(
-                lambda x, z, sign: PauliOperator(n, x, z, sign),
-                bits,
-                st.just(0) | bits,
-                st.just(1) | st.just(-1),
-            ),
-            max_size=n + 1,
-        )
+    dense = st.builds(
+        lambda x, z, sign: PauliOperator(n, x, z, sign),
+        bits,
+        st.just(0) | bits,
+        st.just(1) | st.just(-1),
     )
+    sparse = st.builds(lambda x, m: pure_x(m, x & ((1 << m) - 1)), bits, st.just(n) | st.integers(1, 7))
+    claimed = draw(st.lists(dense | sparse, max_size=n + 1))
     return n, gens, claimed
+
+
+@pytest.mark.parametrize("j", range(3, 7))
+def test_collision_lists_match_reference(j):
+    """Every collision list takes check_seeds' echelon and finds a dependent seed."""
+    code = family.build_code(j)
+    group = validate(code.n, code.generators)
+    cls = classify_generators(group)
+    seeds = list(code.seed_generators)
+    assert all(isinstance(s, PureX) for s in seeds)
+    for claimed in collision_lists(code.n, (cls.type1, cls.type2), seeds)[1:]:
+        problems = check_seeds(group, claimed)
+        assert problems == _reference_problems(group, claimed)
+        assert any("dependent modulo the type-1 X-parts" in p for p in problems)
+
+
+def test_seed_problems_keep_their_order():
+    """Problems of every kind, from dense and PureX seeds, come out in seed order."""
+    group = validate(8, family.build_code(3).generators)
+    claimed = [
+        PureX(8, (1, 2)),
+        parse("+XXIIIIII"),  # a dense duplicate of seed 1
+        PureX(4, (1, 2)),
+        PureX(8, (1,)),  # X_1 anticommutes with the all-Z generator
+        parse("+ZIIIIIII"),
+        PureX(8, ()),  # the identity
+        parse("+XIXIIIII"),
+    ]
+    problems = check_seeds(group, claimed)
+    assert problems == _reference_problems(group, claimed)
+    assert problems == [
+        "expected 3 seed generators, got 7",
+        "seed 2 is dependent modulo the type-1 X-parts",
+        "seed 3 acts on 4 qubits, expected 8",
+        "seed 4 anticommutes with a type-2 generator",
+        "seed 5 is not a +1 pure-X operator",
+        "seed 6 is dependent modulo the type-1 X-parts",
+    ]
 
 
 @settings(max_examples=400, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from stabforge import pauli
 from stabforge.pauli import (
     PauliOperator,
+    PureX,
     commutes,
     identity,
     letter,
@@ -199,3 +200,74 @@ def test_group_order():
     assert len(one) == 8
     two = closure([single(2, i, L) for i in (1, 2) for L in ("X", "Z")])
     assert len(two) == 32
+
+
+def dense_twin(p):
+    return PauliOperator(p.n, sum(1 << (q - 1) for q in p.support), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "n, support",
+    [
+        (1, ()),
+        (8, (1, 3)),
+        (8, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (64, (61, 62, 64)),  # qubits 62 and up fold over the 61-bit hash modulus
+        (200, (1, 61, 62, 122, 123, 183, 200)),
+        (65536, (1, 65536)),
+        (65536, (61, 122, 40000, 65535)),
+    ],
+)
+def test_pure_x_matches_dense_twin(n, support):
+    p = PureX(n, support)
+    dense = dense_twin(p)
+    assert (p.n, p.x_bits, p.z_bits, p.sign) == (dense.n, dense.x_bits, 0, 1)
+    assert p == dense and dense == p and not p != dense and not dense != p
+    assert hash(p) == hash(dense)
+    assert str(p) == str(dense) == pauli.format(p)
+    assert {dense: 1}[p] == 1 and p in {dense}
+    assert p == PureX(n, list(support)) and hash(p) == hash(PureX(n, support))
+    assert multiply(p, dense) == PauliOperator(n, 0, 0, 1)
+    assert weight(p) == len(support)
+
+
+@given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+def test_pure_x_matches_dense_twin_random(case):
+    n, qubits = case
+    p = PureX(n, sorted(qubits))
+    dense = dense_twin(p)
+    assert p == dense and hash(p) == hash(dense) and str(p) == str(dense)
+
+
+def test_pure_x_differs_from_other_values():
+    p = PureX(8, (1, 3))
+    assert p != PureX(8, (1, 4)) and p != PureX(9, (1, 3))
+    assert p != PauliOperator(8, 0b101, 0, -1) and p != PauliOperator(8, 0b101, 1, 1)
+    assert p != PauliOperator(9, 0b101, 0, 1) and p != "+XIXIIIII"
+    assert PureX(8, (1, 3)) == PauliOperator(8, 0b101, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "n, support",
+    [
+        (8, (3, 1)),  # unsorted
+        (8, (1, 1)),  # duplicate
+        (8, (1, 3, 3)),
+        (8, (0, 1)),  # out of range: qubits are 1-based
+        (8, (1, 9)),
+        (8, (-1,)),
+        (0, ()),  # no qubits
+        (8, (1.0, 2)),  # not an integer
+    ],
+)
+def test_pure_x_rejects_bad_supports(n, support):
+    with pytest.raises((ValueError, TypeError)):
+        PureX(n, support)
+
+
+def test_pure_x_is_read_only():
+    p = PureX(8, (1, 3))
+    for name, value in (("n", 9), ("support", (2,)), ("x_bits", 2), ("z_bits", 1), ("sign", -1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p == PureX(8, (1, 3))
