@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
+from . import gf2, pauli
 from .pauli import PauliOperator, PureX
 from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup, enumerate_elements
 
@@ -143,11 +143,14 @@ def seed_generators(group: StabilizerGroup) -> list[PureX]:
     n = group.n
     constraints = [g.z_bits for g in cls.type2]
     dropped = {g.x_bits.bit_length() - 1 for g in cls.type1}
-    return [
-        PureX(n, [col + 1 for col in support])
-        for c, support in gf2.nullspace_rref(constraints, n)
-        if c not in dropped
-    ]
+    return pauli.pure_xs(
+        n,
+        [
+            tuple([col + 1 for col in support])
+            for c, support in gf2.nullspace_rref(constraints, n)
+            if c not in dropped
+        ],
+    )
 
 
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:

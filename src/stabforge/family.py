@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codewords, pauli
+from . import codewords, gf2, pauli
 from .pauli import PauliOperator, PureX
 from .stabilizer import StabilizerGroup, validate
 
@@ -26,6 +26,8 @@ CONSTRUCTION_NAME = "gottesman-hamming-saturating"
 
 MIN_J = 3
 MAX_J = 16
+
+FORMAT_VERSION = 2  # the CodeSpec file version that save writes
 
 
 @dataclass(frozen=True)
@@ -99,49 +101,78 @@ def derive_generators(assignment: NumberAssignment) -> list[PauliOperator]:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Persistent description of a code: parameters, generators, seeds."""
+    """Persistent description of a code: parameters, generators, seeds.
+
+    Files are written in version 2 only; version 1 files still load.  Both
+    versions write each generator as a Pauli string.  Version 2 writes each
+    seed generator as its qubit support, e.g. [1, 3] for X_1 X_3, and loads
+    it as a PureX; version 1 wrote and loads it as a dense Pauli string.
+    """
 
     n: int
     k: int
     j: int
     generators: tuple[PauliOperator, ...]
-    seed_generators: tuple[PauliOperator | PureX, ...]  # PureX from build_code, dense when loaded
+    seed_generators: tuple[PauliOperator | PureX, ...]  # dense only when loaded from a version 1 file
     construction: str = CONSTRUCTION_NAME
-    version: int = 1
 
     def group(self) -> StabilizerGroup:
         return validate(self.n, self.generators)
 
     def to_json_dict(self) -> dict:
+        """The version 2 JSON form; ValueError if a seed generator is not a
+        +1 pure-X operator on n qubits."""
         return {
             "n": self.n,
             "k": self.k,
             "j": self.j,
             "generators": [pauli.format(g) for g in self.generators],
-            "seed_generators": [pauli.format(g) for g in self.seed_generators],
+            "seed_generators": [_qubit_list(s, self.n, idx) for idx, s in enumerate(self.seed_generators, 1)],
             "construction": self.construction,
-            "version": self.version,
+            "version": FORMAT_VERSION,
         }
 
+    def to_json(self) -> str:
+        """to_json_dict() laid out as json.dumps(..., indent=2) lays it out,
+        except that each seed support stays on one line.  At j = 16 that is
+        2.2 MB; indent=2 throughout would give 3.4 MB, a line per qubit, and
+        run json's pure-Python encoder over all 65,518 seeds (0.3 s)."""
+        fields = []
+        for key, value in self.to_json_dict().items():
+            if key == "seed_generators" and value:
+                # json.dumps writes only digits, ", " and brackets here, so "], [" parts two seeds
+                text = "[\n  " + json.dumps(value)[1:-1].replace("], [", "],\n  [") + "\n]"
+            else:
+                text = json.dumps(value, indent=2)
+            fields.append(f"  {json.dumps(key)}: " + text.replace("\n", "\n  "))
+        return "{\n" + ",\n".join(fields) + "\n}"
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
         """Load the JSON form strictly: integer fields must be JSON integers,
         n is at most that of the largest family code, k must equal n minus
-        the generator count and every operator must act on n qubits.  Any
-        violation raises ValueError("malformed code spec: ...")."""
+        the generator count, every operator must act on n qubits, and the
+        version (1 when absent) must be 1 or 2.  Version 2 seeds must be
+        lists of integer qubits, strictly ascending in 1..n.  Any violation
+        raises ValueError("malformed code spec: ...")."""
         try:
             n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
             version = _json_int(data, "version", 1)
-            generators = _json_operators(data, "generators")
-            seeds = _json_operators(data, "seed_generators")
-            construction = str(data.get("construction", CONSTRUCTION_NAME))
+            if version not in (1, 2):
+                raise ValueError(f"version must be 1 or 2, got {version}")
             if n < 1:
                 raise ValueError(f"n must be positive, got {n}")
             if n > 1 << MAX_J:
                 raise ValueError(f"n must be at most {1 << MAX_J}, got {n}")
+            generators = _json_operators(data, "generators")
+            if version == 1:
+                seeds = _json_operators(data, "seed_generators")
+            else:
+                seeds = _json_supports(data, "seed_generators", n)
+            construction = str(data.get("construction", CONSTRUCTION_NAME))
             if k != n - len(generators):
                 raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
             for role, ops in (("generator", generators), ("seed generator", seeds)):
@@ -150,7 +181,7 @@ class CodeSpec:
                         raise ValueError(f"{role} {idx} acts on {op.n} qubits, expected {n}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed code spec: {exc}") from exc
-        return cls(n, k, j, generators, seeds, construction, version)
+        return cls(n, k, j, generators, seeds, construction)
 
     @classmethod
     def load(cls, path) -> "CodeSpec":
@@ -161,6 +192,15 @@ class CodeSpec:
         except RecursionError:
             raise ValueError("malformed code spec: JSON nested too deeply") from None
         return cls.from_json_dict(data)
+
+
+def _qubit_list(seed, n: int, idx: int) -> list[int]:
+    """The version 2 form of seed generator idx: its support as a list."""
+    if seed.n != n or seed.z_bits or seed.sign != 1:
+        raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
+    if isinstance(seed, PureX):
+        return list(seed.support)
+    return (np.flatnonzero(gf2.bits(seed.x_bits, n)) + 1).tolist()
 
 
 def _json_int(data: dict, key: str, default: int | None = None) -> int:
@@ -175,6 +215,16 @@ def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:
     if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
         raise TypeError(f"{key} must be a list of Pauli strings")
     return tuple(pauli.parse(s) for s in texts)
+
+
+def _json_supports(data: dict, key: str, n: int) -> tuple[PureX, ...]:
+    supports = data[key]
+    if not isinstance(supports, list) or not set(map(type, supports)) <= {list}:
+        raise TypeError(f"{key} must be a list of qubit lists")
+    try:
+        return tuple(pauli.pure_xs(n, supports))
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key}: {exc}") from exc
 
 
 def build_code(j: int) -> CodeSpec:

@@ -181,27 +181,27 @@ def verify_code(code, t: int) -> VerificationReport:
     """
     _check_n(code.n)
     group = validate(code.n, code.generators)
-    states = [dense_from_formal(s) for s in codeword_basis(group, code.seed_generators)]
-
-    stab_ok = all(
-        np.allclose(apply_pauli(g, s).amplitudes, s.amplitudes, atol=ATOL)
-        for g in group.generators
-        for s in states
+    states = np.stack(
+        [dense_from_formal(s).amplitudes for s in codeword_basis(group, code.seed_generators)]
     )
+    count = len(states)
 
+    def images(op: PauliOperator) -> np.ndarray:
+        """op applied to every basis state: one gather over the stacked rows."""
+        perm, coef = pauli_action(code.n, op.x_bits, op.z_bits, op.sign)
+        return coef * states[:, perm]
+
+    stab_ok = all(np.allclose(images(g), states, atol=ATOL) for g in group.generators)
+
+    # rows error-major, then basis state: row r is errors[r // count] on psi_(r % count)
     errors = list(iter_errors(code.n, t))
-    images = []
-    meta = []
-    for e in errors:
-        sval = syndrome(group, e).value
-        for i, s in enumerate(states):
-            images.append(apply_pauli(e, s).amplitudes)
-            meta.append((e, sval, i))
-    v = np.stack(images)
+    v = np.empty((len(errors) * count, 1 << code.n), dtype=np.complex128)
+    for idx, e in enumerate(errors):
+        v[idx * count : (idx + 1) * count] = images(e)
+    svals = np.repeat([syndrome(group, e).value for e in errors], count)
+    lidx = np.tile(np.arange(count), len(errors))
 
-    num = len(images)
-    svals = np.array([m[1] for m in meta])
-    lidx = np.array([m[2] for m in meta])
+    num = len(v)
     # Gram matrix in row blocks, so peak memory stays O(block * num)
     witness = None
     for start in range(0, num, GRAM_BLOCK_ROWS):
@@ -211,9 +211,8 @@ def verify_code(code, t: int) -> VerificationReport:
         violations = must_vanish & (np.abs(g) > ATOL)
         if violations.any():
             row, col = map(int, np.argwhere(violations)[0])
-            e_r, _, i_r = meta[start + row]
-            e_c, _, i_c = meta[col]
-            witness = (str(e_r), i_r, str(e_c), i_c)
+            (e_r, i_r), (e_c, i_c) = divmod(start + row, count), divmod(col, count)
+            witness = (str(errors[e_r]), i_r, str(errors[e_c]), i_c)
             break
     orth_ok = witness is None
 

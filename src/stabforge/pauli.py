@@ -17,11 +17,13 @@ from {I, X, Y, Z}, qubit 1 leftmost, e.g. "+XIXIZYZY".  ``parse`` also
 reads an unsigned string as +1 and U+2212 "−" as a minus sign.
 
 ``PureX`` holds a +1 pure-X operator as its qubit support instead, so a
-seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints.
+seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints;
+``pure_xs`` builds many of them with one check of all their supports.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 import sys
@@ -88,15 +90,8 @@ class PureX:
     sign = 1
 
     def __init__(self, n: int, support):
-        support = tuple(map(operator.index, support))
-        if n < 1:
-            raise ValueError(f"qubit count must be positive, got {n}")
-        if support and not (1 <= support[0] and support[-1] <= n):
-            raise ValueError(f"support out of range 1..{n}")
-        if not all(map(operator.lt, support, support[1:])):
-            raise ValueError("support must be strictly ascending")
+        (self._support,) = _checked_supports(n, [support])
         self._n = n
-        self._support = support
 
     n = property(operator.attrgetter("_n"))
     support = property(operator.attrgetter("_support"))
@@ -123,6 +118,48 @@ class PureX:
 
     def __str__(self) -> str:
         return format(self)
+
+
+def pure_xs(n: int, supports) -> list[PureX]:
+    """[PureX(n, s) for s in supports], with every support checked in one
+    pass: the same errors as PureX, except that when several supports are
+    bad, a range error anywhere is reported before an order error."""
+    out = []
+    for support in _checked_supports(n, supports):
+        p = object.__new__(PureX)
+        p._n = n
+        p._support = support
+        out.append(p)
+    return out
+
+
+def _checked_supports(n: int, supports) -> list[tuple[int, ...]]:
+    """The supports as tuples of ints, after checking that n >= 1 and that
+    each support holds integers (not bools), strictly ascending, in 1..n."""
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
+    supports = list(map(tuple, supports))
+    chain = itertools.chain.from_iterable
+    if set(map(type, chain(supports))) - {int}:  # numpy integers, or bad input
+        supports = [tuple(map(_qubit, s)) for s in supports]
+    ends = np.cumsum(np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
+    total = int(ends[-1]) if supports else 0
+    if total and (min(chain(supports)) < 1 or max(chain(supports)) > n):
+        raise ValueError(f"support out of range 1..{n}")
+    # the qubits fit in int64 unless n does not
+    flat = np.fromiter(chain(supports), dtype=np.int64 if n < 1 << 63 else object, count=total)
+    rising = np.diff(flat) > 0
+    # a step from the last qubit of one support to the first of the next is not an order check
+    rising[ends[(ends > 0) & (ends < total)] - 1] = True
+    if not rising.all():
+        raise ValueError("support must be strictly ascending")
+    return supports
+
+
+def _qubit(q) -> int:
+    if isinstance(q, bool):
+        raise TypeError(f"a qubit must be an integer, got {q!r}")
+    return operator.index(q)
 
 
 def identity(n: int) -> PauliOperator:

@@ -464,13 +464,19 @@ def test_degenerate_bound_cap_exit_2(capsys):
     assert err == f"error: --n must be at most {cli.DEGENERATE_MAX_N}\n"
 
 
-@pytest.mark.parametrize("flags", [["--json"], ["--out", "never-written.json"]])
-@pytest.mark.parametrize("j", ["14", "16"])
-def test_family_spec_output_cap_exit_2(capsys, tmp_path, monkeypatch, flags, j):
-    monkeypatch.chdir(tmp_path)
-    err = _refused_quickly(capsys, "family", "--j", j, *flags)
-    assert err == "error: --out and --json require --j <= 13\n"
-    assert list(tmp_path.iterdir()) == []
+def test_family_spec_output_at_j16(capsys, tmp_path):
+    # version 2 writes each seed as its qubit support, so the largest family code fits in 2.5 MB
+    path = tmp_path / "c16.json"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "family", "--j", "16", "--out", str(path))
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "verify", str(path), "--t", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == "" and out.endswith("result: PASS\n")
+    assert path.stat().st_size <= 2_500_000
+    code, out, err = run_cli(capsys, "family", "--j", "16", "--json")
+    assert code == 0 and err == ""
+    assert out == path.read_text()
 
 
 def test_family_unwritable_out_exit_2(capsys, tmp_path):
@@ -562,18 +568,20 @@ def test_error_line_escapes_line_breaks(capsys):
 
 
 @pytest.mark.parametrize(
-    "seeds, message",
+    "version, seeds, message",
     [
-        ([], "error: expected 3 seed generators, got 0"),
-        (["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"], "error: seed 3 is not a +1 pure-X operator"),
-        (["+XXIIIIII", "+XIXIIIII", "+XXIIIIII"], "error: seed 3 is dependent modulo the type-1 X-parts"),
+        (2, [], "error: expected 3 seed generators, got 0"),
+        (1, ["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"], "error: seed 3 is not a +1 pure-X operator"),
+        (1, ["+XXIIIIII", "+XIXIIIII", "+XXIIIIII"], "error: seed 3 is dependent modulo the type-1 X-parts"),
+        (2, [[1, 2], [1, 3], [1, 2]], "error: seed 3 is dependent modulo the type-1 X-parts"),
     ],
-    ids=["missing", "not-pure-x", "dependent"],
+    ids=["missing", "not-pure-x", "dependent", "dependent-v2"],
 )
-def test_simulate_bad_seeds_exit_2(capsys, code_path, tmp_path, seeds, message):
+def test_simulate_bad_seeds_exit_2(capsys, code_path, tmp_path, version, seeds, message):
     # the logical basis is built from the seeds, so a spec whose seeds verify rejects cannot be simulated
     data = json.loads(code_path.read_text())
     data["seed_generators"] = seeds
+    data["version"] = version  # only version 1 can write a seed that is not pure X
     bad = tmp_path / "seeds.json"
     bad.write_text(json.dumps(data))
     err = _refused_quickly(capsys, "simulate", str(bad), "--model", "exhaustive", "--json")

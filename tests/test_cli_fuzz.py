@@ -4,7 +4,7 @@ Every input must end in one of two ways: accepted (exit 0 or 1, and any
 --json output is strict JSON) or refused (exit 2, empty stdout and exactly
 one ``error:`` line).  ``cli.main`` must never raise, and each case must
 finish within BUDGET_S seconds.  The inputs are argv for every subcommand,
-mutated CodeSpec files and error-model strings.
+mutated CodeSpec files of both versions and error-model strings.
 """
 
 import contextlib
@@ -78,9 +78,9 @@ def check_main(argv):
         json.loads(out, parse_constant=_reject_constant)
 
 
-def _spec_dict(group):
+def _spec_dict(group, version):
     try:
-        seeds = [pauli.format(s) for s in codewords.seed_generators(group)]
+        seeds = codewords.seed_generators(group)
     except ValueError:
         seeds = []
     return {
@@ -88,8 +88,8 @@ def _spec_dict(group):
         "k": group.n - group.a,
         "j": 0,
         "generators": [pauli.format(g) for g in group.generators],
-        "seed_generators": seeds,
-        "version": 1,
+        "seed_generators": [pauli.format(s) if version == 1 else list(s.support) for s in seeds],
+        "version": version,
     }
 
 
@@ -109,6 +109,24 @@ def _mutated_generator(draw, texts):
     return texts[:i] + [text] + texts[i + 1 :]
 
 
+def _mutated_support(draw, supports):
+    if not supports:
+        return supports
+    i = draw(st.integers(0, len(supports) - 1))
+    qubits = list(supports[i])
+    edit = draw(st.sampled_from(["drop", "insert", "reverse", "replace"]))
+    at = draw(st.integers(0, len(qubits)))
+    if edit == "drop":
+        del qubits[at : at + 1]
+    elif edit == "insert":
+        qubits.insert(at, draw(st.one_of(INTS, JSON_VALUES)))
+    elif edit == "reverse":
+        qubits.reverse()
+    else:
+        qubits[at : at + 1] = [draw(JSON_VALUES)]
+    return supports[:i] + [qubits] + supports[i + 1 :]
+
+
 def _spec_text(draw, data):
     """JSON text of data after a few random mutations."""
     depth = 0
@@ -123,6 +141,8 @@ def _spec_text(draw, data):
             field = draw(st.sampled_from(["generators", "seed_generators"]))
             if isinstance(data.get(field), list) and all(isinstance(s, str) for s in data[field]):
                 data[field] = _mutated_generator(draw, data[field])
+            elif isinstance(data.get(field), list) and all(isinstance(s, list) for s in data[field]):
+                data[field] = _mutated_support(draw, data[field])
         elif kind == "wrap":
             data[key] = [data.get(key)]
         else:
@@ -174,12 +194,15 @@ def test_fuzz_argv(tmp_path_factory):
 
 def test_fuzz_codespec(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
-    base = family.build_code(3).to_json_dict()
+    v2 = family.build_code(3).to_json_dict()
+    v1 = {**v2, "seed_generators": [pauli.format(pauli.PureX(8, s)) for s in v2["seed_generators"]], "version": 1}
 
     @FUZZ
     @given(st.data())
     def run(data):
-        spec = data.draw(st.one_of(st.just(base), valid_groups().map(_spec_dict)))
+        spec = data.draw(
+            st.one_of(st.sampled_from([v1, v2]), st.builds(_spec_dict, valid_groups(), st.sampled_from([1, 2])))
+        )
         path.write_text(_spec_text(data.draw, dict(spec)), encoding="utf-8")
         command = data.draw(
             st.sampled_from(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from stabforge.family import (
     derive_generators,
     letter_census,
 )
-from stabforge.pauli import PauliOperator, commutes, letter, single, square_sign
+from stabforge.pauli import PauliOperator, PureX, commutes, letter, single, square_sign
 
 
 def test_assign_numbers_golden():
@@ -153,9 +154,12 @@ def test_codespec_json_round_trip(code8, tmp_path):
     data = json.loads(path.read_text())
     assert list(data) == ["n", "k", "j", "generators", "seed_generators", "construction", "version"]
     assert data["generators"] == table_data.GENERATORS
-    assert data["seed_generators"] == table_data.SEED_GENERATORS
+    assert data["seed_generators"] == [[1, 2], [1, 3], [1, 5]]
+    assert data["version"] == 2
     loaded = CodeSpec.load(path)
     assert loaded == code8
+    assert all(isinstance(s, PureX) for s in loaded.seed_generators)
+    assert [pauli.format(s) for s in loaded.seed_generators] == table_data.SEED_GENERATORS
 
 
 def test_codespec_load_rejects_garbage(tmp_path):
@@ -201,6 +205,22 @@ def test_codespec_family_out_round_trip_byte_identical(j, tmp_path):
         {"generators": [["+XXXXXXXX"]]},
         {"seed_generators": [7]},
         {"seed_generators": ["+XXII"]},
+        {"version": 0},
+        {"version": 3},
+        {"version": 1},  # version 1 seeds are Pauli strings
+        {"seed_generators": "[[1, 2]]"},
+        {"seed_generators": [[1, 2], [1, 3], "+XIIIXIII"]},
+        {"seed_generators": ["+XXIIIIII", "+XIXIIIII", "+XIIIXIII"]},  # version 1 strings under version 2
+        {"seed_generators": [[1, 2], [1, 3], (1, 5)]},  # JSON has no tuples
+        {"seed_generators": [[1, 2], [3, 1], [1, 5]]},
+        {"seed_generators": [[1, 2], [1, 1], [1, 5]]},
+        {"seed_generators": [[1, 2], [1, 3], [0, 5]]},
+        {"seed_generators": [[1, 2], [1, 3], [1, 9]]},
+        {"seed_generators": [[1, 2], [1, 3], [1, 10**30]]},
+        {"seed_generators": [[1, 2], [1, 3], [True, 5]]},
+        {"seed_generators": [[1, 2], [1, 3], [1, 5.0]]},
+        {"seed_generators": [[1, 2], [1, 3], [1, [5]]]},
+        {"seed_generators": [[1, 2], [1, 3], [1, None]]},
     ],
 )
 def test_codespec_load_is_strict(code8, change):
@@ -217,6 +237,14 @@ def test_codespec_load_rejects_short_generator(code8):
 
 
 def test_codespec_version_defaults_to_1(code8):
-    data = code8.to_json_dict()
+    data = {**code8.to_json_dict(), "seed_generators": table_data.SEED_GENERATORS}
     del data["version"]
     assert CodeSpec.from_json_dict(data) == code8
+
+
+def test_codespec_save_rejects_a_seed_that_is_not_pure_x(code8):
+    # only a version 1 file can hold such a seed; version 2 has no form for it
+    for bad in ("+ZXIIIIII", "-XXIIIIII", "+XX"):
+        spec = dataclasses.replace(code8, seed_generators=(pauli.parse(bad),) + code8.seed_generators[1:])
+        with pytest.raises(ValueError, match="seed generator 1 is not a \\+1 pure-X operator on 8 qubits"):
+            spec.to_json_dict()

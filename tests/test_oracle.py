@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from stabforge import codewords, oracle
+from strategies import valid_groups
+from stabforge import bounds, codewords, oracle
+from stabforge.family import CodeSpec
 from stabforge.codewords import FormalState, basis
 from stabforge.oracle import (
     StateVector,
@@ -15,7 +18,7 @@ from stabforge.oracle import (
     verify_code,
 )
 from stabforge.pauli import PauliOperator, parse, single
-from stabforge.stabilizer import validate
+from stabforge.stabilizer import iter_errors, syndrome, validate
 
 
 def random_op(rng, n):
@@ -137,9 +140,75 @@ def test_verify_code_blocked_gram_matches_one_block(code8, monkeypatch, t):
         assert verify_code(code8, t) == whole
 
 
-def test_verify_trivial_code():
-    from stabforge.family import CodeSpec
+def reference_verify_code(code, t):
+    """verify_code as it was before the images were batched: one apply_pauli
+    per (error, basis state), kept frozen as the reference."""
+    group = validate(code.n, code.generators)
+    states = [dense_from_formal(s) for s in basis(group, code.seed_generators)]
+    stab_ok = all(
+        np.allclose(apply_pauli(g, s).amplitudes, s.amplitudes, atol=oracle.ATOL)
+        for g in group.generators
+        for s in states
+    )
+    images = []
+    meta = []
+    for e in iter_errors(code.n, t):
+        sval = syndrome(group, e).value
+        for i, s in enumerate(states):
+            images.append(apply_pauli(e, s).amplitudes)
+            meta.append((e, sval, i))
+    v = np.stack(images)
+    num = len(images)
+    svals = np.array([m[1] for m in meta])
+    lidx = np.array([m[2] for m in meta])
+    witness = None
+    for start in range(0, num, oracle.GRAM_BLOCK_ROWS):
+        rows = slice(start, start + oracle.GRAM_BLOCK_ROWS)
+        g = v[rows].conj() @ v.T
+        must_vanish = (svals[rows, None] != svals[None, :]) | (lidx[rows, None] != lidx[None, :])
+        violations = must_vanish & (np.abs(g) > oracle.ATOL)
+        if violations.any():
+            row, col = map(int, np.argwhere(violations)[0])
+            e_r, _, i_r = meta[start + row]
+            e_c, _, i_c = meta[col]
+            witness = (str(e_r), i_r, str(e_c), i_c)
+            break
+    orth_ok = witness is None
+    rank = int(np.linalg.matrix_rank(v, tol=oracle.ATOL))
+    rank_ok = rank == num
+    return oracle.VerificationReport(
+        ok=stab_ok and orth_ok and rank_ok,
+        num_vectors=num,
+        rank=rank,
+        dimension=1 << code.n,
+        stabilization_ok=stab_ok,
+        orthogonality_ok=orth_ok,
+        rank_ok=rank_ok,
+        witness=witness,
+    )
 
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_verify_code_matches_per_image_reference_on_family(code8, t):
+    assert verify_code(code8, t) == reference_verify_code(code8, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_groups(), st.integers(0, 2))
+def test_verify_code_matches_per_image_reference(group, t):
+    try:
+        seeds = tuple(codewords.seed_generators(group))
+    except codewords.MinusSignPureZError:
+        assume(False)
+    k = group.n - group.a
+    # keep the images to a few thousand rows, so the Gram matrix stays small
+    while t and bounds.hamming_sum(group.n, t) << k > 4096:
+        t -= 1
+    code = CodeSpec(n=group.n, k=k, j=0, generators=group.generators, seed_generators=seeds)
+    assert verify_code(code, t) == reference_verify_code(code, t)
+
+
+def test_verify_trivial_code():
     code = CodeSpec(n=1, k=0, j=0, generators=(parse("Z"),), seed_generators=())
     report = verify_code(code, 0)
     assert report.ok

@@ -6,6 +6,7 @@ from stabforge import pauli
 from stabforge.pauli import (
     PauliOperator,
     PureX,
+    pure_xs,
     commutes,
     identity,
     letter,
@@ -258,11 +259,32 @@ def test_pure_x_differs_from_other_values():
         (8, (-1,)),
         (0, ()),  # no qubits
         (8, (1.0, 2)),  # not an integer
+        (8, (True, 2)),
     ],
 )
 def test_pure_x_rejects_bad_supports(n, support):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises((ValueError, TypeError)) as single:
         PureX(n, support)
+    # the batch check gives the same error, alone or between good supports
+    for supports in ([support], [(1,), support, (n,)]):
+        with pytest.raises(single.type) as batch:
+            pure_xs(n, supports)
+        assert str(batch.value) == str(single.value)
+
+
+SUPPORTS = st.lists(st.lists(st.integers(-1, 10), max_size=4), max_size=6)
+
+
+@given(st.integers(1, 9), SUPPORTS)
+def test_pure_xs_matches_pure_x(n, supports):
+    def outcome(make):
+        try:
+            return make()
+        except (ValueError, TypeError) as exc:
+            return type(exc)
+    # the batch reports a range error anywhere first, so only the kinds of error are compared
+    want = outcome(lambda: [PureX(n, s) for s in supports])
+    assert outcome(lambda: pure_xs(n, supports)) == want
 
 
 def test_pure_x_is_read_only():

@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stabforge import family, pauli
+from stabforge import cli, family, pauli
 from stabforge.pauli import PauliOperator
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -107,19 +107,37 @@ def test_round_trip_above_int_digit_limit(rng):
     assert pauli.parse(text) == op
 
 
+def _cli_output(capsys, argv):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("j", range(3, 13))
-def test_codespec_save_bytes_match_reference(tmp_path, j):
+def test_codespec_version_1_file_loads_and_resaves_as_version_2(tmp_path, capsys, j):
     code = family.build_code(j)
+    # the codec writes every family generator and seed as the reference does
+    gens = [pauli.format(g) for g in code.generators]
+    seeds = [pauli.format(s) for s in code.seed_generators]
+    assert gens == [ref_format(g) for g in code.generators]
+    assert seeds == [ref_format(s) for s in code.seed_generators]
+    assert [pauli.parse(s) for s in seeds] == list(code.seed_generators)
+    # a version 1 file, byte for byte as version 1 was written
     data = {
         "n": code.n,
         "k": code.k,
         "j": code.j,
-        "generators": [ref_format(g) for g in code.generators],
-        "seed_generators": [ref_format(g) for g in code.seed_generators],
+        "generators": gens,
+        "seed_generators": seeds,
         "construction": code.construction,
-        "version": code.version,
+        "version": 1,
     }
-    path = tmp_path / "code.json"
-    code.save(path)
-    assert path.read_bytes() == (json.dumps(data, indent=2) + "\n").encode("utf-8")
-    assert family.CodeSpec.load(path) == code
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    loaded = family.CodeSpec.load(v1)
+    assert loaded == code
+    v2 = tmp_path / "v2.json"
+    loaded.save(v2)
+    assert family.CodeSpec.load(v2) == code
+    assert v2.read_bytes() == (code.to_json() + "\n").encode("utf-8")
+    for flags in (["--t", "1"], ["--t", "1", "--json"]):
+        assert _cli_output(capsys, ["verify", str(v1), *flags]) == _cli_output(capsys, ["verify", str(v2), *flags])
