@@ -14,7 +14,6 @@ qubit 1 leftmost, matching the Pauli string convention.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,21 +135,13 @@ def seed_generators(group: StabilizerGroup) -> list[PureX]:
     seeds.  Classification leaves the type-1 X-parts in echelon form, so
     those pivots are their highest bits.
 
-    Each seed is a PureX built from v_c's support, which nullspace_rref
-    gives as columns; no seed is held as an n-bit int.
+    Each seed is a PureX on v_c's support, which nullspace_rref gives as
+    1-based qubits, with those pivots already skipped; no seed is held as
+    an n-bit int, and only pure_xs visits the seeds one by one.
     """
     cls = classify_generators(group)
-    n = group.n
-    constraints = [g.z_bits for g in cls.type2]
-    dropped = {g.x_bits.bit_length() - 1 for g in cls.type1}
-    return pauli.pure_xs(
-        n,
-        [
-            tuple([col + 1 for col in support])
-            for c, support in gf2.nullspace_rref(constraints, n)
-            if c not in dropped
-        ],
-    )
+    pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
+    return pauli.pure_xs(group.n, gf2.nullspace_rref([g.z_bits for g in cls.type2], group.n, skip=pivots))
 
 
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
@@ -160,8 +151,10 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     on n qubits, be a +1 pure-X operator, commute with every type-2
     generator and be independent modulo the type-1 X-parts and the seeds
     before it; a seed gets the first of these it fails as its problem.  The
-    type-2 parities and the leading (highest) X bit of the PureX seeds come
-    from their supports, all at once; those of a dense seed from & and
+    supports of the PureX seeds on n qubits are gathered in one pass, and
+    their type-2 parities and leading (highest) X bits come at once from
+    one flat array of their qubits; only the other seeds are visited one by
+    one, a dense seed's parities and leading bit coming from & and
     bit_length.  Vectors with distinct leading bits are independent, and the
     type-1 X-parts are in echelon form, so when no valid seed is the
     identity and their leading bits differ from each other and from the
@@ -182,14 +175,15 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     except MinusSignPureZError as exc:
         return problems + [str(exc)]
     found: dict[int, str] = {}  # seed index -> its problem
+    # the support of each PureX seed on n qubits, checked with all the
+    # others at once; the other seeds (None here) take the checks one at a time
+    supports = [s.support if isinstance(s, PureX) and s.n == n else None for s in seeds]
+    rest = [idx for idx, sup in enumerate(supports, 1) if sup is None] if None in supports else []
     dense_ok, dense_leads = [], []  # dense seeds that pass the first three checks, and their leading bits
-    sparse_idx, supports = [], []  # PureX seeds on n qubits
-    for idx, s in enumerate(seeds, 1):
+    for idx in rest:
+        s = seeds[idx - 1]
         if s.n != n:
             found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
-        elif isinstance(s, PureX):
-            sparse_idx.append(idx)
-            supports.append(s.support)
         elif s.z_bits or s.sign != 1:
             found[idx] = f"seed {idx} is not a +1 pure-X operator"
         elif any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
@@ -197,8 +191,10 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
         else:
             dense_ok.append(idx)
             dense_leads.append(s.x_bits.bit_length() - 1)
+    if rest:
+        supports = [sup for sup in supports if sup is not None]
     odd, sparse_leads = _support_checks(supports, cls.type2, n)
-    sparse_idx = np.array(sparse_idx, dtype=np.int64)
+    sparse_idx = np.setdiff1d(np.arange(1, len(seeds) + 1), rest, assume_unique=True)
     for idx in sparse_idx[odd].tolist():
         found[idx] = f"seed {idx} anticommutes with a type-2 generator"
     ok = np.concatenate((np.array(dense_ok, dtype=np.int64), sparse_idx[~odd]))
@@ -217,18 +213,17 @@ def _support_checks(supports, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For each support (ascending 1-based qubits), whether its X-string
     anticommutes with some type-2 generator, and its leading bit (the
     highest qubit minus one; -1 for the empty support)."""
-    lengths = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
-    ends = np.cumsum(lengths)
-    total = int(lengths.sum())
-    bits = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64, count=total) - 1
+    ends, qubits = pauli._flatten(supports)
+    starts = ends - np.diff(ends, prepend=0)
+    bits = qubits - 1
     # prefix XORs of the type-2 Z bits along the concatenated supports: a
     # support's parities are the XOR of the prefixes at its two ends
     zbits = np.array([gf2.bits(g.z_bits, n) for g in type2], dtype=np.uint8).reshape(len(type2), n)
-    prefix = np.zeros((len(type2), total + 1), dtype=np.uint8)
+    prefix = np.zeros((len(type2), len(bits) + 1), dtype=np.uint8)
     np.bitwise_xor.accumulate(zbits[:, bits], axis=1, out=prefix[:, 1:])
-    odd = (prefix[:, ends] ^ prefix[:, ends - lengths]).any(axis=0)
-    leading = np.full(len(supports), -1, dtype=np.int64)
-    nonempty = lengths > 0
+    odd = (prefix[:, ends] ^ prefix[:, starts]).any(axis=0)
+    leading = np.full(len(ends), -1, dtype=np.int64)
+    nonempty = ends > starts
     leading[nonempty] = bits[ends[nonempty] - 1]
     return odd, leading
 

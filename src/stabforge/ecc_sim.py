@@ -15,6 +15,7 @@ are order-independent.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -142,8 +143,14 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
     return SyndromeTable(t, entries)
 
 
-def _generator_actions(group: StabilizerGroup) -> list:
-    return [pauli_action(group.n, g.x_bits, g.z_bits, g.sign) for g in group.generators]
+@functools.lru_cache(maxsize=8)
+def _generator_actions(group: StabilizerGroup) -> tuple:
+    """Each generator's gather form, read-only, cached so that measure_syndrome
+    (given only the group) reuses the actions its Simulator holds."""
+    actions = tuple(pauli_action(group.n, g.x_bits, g.z_bits, g.sign) for g in group.generators)
+    for perm, coef in actions:
+        perm.flags.writeable = coef.flags.writeable = False
+    return actions
 
 
 def _sqnorm(row: np.ndarray) -> float:

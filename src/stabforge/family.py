@@ -223,8 +223,8 @@ def _json_supports(data: dict, key: str, n: int) -> tuple[PureX, ...]:
         raise TypeError(f"{key} must be a list of qubit lists")
     try:
         return tuple(pauli.pure_xs(n, supports))
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{key}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # n >= 1 here, so the error names a support
+        raise type(exc)(f"seed generator {exc.support_index}: {exc}") from exc
 
 
 def build_code(j: int) -> CodeSpec:

@@ -123,7 +123,8 @@ class PureX:
 def pure_xs(n: int, supports) -> list[PureX]:
     """[PureX(n, s) for s in supports], with every support checked in one
     pass: the same errors as PureX, except that when several supports are
-    bad, a range error anywhere is reported before an order error."""
+    bad, a range error anywhere is reported before an order error.  The
+    error's ``support_index`` is the bad support's 1-based position."""
     out = []
     for support in _checked_supports(n, supports):
         p = object.__new__(PureX)
@@ -135,25 +136,42 @@ def pure_xs(n: int, supports) -> list[PureX]:
 
 def _checked_supports(n: int, supports) -> list[tuple[int, ...]]:
     """The supports as tuples of ints, after checking that n >= 1 and that
-    each support holds integers (not bools), strictly ascending, in 1..n."""
+    each support holds integers (not bools), strictly ascending, in 1..n;
+    each check is one numpy pass over the qubits of all the supports."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     supports = list(map(tuple, supports))
-    chain = itertools.chain.from_iterable
-    if set(map(type, chain(supports))) - {int}:  # numpy integers, or bad input
-        supports = [tuple(map(_qubit, s)) for s in supports]
-    ends = np.cumsum(np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
-    total = int(ends[-1]) if supports else 0
-    if total and (min(chain(supports)) < 1 or max(chain(supports)) > n):
-        raise ValueError(f"support out of range 1..{n}")
-    # the qubits fit in int64 unless n does not
-    flat = np.fromiter(chain(supports), dtype=np.int64 if n < 1 << 63 else object, count=total)
+    if set(map(type, itertools.chain.from_iterable(supports))) - {int}:  # numpy integers, or bad input
+        for index, s in enumerate(supports):
+            try:
+                supports[index] = tuple(map(_qubit, s))
+            except TypeError as exc:
+                exc.support_index = index + 1
+                raise
+    ends, flat = _flatten(supports)
     rising = np.diff(flat) > 0
     # a step from the last qubit of one support to the first of the next is not an order check
-    rising[ends[(ends > 0) & (ends < total)] - 1] = True
-    if not rising.all():
-        raise ValueError("support must be strictly ascending")
-    return supports
+    rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True
+    if flat.size and (flat.min() < 1 or flat.max() > n):
+        exc, position = ValueError(f"support out of range 1..{n}"), np.flatnonzero((flat < 1) | (flat > n))[0]
+    elif not rising.all():
+        exc, position = ValueError("support must be strictly ascending"), np.argmin(rising)
+    else:
+        return supports
+    exc.support_index = int(np.searchsorted(ends, position, side="right")) + 1
+    raise exc
+
+
+def _flatten(supports) -> tuple[np.ndarray, np.ndarray]:
+    """Where each support ends in the concatenation of all of them, and
+    that concatenation: int64, or Python ints if a qubit does not fit."""
+    ends = np.cumsum(np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
+    total = int(ends[-1]) if len(ends) else 0
+    chain = itertools.chain.from_iterable
+    try:
+        return ends, np.fromiter(chain(supports), dtype=np.int64, count=total)
+    except OverflowError:
+        return ends, np.fromiter(chain(supports), dtype=object, count=total)
 
 
 def _qubit(q) -> int:

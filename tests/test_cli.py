@@ -161,6 +161,17 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_verify_names_a_reversed_seed(capsys, tmp_path):
+    path = tmp_path / "code8.json"
+    assert run_cli(capsys, "family", "--j", "3", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    data["seed_generators"][1].reverse()  # [1, 3] -> [3, 1]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed code spec: seed generator 2: support must be strictly ascending\n"
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2

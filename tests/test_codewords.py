@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -101,6 +102,19 @@ def test_j16_seeds_build_and_check_in_little_memory():
         tracemalloc.stop()
     assert problems == []
     assert peak < 64 * 2**20
+
+
+# sha256 of repr([s.support for s in build_code(16).seed_generators]), taken
+# before seed_generators and pure_xs stopped visiting the seeds one by one
+J16_SEEDS_SHA256 = "c6ee160937329aa3c51710c5448a752dde43438b9fa85a239707dcac1c22b7cf"
+
+
+def test_j16_seeds_are_pinned():
+    from stabforge import family
+
+    supports = [s.support for s in family.build_code(16).seed_generators]
+    assert len(supports) == 65518 and supports[0] == (1, 2) and supports[-1] == (1, 65533)
+    assert hashlib.sha256(repr(supports).encode()).hexdigest() == J16_SEEDS_SHA256
 
 
 def test_check_seeds(group8, code8):

@@ -441,6 +441,18 @@ def test_measure_syndrome_matches_reference(sim, group8):
         assert np.array_equal(collapsed.amplitudes.view(np.float64), ref_amps.view(np.float64))
 
 
+def test_measure_syndrome_reuses_the_simulator_actions(code8, group8):
+    """measure_syndrome gets only the group, so the actions are cached per
+    group; an equal group finds the Simulator's, and nothing may write them."""
+    sim = Simulator(code8)
+    actions = ecc_sim._generator_actions(StabilizerGroup(8, group8.generators))
+    assert actions is sim._generator_actions
+    assert len(actions) == group8.a
+    for perm, coef in actions:
+        with pytest.raises(ValueError):
+            coef[0] = 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
 def test_random_groups_match_per_trial_reference(group, seed, p):

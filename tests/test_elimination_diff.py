@@ -6,13 +6,15 @@ before ``stabilizer.SignedEchelon``: the inline signed loop of
 of ``classify_generators``, and the unsigned echelon (here ``IntEchelon``)
 behind the seed pivots and the ``check_seeds`` span.  ``nullspace_rref`` is
 the int-yielding nullspace from before the seeds were held as ``PureX``
-supports, and ``reference_check_seeds`` reduces every seed one at a time, as
+supports (``reference_supports`` puts it in the library's return form),
+and ``reference_check_seeds`` reduces every seed one at a time, as
 ``check_seeds`` did before it took the leading bits of all seeds at once.
 They are frozen here so that any change in kept generators, dropped
 positions, rejections, classification, seeds or seed problems shows up.
 """
 
 import itertools
+import random
 import re
 import warnings
 
@@ -126,6 +128,16 @@ def nullspace_rref(constraints, n_cols):
     for c in range(n_cols):
         if c not in pivot_rows:
             yield c, (1 << c) | correction[c]
+
+
+def reference_supports(constraints, n_cols, skip=()):
+    """The frozen nullspace in the return form of gf2.nullspace_rref: the
+    1-based support of each v_c, free columns in skip left out."""
+    return [
+        tuple((np.flatnonzero(gf2.bits(vec, n_cols)) + 1).tolist())
+        for c, vec in nullspace_rref(constraints, n_cols)
+        if c not in skip
+    ]
 
 
 def reference_seed_generators(group):
@@ -353,3 +365,38 @@ def test_elimination_examples(texts, expected):
 def test_family_matches_reference(j):
     code = family.build_code(j)
     assert_same_as_reference(code.n, code.generators, code.seed_generators)
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_family_seeds_match_column_by_column_reference(j):
+    code = family.build_code(j)
+    group = validate(code.n, code.generators)
+    cls = classify_generators(group)
+    constraints = [g.z_bits for g in cls.type2]
+    pivots = IntEchelon(g.x_bits for g in cls.type1).pivots
+    assert gf2.nullspace_rref(constraints, code.n, skip=list(pivots)) == reference_supports(
+        constraints, code.n, pivots
+    )
+    assert seed_generators(group) == reference_seed_generators(group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nullspace_matches_reference(data):
+    """Any constraints, and any columns to skip, pivots among them."""
+    n = data.draw(st.integers(1, 12))
+    constraints = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    skip = data.draw(st.sets(st.integers(0, n - 1)))
+    supports = gf2.nullspace_rref(constraints, n, skip=sorted(skip))
+    assert supports == reference_supports(constraints, n, skip)
+    assert all(type(q) is int for support in supports for q in support)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nullspace_matches_reference_past_64_pivot_rows(seed):
+    """A column's key is then more than one 64-bit word."""
+    rng = random.Random(seed)
+    n = 100
+    constraints = [rng.getrandbits(n) for _ in range(80)]
+    skip = rng.sample(range(n), 10)
+    assert gf2.nullspace_rref(constraints, n, skip=skip) == reference_supports(constraints, n, skip)

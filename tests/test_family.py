@@ -229,6 +229,23 @@ def test_codespec_load_is_strict(code8, change):
         CodeSpec.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ([[1, 2], [3, 1], [1, 5]], "seed generator 2: support must be strictly ascending"),
+        ([[1, 2], [1, 3], [1, 9]], "seed generator 3: support out of range 1..8"),
+        ([[1, 2], [1, 2**63], [1, 5]], "seed generator 2: support out of range 1..8"),
+        ([[1, 2], [3, 1], [0, 5]], "seed generator 3: support out of range 1..8"),
+        ([[1, True], [1, 3], [1, 5]], "seed generator 1: a qubit must be an integer, got True"),
+    ],
+)
+def test_codespec_load_names_the_bad_seed(code8, seeds, message):
+    data = {**code8.to_json_dict(), "seed_generators": seeds}
+    with pytest.raises(ValueError) as bad:
+        CodeSpec.from_json_dict(data)
+    assert str(bad.value) == f"malformed code spec: {message}"
+
+
 def test_codespec_load_rejects_short_generator(code8):
     data = code8.to_json_dict()
     data["generators"][2] = data["generators"][2][:-1]

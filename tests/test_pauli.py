@@ -272,6 +272,60 @@ def test_pure_x_rejects_bad_supports(n, support):
         assert str(batch.value) == str(single.value)
 
 
+def _outcome(make):
+    """The PureX values made, or the type and text of the error raised."""
+    try:
+        return [(p.n, p.support) for p in make()]
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        (2**63,),  # past int64, so out of range
+        (1, 2**63),
+        (-(2**63) - 1,),
+        (np.uint64(2**64 - 1),),
+        (np.int64(1), np.int64(3)),
+        (np.int64(3), np.int64(1)),
+        (np.int32(1), 2),
+        (True,),
+        (1, False),
+        (np.True_,),
+        (),
+        [1, 3],
+        [3, 1],
+        [1, 2**63],
+    ],
+)
+def test_pure_xs_matches_pure_x_on_edge_qubits(support):
+    n = 8
+    want = _outcome(lambda: [PureX(n, support)])
+    assert _outcome(lambda: pure_xs(n, [support])) == want
+    batch = [(1,), support, (n,)]
+    if isinstance(want, list):
+        assert _outcome(lambda: pure_xs(n, batch)) == [(n, (1,))] + want + [(n, (n,))]
+        return
+    assert _outcome(lambda: pure_xs(n, batch)) == want
+    with pytest.raises(want[0]) as bad:
+        pure_xs(n, batch)
+    assert bad.value.support_index == 2
+
+
+def test_pure_xs_names_the_first_bad_support():
+    # a range error anywhere comes before an order error
+    with pytest.raises(ValueError, match="out of range") as bad:
+        pure_xs(8, [(1, 2), (3, 1), (), (1, 9), (0,)])
+    assert bad.value.support_index == 4
+    with pytest.raises(ValueError, match="strictly ascending") as bad:
+        pure_xs(8, [(), (1, 2), (), (2, 4, 4), (3, 1)])
+    assert bad.value.support_index == 4
+    with pytest.raises(TypeError) as bad:
+        pure_xs(8, [(1, 9), (1, 2.0)])
+    assert bad.value.support_index == 2
+
+
 SUPPORTS = st.lists(st.lists(st.integers(-1, 10), max_size=4), max_size=6)
 
 
