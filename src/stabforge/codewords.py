@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2, pauli
-from .pauli import PauliOperator, PureX
+from .pauli import PauliOperator, PureXList
 from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup, enumerate_elements
 
 
@@ -115,7 +115,7 @@ def classify_generators(group: StabilizerGroup) -> GeneratorClassification:
     return GeneratorClassification(tuple(type1), tuple(type2))
 
 
-def seed_generators(group: StabilizerGroup) -> list[PureX]:
+def seed_generators(group: StabilizerGroup) -> PureXList:
     """Pure-X operators N_1..N_{n-a} whose products seed all the code words.
 
     The X-vectors are (i) orthogonal over GF(2) to the Z-vector of every
@@ -135,36 +135,33 @@ def seed_generators(group: StabilizerGroup) -> list[PureX]:
     seeds.  Classification leaves the type-1 X-parts in echelon form, so
     those pivots are their highest bits.
 
-    Each seed is a PureX on v_c's support, which nullspace_rref gives as
-    1-based qubits, with those pivots already skipped; no seed is held as
-    an n-bit int, and only pure_xs visits the seeds one by one.
+    The seeds are one PureXList on the arrays from nullspace_rref, those
+    pivots skipped; no seed is an n-bit int or an object of its own.
     """
     cls = classify_generators(group)
     pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
-    return pauli.pure_xs(group.n, gf2.nullspace_rref([g.z_bits for g in cls.type2], group.n, skip=pivots))
+    return PureXList(group.n, *gf2.nullspace_rref([g.z_bits for g in cls.type2], group.n, skip=pivots))
 
 
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     """Problems with a claimed seed-generator list; empty means valid.
 
-    Seeds may be PureX or PauliOperator, mixed.  In seed order each must act
-    on n qubits, be a +1 pure-X operator, commute with every type-2
-    generator and be independent modulo the type-1 X-parts and the seeds
-    before it; a seed gets the first of these it fails as its problem.  The
-    supports of the PureX seeds on n qubits are gathered in one pass, and
-    their type-2 parities and leading (highest) X bits come at once from
-    one flat array of their qubits; only the other seeds are visited one by
-    one, a dense seed's parities and leading bit coming from & and
-    bit_length.  Vectors with distinct leading bits are independent, and the
-    type-1 X-parts are in echelon form, so when no valid seed is the
-    identity and their leading bits differ from each other and from the
-    type-1 pivots, no seed is dependent.  Otherwise SignedEchelon, the one
-    independence decision, takes the valid seeds in order.
+    Seeds are a PureXList, or PureX and PauliOperator mixed.  In seed order
+    each must act on n qubits, be a +1 pure-X operator, commute with every
+    type-2 generator and be independent modulo the type-1 X-parts and the
+    seeds before it; a seed's problem is the first of these it fails.  A
+    PureXList on n qubits passes the first two checks as a whole; other
+    seeds take them one at a time, and those that pass become a PureXList,
+    whose type-2 parities and leading X bits come at once from its arrays.
+    Vectors with distinct leading bits are independent, and the type-1
+    X-parts are in echelon form, so only when a valid seed is the identity
+    or shares its leading bit with a type-1 pivot or another seed does
+    SignedEchelon, the one independence decision, take the valid seeds.
 
     A group outside the seed construction (MinusSignPureZError) is one more
     problem, after the count check.
     """
-    seeds = list(seeds)
+    seeds = seeds if isinstance(seeds, PureXList) else list(seeds)
     problems = []
     n = group.n
     k = n - group.a
@@ -175,47 +172,35 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     except MinusSignPureZError as exc:
         return problems + [str(exc)]
     found: dict[int, str] = {}  # seed index -> its problem
-    # the support of each PureX seed on n qubits, checked with all the
-    # others at once; the other seeds (None here) take the checks one at a time
-    supports = [s.support if isinstance(s, PureX) and s.n == n else None for s in seeds]
-    rest = [idx for idx, sup in enumerate(supports, 1) if sup is None] if None in supports else []
-    dense_ok, dense_leads = [], []  # dense seeds that pass the first three checks, and their leading bits
-    for idx in rest:
-        s = seeds[idx - 1]
-        if s.n != n:
-            found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
-        elif s.z_bits or s.sign != 1:
-            found[idx] = f"seed {idx} is not a +1 pure-X operator"
-        elif any((s.x_bits & g.z_bits).bit_count() % 2 for g in cls.type2):
-            found[idx] = f"seed {idx} anticommutes with a type-2 generator"
-        else:
-            dense_ok.append(idx)
-            dense_leads.append(s.x_bits.bit_length() - 1)
-    if rest:
-        supports = [sup for sup in supports if sup is not None]
-    odd, sparse_leads = _support_checks(supports, cls.type2, n)
-    sparse_idx = np.setdiff1d(np.arange(1, len(seeds) + 1), rest, assume_unique=True)
-    for idx in sparse_idx[odd].tolist():
+    if isinstance(seeds, PureXList) and seeds.n == n:
+        xs, index = seeds, np.arange(1, len(seeds) + 1)
+    else:
+        for idx, s in enumerate(seeds, 1):
+            if s.n != n:
+                found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
+            elif s.z_bits or s.sign != 1:
+                found[idx] = f"seed {idx} is not a +1 pure-X operator"
+        index = np.array([idx for idx in range(1, len(seeds) + 1) if idx not in found], dtype=np.int64)
+        xs = pauli.x_parts(n, [seeds[idx - 1] for idx in index.tolist()])
+    odd, leads = _support_checks(xs, cls.type2, n)
+    for idx in index[odd].tolist():
         found[idx] = f"seed {idx} anticommutes with a type-2 generator"
-    ok = np.concatenate((np.array(dense_ok, dtype=np.int64), sparse_idx[~odd]))
     pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
-    leads = np.concatenate((np.array(pivots + dense_leads, dtype=np.int64), sparse_leads[~odd]))
-    counts = np.bincount(leads + 1, minlength=1)  # bin 0 counts identities, leading bit -1
-    if counts[0] or counts.max() > 1:
+    counts = np.bincount(np.concatenate((np.array(pivots, dtype=np.int64), leads[~odd])) + 1, minlength=1)
+    if counts[0] or counts.max() > 1:  # bin 0 counts identities, leading bit -1
         span = SignedEchelon(cls.type1)
-        for idx in np.sort(ok).tolist():
+        for idx in index[~odd].tolist():
             if not span.insert(seeds[idx - 1]).x_bits:
                 found[idx] = f"seed {idx} is dependent modulo the type-1 X-parts"
     return problems + [found[idx] for idx in sorted(found)]
 
 
-def _support_checks(supports, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each support (ascending 1-based qubits), whether its X-string
-    anticommutes with some type-2 generator, and its leading bit (the
-    highest qubit minus one; -1 for the empty support)."""
-    ends, qubits = pauli._flatten(supports)
+def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each seed, whether it anticommutes with some type-2 generator,
+    and its leading bit (its highest qubit minus one; -1 for the identity)."""
+    ends = seeds.ends
     starts = ends - np.diff(ends, prepend=0)
-    bits = qubits - 1
+    bits = seeds.qubits - 1
     # prefix XORs of the type-2 Z bits along the concatenated supports: a
     # support's parities are the XOR of the prefixes at its two ends
     zbits = np.array([gf2.bits(g.z_bits, n) for g in type2], dtype=np.uint8).reshape(len(type2), n)

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codewords, gf2, pauli
-from .pauli import PauliOperator, PureX
+from . import codewords, pauli
+from .pauli import PauliOperator, PureXList
 from .stabilizer import StabilizerGroup, validate
 
 CONSTRUCTION_NAME = "gottesman-hamming-saturating"
@@ -105,15 +105,15 @@ class CodeSpec:
 
     Files are written in version 2 only; version 1 files still load.  Both
     versions write each generator as a Pauli string.  Version 2 writes each
-    seed generator as its qubit support, e.g. [1, 3] for X_1 X_3, and loads
-    it as a PureX; version 1 wrote and loads it as a dense Pauli string.
+    seed as its qubit support, e.g. [1, 3] for X_1 X_3, and loads them as
+    one PureXList; version 1 wrote and loads each as a dense Pauli string.
     """
 
     n: int
     k: int
     j: int
     generators: tuple[PauliOperator, ...]
-    seed_generators: tuple[PauliOperator | PureX, ...]  # dense only when loaded from a version 1 file
+    seed_generators: PureXList | tuple[PauliOperator, ...]  # dense only when loaded from a version 1 file
     construction: str = CONSTRUCTION_NAME
 
     def group(self) -> StabilizerGroup:
@@ -122,12 +122,18 @@ class CodeSpec:
     def to_json_dict(self) -> dict:
         """The version 2 JSON form; ValueError if a seed generator is not a
         +1 pure-X operator on n qubits."""
+        seeds = self.seed_generators
+        if not (isinstance(seeds, PureXList) and seeds.n == self.n):
+            for idx, seed in enumerate(seeds, 1):
+                if seed.n != self.n or seed.z_bits or seed.sign != 1:
+                    raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {self.n} qubits")
+            seeds = pauli.x_parts(self.n, seeds)
         return {
             "n": self.n,
             "k": self.k,
             "j": self.j,
             "generators": [pauli.format(g) for g in self.generators],
-            "seed_generators": [_qubit_list(s, self.n, idx) for idx, s in enumerate(self.seed_generators, 1)],
+            "seed_generators": seeds.supports(),
             "construction": self.construction,
             "version": FORMAT_VERSION,
         }
@@ -175,7 +181,7 @@ class CodeSpec:
             construction = str(data.get("construction", CONSTRUCTION_NAME))
             if k != n - len(generators):
                 raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
-            for role, ops in (("generator", generators), ("seed generator", seeds)):
+            for role, ops in (("generator", generators), ("seed generator", () if version == 2 else seeds)):
                 for idx, op in enumerate(ops, 1):
                     if op.n != n:
                         raise ValueError(f"{role} {idx} acts on {op.n} qubits, expected {n}")
@@ -194,15 +200,6 @@ class CodeSpec:
         return cls.from_json_dict(data)
 
 
-def _qubit_list(seed, n: int, idx: int) -> list[int]:
-    """The version 2 form of seed generator idx: its support as a list."""
-    if seed.n != n or seed.z_bits or seed.sign != 1:
-        raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
-    if isinstance(seed, PureX):
-        return list(seed.support)
-    return (np.flatnonzero(gf2.bits(seed.x_bits, n)) + 1).tolist()
-
-
 def _json_int(data: dict, key: str, default: int | None = None) -> int:
     value = data[key] if default is None else data.get(key, default)
     if type(value) is not int:  # rejects floats, strings and booleans
@@ -217,12 +214,12 @@ def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:
     return tuple(pauli.parse(s) for s in texts)
 
 
-def _json_supports(data: dict, key: str, n: int) -> tuple[PureX, ...]:
+def _json_supports(data: dict, key: str, n: int) -> PureXList:
     supports = data[key]
     if not isinstance(supports, list) or not set(map(type, supports)) <= {list}:
         raise TypeError(f"{key} must be a list of qubit lists")
     try:
-        return tuple(pauli.pure_xs(n, supports))
+        return pauli.pure_xs(n, supports)
     except (TypeError, ValueError) as exc:  # n >= 1 here, so the error names a support
         raise type(exc)(f"seed generator {exc.support_index}: {exc}") from exc
 
@@ -243,7 +240,7 @@ def build_code(j: int) -> CodeSpec:
         k=n - j - 2,
         j=j,
         generators=tuple(gens),
-        seed_generators=tuple(seeds),
+        seed_generators=seeds,
     )
 
 

@@ -18,7 +18,7 @@ reads an unsigned string as +1 and U+2212 "−" as a minus sign.
 
 ``PureX`` holds a +1 pure-X operator as its qubit support instead, so a
 seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints;
-``pure_xs`` builds many of them with one check of all their supports.
+``PureXList`` holds many as one flat array, making each on access.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import itertools
 import operator
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,7 @@ class PureX:
     sign = 1
 
     def __init__(self, n: int, support):
-        (self._support,) = _checked_supports(n, [support])
+        self._support = pure_xs(n, [support])[0].support
         self._n = n
 
     n = property(operator.attrgetter("_n"))
@@ -120,26 +121,83 @@ class PureX:
         return format(self)
 
 
-def pure_xs(n: int, supports) -> list[PureX]:
-    """[PureX(n, s) for s in supports], with every support checked in one
-    pass: the same errors as PureX, except that when several supports are
-    bad, a range error anywhere is reported before an order error.  The
-    error's ``support_index`` is the bad support's 1-based position."""
-    out = []
-    for support in _checked_supports(n, supports):
+class PureXList(Sequence):
+    """Immutable sequence of +1 pure-X operators on n qubits, held as the
+    read-only arrays ``qubits``, every support one after another, and
+    ``ends``, where each ends.  Items are PureX made on access (a slice is
+    a tuple of them); the list equals and hashes like the tuple of them.
+
+    The constructor is the one check of supports: n >= 1, and each support
+    strictly ascending in 1..n, a range error anywhere before an order
+    error, whose ``support_index`` is the bad support's 1-based position.
+    Only then are qubits narrowed (int32 if n < 2^31), so none wraps.
+    """
+
+    __slots__ = ("_n", "_ends", "_qubits")
+
+    def __init__(self, n: int, ends, qubits):
+        if n < 1:
+            raise ValueError(f"qubit count must be positive, got {n}")
+        ends, qubits = np.array(ends, dtype=np.int64), np.asarray(qubits)
+        rising = np.diff(qubits) > 0
+        # a step from the last qubit of one support to the first of the next is not an order check
+        rising[ends[(ends > 0) & (ends < qubits.size)] - 1] = True
+        if qubits.size and (qubits.min() < 1 or qubits.max() > n):
+            exc, position = ValueError(f"support out of range 1..{n}"), np.flatnonzero((qubits < 1) | (qubits > n))[0]
+        elif not rising.all():
+            exc, position = ValueError("support must be strictly ascending"), np.argmin(rising)
+        else:
+            self._n, self._ends = n, ends
+            self._qubits = qubits.astype(np.int32 if n < 1 << 31 else np.int64 if n < 1 << 63 else object)
+            ends.flags.writeable = self._qubits.flags.writeable = False
+            return
+        exc.support_index = int(np.searchsorted(ends, position, side="right")) + 1
+        raise exc
+
+    n = property(operator.attrgetter("_n"))
+    ends = property(operator.attrgetter("_ends"))
+    qubits = property(operator.attrgetter("_qubits"))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]
+        return self._item(int(self._ends[i - 1]) if i else 0, int(self._ends[i]))
+
+    def __iter__(self):  # lazy: all the supports at once would be one more copy of the list
+        ends = self._ends.tolist()
+        return itertools.starmap(self._item, zip(itertools.chain((0,), ends), ends))
+
+    def _item(self, start: int, end: int) -> PureX:
         p = object.__new__(PureX)
-        p._n = n
-        p._support = support
-        out.append(p)
-    return out
+        p._n, p._support = self._n, tuple(self._qubits[start:end].tolist())
+        return p
+
+    def supports(self) -> list[list[int]]:
+        """Every support as a list of qubits, from one pass over the arrays."""
+        flat, ends = self._qubits.tolist(), self._ends.tolist()
+        return list(map(flat.__getitem__, map(slice, itertools.chain((0,), ends), ends)))
+
+    def __eq__(self, other):
+        if isinstance(other, PureXList) and self._n == other.n:
+            return np.array_equal(self._ends, other.ends) and np.array_equal(self._qubits, other.qubits)
+        if isinstance(other, (PureXList, list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PureXList(n={self._n}, {len(self)} supports)"
 
 
-def _checked_supports(n: int, supports) -> list[tuple[int, ...]]:
-    """The supports as tuples of ints, after checking that n >= 1 and that
-    each support holds integers (not bools), strictly ascending, in 1..n;
-    each check is one numpy pass over the qubits of all the supports."""
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+def pure_xs(n: int, supports) -> PureXList:
+    """PureXList of PureX(n, s) for s in supports, which must hold integers
+    (not bools); a TypeError's ``support_index`` names the bad support."""
     supports = list(map(tuple, supports))
     if set(map(type, itertools.chain.from_iterable(supports))) - {int}:  # numpy integers, or bad input
         for index, s in enumerate(supports):
@@ -148,30 +206,25 @@ def _checked_supports(n: int, supports) -> list[tuple[int, ...]]:
             except TypeError as exc:
                 exc.support_index = index + 1
                 raise
-    ends, flat = _flatten(supports)
-    rising = np.diff(flat) > 0
-    # a step from the last qubit of one support to the first of the next is not an order check
-    rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True
-    if flat.size and (flat.min() < 1 or flat.max() > n):
-        exc, position = ValueError(f"support out of range 1..{n}"), np.flatnonzero((flat < 1) | (flat > n))[0]
-    elif not rising.all():
-        exc, position = ValueError("support must be strictly ascending"), np.argmin(rising)
-    else:
-        return supports
-    exc.support_index = int(np.searchsorted(ends, position, side="right")) + 1
-    raise exc
-
-
-def _flatten(supports) -> tuple[np.ndarray, np.ndarray]:
-    """Where each support ends in the concatenation of all of them, and
-    that concatenation: int64, or Python ints if a qubit does not fit."""
     ends = np.cumsum(np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
-    total = int(ends[-1]) if len(ends) else 0
-    chain = itertools.chain.from_iterable
+    flat = itertools.chain.from_iterable
     try:
-        return ends, np.fromiter(chain(supports), dtype=np.int64, count=total)
-    except OverflowError:
-        return ends, np.fromiter(chain(supports), dtype=object, count=total)
+        qubits = np.fromiter(flat(supports), dtype=np.int64, count=ends[-1] if len(ends) else 0)
+    except OverflowError:  # out of range, so kept as Python ints for the check to name
+        qubits = np.fromiter(flat(supports), dtype=object)
+    return PureXList(n, ends, qubits)
+
+
+def x_parts(n: int, ops) -> PureXList:
+    """The X-parts of ops, operators on n qubits, as one PureXList; those of
+    the ops that are not PureX come from one numpy pass over their words."""
+    dense, words = [op for op in ops if not isinstance(op, PureX)], (n + 63) // 64
+    raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in dense), dtype="<u8")
+    row, word = np.nonzero(raw.reshape(len(dense), words))
+    which, bit = np.nonzero(np.unpackbits(raw[row * words + word].view(np.uint8).reshape(-1, 8), 1, bitorder="little"))
+    ends = np.cumsum(np.bincount(row[which], minlength=len(dense)))
+    found = iter(PureXList(n, ends, word[which] * 64 + bit + 1).supports())
+    return pure_xs(n, [op.support if isinstance(op, PureX) else next(found) for op in ops])
 
 
 def _qubit(q) -> int:

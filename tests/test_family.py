@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import hashlib
 import json
 
 import numpy as np
@@ -265,3 +267,36 @@ def test_codespec_save_rejects_a_seed_that_is_not_pure_x(code8):
         spec = dataclasses.replace(code8, seed_generators=(pauli.parse(bad),) + code8.seed_generators[1:])
         with pytest.raises(ValueError, match="seed generator 1 is not a \\+1 pure-X operator on 8 qubits"):
             spec.to_json_dict()
+
+
+# sha256 of the j = 16 file that CodeSpec.save (and so `family --j 16 --out`)
+# writes, taken while every seed was still an object of its own
+J16_FILE_SHA256 = "c6e7df948677b34d40f06df77cc9a7675b7c0f91fdc4c12f173e89e0e4cb3449"
+
+
+def test_j16_file_is_pinned(tmp_path):
+    code = build_code(16)
+    path = tmp_path / "c16.json"
+    code.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == J16_FILE_SHA256
+    assert CodeSpec.load(path) == code
+
+
+def _new_objects(make):
+    """What make() returns, and how many more GC-tracked objects there are after it."""
+    gc.collect()
+    before = len(gc.get_objects())
+    made = make()
+    gc.collect()
+    return made, len(gc.get_objects()) - before
+
+
+def test_j16_seeds_are_not_objects_of_their_own(tmp_path):
+    """The 65,518 seeds of build_code(16), built or loaded, leave no object each."""
+    code, count = _new_objects(lambda: build_code(16))
+    assert count < 100
+    path = tmp_path / "c16.json"
+    code.save(path)
+    loaded, count = _new_objects(lambda: CodeSpec.load(path))
+    assert count < 100
+    assert loaded == code

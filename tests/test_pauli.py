@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stabforge import pauli
+from stabforge import codewords, family, gf2, pauli
 from stabforge.pauli import (
     PauliOperator,
     PureX,
+    PureXList,
     pure_xs,
     commutes,
     identity,
@@ -347,3 +348,96 @@ def test_pure_x_is_read_only():
         with pytest.raises(AttributeError):
             setattr(p, name, value)
     assert p == PureX(8, (1, 3))
+
+
+def test_pure_x_list_equals_and_hashes_like_the_tuple_of_its_items():
+    xs = pure_xs(8, [(1, 2), (), (3, 5, 8)])
+    items = (PureX(8, (1, 2)), PureX(8, ()), PureX(8, (3, 5, 8)))
+    dense = [PauliOperator(8, 0b11, 0, 1), PauliOperator(8, 0, 0, 1), PauliOperator(8, 0b10010100, 0, 1)]
+    for other in (items, list(items), dense, tuple(dense), pure_xs(8, [[1, 2], [], [3, 5, 8]])):
+        assert xs == other and other == xs and not xs != other and not other != xs
+        assert hash(xs) == hash(tuple(other))
+    assert hash(xs) == hash(tuple(xs)) == hash(items)
+    unequal = (items[:2], dense[::-1], pure_xs(9, [(1, 2), (), (3, 5, 8)]), pure_xs(8, [(1, 2), (), (3, 5, 7)]))
+    for other in unequal + ("+XXIIIIII", None):
+        assert xs != other and other != xs and not xs == other
+
+
+@pytest.mark.parametrize("j", [3, 4, 6])
+def test_pure_x_list_equals_version_1_dense_seeds(j):
+    code = family.build_code(j)
+    seeds = code.seed_generators
+    assert isinstance(seeds, PureXList)
+    assert hash(seeds) == hash(tuple(seeds))
+    dense = tuple(parse(pauli.format(s)) for s in seeds)
+    assert seeds == dense and dense == seeds and hash(seeds) == hash(dense)
+    v1 = family.CodeSpec.from_json_dict(
+        {**code.to_json_dict(), "seed_generators": [pauli.format(s) for s in dense], "version": 1}
+    )
+    assert type(v1.seed_generators) is tuple
+    assert v1 == code and code == v1 and hash(v1) == hash(code)
+
+
+def test_pure_x_list_indexing():
+    xs = pure_xs(8, [(1, 2), (), (3, 5, 8)])
+    assert len(xs) == 3 and xs[0] == PureX(8, (1, 2)) and xs[1] == PureX(8, ()) and xs[2] == PureX(8, (3, 5, 8))
+    assert xs[-1] == xs[2] and xs[-3] == xs[0] and xs[np.int64(1)] == xs[1]
+    assert xs[1:] == (xs[1], xs[2]) and xs[::-2] == (xs[2], xs[0]) and xs[5:] == () and xs[:] == tuple(xs)
+    assert list(xs) == [xs[0], xs[1], xs[2]] and list(reversed(xs)) == [xs[2], xs[1], xs[0]]
+    assert PureX(8, ()) in xs and xs.index(PureX(8, (3, 5, 8))) == 2 and PureX(8, (1,)) not in xs
+    for past in (3, -4, 2**70):
+        with pytest.raises(IndexError):
+            xs[past]
+    with pytest.raises(TypeError):
+        xs["1"]
+    assert len(pure_xs(8, [])) == 0 and list(pure_xs(8, [])) == [] and pure_xs(8, []) == ()
+
+
+def test_pure_x_list_is_read_only():
+    xs = pure_xs(8, [(1, 2), (3,)])
+    for name in ("n", "ends", "qubits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(xs, name, None)
+    for array in (xs.ends, xs.qubits):
+        with pytest.raises(ValueError):
+            array[0] = 4
+    ends, qubits = np.array([2, 3]), np.array([1, 2, 3])
+    copied = PureXList(8, ends, qubits)
+    ends[0] = qubits[0] = 5  # the list keeps its own arrays
+    assert copied == [PureX(8, (1, 2)), PureX(8, (3,))]
+
+
+def test_pure_x_list_items_hold_python_ints():
+    n = 12
+    constraints = [0b101101, 0b110000001111]
+    lists = [
+        pure_xs(n, [(np.int64(1), np.int32(3)), [np.uint16(12)]]),
+        PureXList(n, *gf2.nullspace_rref(constraints, n)),
+        PureXList(n, np.array([2]), np.array([1, 5], dtype=np.uint16)),
+        codewords.seed_generators(family.build_code(4).group()),
+    ]
+    for xs in lists:
+        assert len(xs) and all(type(q) is int for p in xs for q in p.support)
+        assert all(type(q) is int for p in (xs[0], xs[-1]) for q in p.support)
+        assert all(type(q) is int for support in xs.supports() for q in support)
+
+
+def test_pure_x_list_keeps_qubits_past_int32():
+    xs = pure_xs(2**40, [(1, 2**35)])
+    assert xs[0].support == (1, 2**35) and xs.supports() == [[1, 2**35]] and xs.qubits.dtype == np.int64
+    with pytest.raises(ValueError, match="strictly ascending") as bad:
+        pure_xs(2**40, [(2**35, 1)])
+    assert bad.value.support_index == 1
+    assert pure_xs(2**31 - 1, [(1, 2**31 - 1)]).qubits.dtype == np.int32
+    assert pure_xs(2**70, [(1, 2**65)])[0].support == (1, 2**65)
+
+
+def test_x_parts_match_the_x_bits():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 64, 65, 130, 200):
+        ops = [PureX(n, sorted({1, n})), PauliOperator(n, 0, 1, -1)]
+        ops += [PauliOperator(n, int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n), 0, 1) for _ in range(3)]
+        ops += [parse("".join(rng.choice(list("IXYZ"), size=n))) for _ in range(5)]
+        want = [tuple(q for q in range(1, n + 1) if op.x_bits >> (q - 1) & 1) for op in ops]
+        assert [p.support for p in pauli.x_parts(n, ops)] == want
+    assert pauli.x_parts(8, []) == ()
