@@ -130,7 +130,11 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
     the entries come from stabilizer.error_syndromes in its order, weight
     ascending, so each is a minimal-weight correction.
     """
-    group = validate(code.n, code.generators)
+    return _syndrome_table(validate(code.n, code.generators), t)
+
+
+def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
+    """build_syndrome_table on an already validated group."""
     report = check_correctability(group, t)
     if not report.ok:
         first, second = report.collision
@@ -138,7 +142,7 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
             f"syndrome {syndrome(group, second)} of {second} already assigned to {first}"
         )
     entries = {
-        Syndrome(value, group.a): materialize(code.n, desc) for desc, value in error_syndromes(group, t)
+        Syndrome(value, group.a): materialize(group.n, desc) for desc, value in error_syndromes(group, t)
     }
     return SyndromeTable(t, entries)
 
@@ -247,7 +251,7 @@ class Simulator:
         _check_n(code.n)  # before the 2^k basis, which a large code cannot hold
         self.code = code
         self.group = validate(code.n, code.generators)
-        self.table = build_syndrome_table(code, t)
+        self.table = _syndrome_table(self.group, t)
         problems = codewords.check_seeds(self.group, code.seed_generators)
         if problems:  # the logical basis is built from the seeds
             raise ValueError("; ".join(problems))

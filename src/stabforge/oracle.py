@@ -4,6 +4,10 @@ Everything here is independent of the bit-level algebra: states are 2^n
 complex amplitude vectors, operators act by explicit linear algebra, and
 code claims are checked with Gram matrices and numerical rank.  Amplitude
 index = basis label as an int (qubit i at bit i-1).
+
+verify_code works in real arithmetic (the code basis and every Pauli are
+real under Y = XZ) and takes the rank as the count of eigenvalues
+sigma^2 > ATOL of the smaller real Gram matrix, v v^T or v^T v.
 """
 
 from __future__ import annotations
@@ -178,24 +182,33 @@ def verify_code(code, t: int) -> VerificationReport:
     every basis vector, (ii) error images are orthogonal whenever syndromes
     or logical indices differ, and (iii) the whole image collection has full
     numerical rank.
+
+    The arithmetic is real: Y = XZ is a real matrix, Pauli signs are +-1 and
+    formal-state terms are integers, so the basis amplitudes and the
+    pauli_action coefficients have zero imaginary parts and are held as
+    float64.  The rank is the count of eigenvalues sigma^2 > ATOL of the
+    smaller of the two Gram matrices v v^T and v^T v of the image matrix v.
+    For a valid code v^T v is the sum over syndromes s of m_s P_s, with P_s
+    the projector onto the syndrome-s space and m_s the number of errors
+    with syndrome s, so every eigenvalue is a nonnegative integer.
     """
     _check_n(code.n)
     group = validate(code.n, code.generators)
     states = np.stack(
-        [dense_from_formal(s).amplitudes for s in codeword_basis(group, code.seed_generators)]
+        [dense_from_formal(s).amplitudes.real for s in codeword_basis(group, code.seed_generators)]
     )
     count = len(states)
 
     def images(op: PauliOperator) -> np.ndarray:
         """op applied to every basis state: one gather over the stacked rows."""
         perm, coef = pauli_action(code.n, op.x_bits, op.z_bits, op.sign)
-        return coef * states[:, perm]
+        return coef.real * states[:, perm]
 
     stab_ok = all(np.allclose(images(g), states, atol=ATOL) for g in group.generators)
 
     # rows error-major, then basis state: row r is errors[r // count] on psi_(r % count)
     errors = list(iter_errors(code.n, t))
-    v = np.empty((len(errors) * count, 1 << code.n), dtype=np.complex128)
+    v = np.empty((len(errors) * count, 1 << code.n))
     for idx, e in enumerate(errors):
         v[idx * count : (idx + 1) * count] = images(e)
     svals = np.repeat([syndrome(group, e).value for e in errors], count)
@@ -206,7 +219,7 @@ def verify_code(code, t: int) -> VerificationReport:
     witness = None
     for start in range(0, num, GRAM_BLOCK_ROWS):
         rows = slice(start, start + GRAM_BLOCK_ROWS)
-        g = v[rows].conj() @ v.T
+        g = v[rows] @ v.T
         must_vanish = (svals[rows, None] != svals[None, :]) | (lidx[rows, None] != lidx[None, :])
         violations = must_vanish & (np.abs(g) > ATOL)
         if violations.any():
@@ -216,7 +229,9 @@ def verify_code(code, t: int) -> VerificationReport:
             break
     orth_ok = witness is None
 
-    rank = int(np.linalg.matrix_rank(v, tol=ATOL))
+    # v v^T and v^T v share their nonzero eigenvalues; take the smaller one
+    small_gram = v @ v.T if num <= v.shape[1] else v.T @ v
+    rank = int(np.count_nonzero(np.linalg.eigvalsh(small_gram) > ATOL))
     rank_ok = rank == num
     return VerificationReport(
         ok=stab_ok and orth_ok and rank_ok,

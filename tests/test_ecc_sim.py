@@ -28,7 +28,7 @@ from stabforge.ecc_sim import (
 )
 from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit
 from stabforge.pauli import identity, multiply, parse, single
-from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome
+from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome, validate
 from strategies import valid_groups
 
 
@@ -483,6 +483,19 @@ def test_table_matches_reference_code8(code8, group8, t):
             build_syndrome_table(code8, t)
     else:
         assert build_syndrome_table(code8, t) == expected
+
+
+def test_simulator_validates_the_group_once(code8, monkeypatch):
+    calls = []
+
+    def counting_validate(n, generators):
+        calls.append(n)
+        return validate(n, generators)
+
+    monkeypatch.setattr(ecc_sim, "validate", counting_validate)
+    sim = Simulator(code8)
+    assert calls == [8]
+    assert sim.table == build_syndrome_table(code8, 1)
 
 
 @given(valid_groups(), st.integers(0, 3))

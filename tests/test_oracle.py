@@ -141,8 +141,9 @@ def test_verify_code_blocked_gram_matches_one_block(code8, monkeypatch, t):
 
 
 def reference_verify_code(code, t):
-    """verify_code as it was before the images were batched: one apply_pauli
-    per (error, basis state), kept frozen as the reference."""
+    """verify_code as it was before the images were batched and made real:
+    one complex apply_pauli per (error, basis state) and the SVD rank of the
+    image matrix, kept frozen as the reference."""
     group = validate(code.n, code.generators)
     states = [dense_from_formal(s) for s in basis(group, code.seed_generators)]
     stab_ok = all(
@@ -188,9 +189,21 @@ def reference_verify_code(code, t):
     )
 
 
+# k = 0 on 4 qubits: the rank is deficient in both Gram branches, v v^T at
+# t = 1 (5 of 13 images in dimension 16) and v^T v at t = 2 (11 of 67)
+Z4_CODE = CodeSpec(
+    n=4, k=0, j=0, generators=tuple(parse(s) for s in "+ZIII,+IZII,+IIZI,+IIIZ".split(",")),
+    seed_generators=(),
+)
+Z4_RANKS = {0: (1, 1), 1: (5, 13), 2: (11, 67)}
+
+
 @pytest.mark.parametrize("t", [0, 1, 2])
 def test_verify_code_matches_per_image_reference_on_family(code8, t):
     assert verify_code(code8, t) == reference_verify_code(code8, t)
+    report = verify_code(Z4_CODE, t)
+    assert report == reference_verify_code(Z4_CODE, t)
+    assert (report.rank, report.num_vectors) == Z4_RANKS[t]
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,6 +219,30 @@ def test_verify_code_matches_per_image_reference(group, t):
         t -= 1
     code = CodeSpec(n=group.n, k=k, j=0, generators=group.generators, seed_generators=seeds)
     assert verify_code(code, t) == reference_verify_code(code, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_groups(), st.integers(0, 2))
+def test_dense_images_are_real_with_integer_gram_spectrum(group, t):
+    # what verify_code's real arithmetic and eigenvalue rank rely on
+    try:
+        seeds = tuple(codewords.seed_generators(group))
+    except codewords.MinusSignPureZError:
+        assume(False)
+    k = group.n - group.a
+    while t and bounds.hamming_sum(group.n, t) << k > 4096:
+        t -= 1
+    states = np.stack([dense_from_formal(s).amplitudes for s in basis(group, seeds)])
+    assert not states.imag.any()
+    errors = list(iter_errors(group.n, t))
+    actions = [
+        oracle.pauli_action(group.n, op.x_bits, op.z_bits, op.sign) for op in (*group.generators, *errors)
+    ]
+    assert not any(coef.imag.any() for _, coef in actions)
+    v = np.concatenate([coef * states[:, perm] for perm, coef in actions[group.a :]])
+    small = v.conj() @ v.T if len(v) <= v.shape[1] else v.conj().T @ v
+    eig = np.linalg.eigvalsh(small)
+    assert np.allclose(eig, np.round(eig), rtol=0, atol=1e-9)
 
 
 def test_verify_trivial_code():
