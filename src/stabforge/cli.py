@@ -77,6 +77,17 @@ def _codeword_listing(states) -> str:
     return "\n".join(lines)
 
 
+def _sparse_error(op: pauli.PauliOperator) -> str:
+    """A +1 error as its letters on 1-based qubits, e.g. "X_1 Y_2"; "I" for the identity."""
+    support = op.x_bits | op.z_bits
+    names = []
+    while support:
+        i = (support & -support).bit_length()
+        names.append(f"{pauli.letter(op, i)}_{i}")
+        support &= support - 1
+    return " ".join(names) or "I"
+
+
 def cmd_family(args) -> int:
     if not family.MIN_J <= args.j <= family.MAX_J:
         raise UsageError(f"--j must lie in [{family.MIN_J}, {family.MAX_J}]")
@@ -135,7 +146,7 @@ def cmd_verify(args) -> int:
 
     failures = []
     lines = [f"code: n={code.n}, k={code.k}, a={a}"]
-    group = None
+    group = report = None
     try:
         group = stabilizer.validate(code.n, code.generators)
         lines.append("validate: ok")
@@ -185,6 +196,13 @@ def cmd_verify(args) -> int:
             "ok": ok,
             "failures": failures,
         }
+        if report is not None:
+            payload["correctability"] = {
+                "total_errors": report.total_errors,
+                "distinct_syndromes": report.distinct_syndromes,
+            }
+            if not report.ok:
+                payload["correctability"]["collision"] = [_sparse_error(op) for op in report.collision]
         if oracle_report is not None:
             payload["oracle"] = {
                 "rank": oracle_report.rank,

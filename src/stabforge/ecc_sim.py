@@ -260,6 +260,12 @@ class Simulator:
         self.k = code.n - self.group.a
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
         self._generator_actions = _generator_actions(self.group)
+        # syndrome value -> (syndrome, correction, its gather form), so that
+        # a trial looks its correction's action up instead of rebuilding it
+        self._corrections = {
+            syn.value: (syn, corr, pauli_action(corr.n, corr.x_bits, corr.z_bits, corr.sign))
+            for syn, corr in self.table.entries.items()
+        }
 
     def _encode(self, coeffs) -> np.ndarray:
         return np.asarray(coeffs, dtype=np.complex128) @ self._basis_matrix
@@ -331,10 +337,11 @@ class Simulator:
             damaged[live], norms[live], self._generator_actions, [rngs[r] for r in live]
         )
         for i, r in enumerate(live):
-            syn = Syndrome(values[i], self.group.a)
-            corr = self.table.correction(syn)
-            if corr is not None:
-                perm, coef = pauli_action(corr.n, corr.x_bits, corr.z_bits, corr.sign)
+            hit = self._corrections.get(values[i])
+            if hit is None:
+                syn, corr = Syndrome(values[i], self.group.a), None
+            else:
+                syn, corr, (perm, coef) = hit
                 out[i] = coef * out[i, perm]
             fidelity = float(abs(np.vdot(psi[r], out[i])))
             success = corr is not None and fidelity >= 1.0 - FIDELITY_TOL

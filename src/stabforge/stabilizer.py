@@ -240,9 +240,9 @@ def _light_syndromes(group: StabilizerGroup, t: int) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=sx.dtype), np.column_stack((sx, sy, sz)).ravel()))
 
 
-def _light_descriptors(n: int) -> list[tuple]:
-    """Descriptors of I, X_1, Y_1, Z_1, X_2, ...: _descriptors(n, 0, 1), listed."""
-    return [()] + [((i, L),) for i in range(1, n + 1) for L in "XYZ"]
+def _light_descriptor(m: int) -> tuple:
+    """Descriptor of error m of the weight <= 1 walk I, X_1, Y_1, Z_1, X_2, ..."""
+    return () if m == 0 else (((m - 1) // 3 + 1, "XYZ"[(m - 1) % 3]),)
 
 
 def _heavy_syndromes(n: int, light: list, t: int) -> Iterator[tuple[tuple, int]]:
@@ -261,7 +261,8 @@ def error_syndromes(group: StabilizerGroup, t: int) -> Iterator[tuple[tuple, int
     iter_errors order: the one walk over errors and their syndromes.  Values
     are bit columns (weight_one_syndromes) and, above weight 1, their XORs."""
     light = _light_syndromes(group, t).tolist()
-    yield from zip(_light_descriptors(group.n), light)  # just I when t < 1
+    for m, value in enumerate(light):  # just I when t < 1
+        yield _light_descriptor(m), value
     yield from _heavy_syndromes(group.n, light, t)
 
 
@@ -271,30 +272,53 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     A collision is a report outcome, not an exception; the first colliding
     pair in enumeration order is returned as the witness.  This is the one
     first-repeat rule: build_syndrome_table takes its verdict.  The values
-    are error_syndromes': weight <= 1 checked as one array, heavier ones
-    streamed, so the scan stops at the first repeat without holding them all.
+    are error_syndromes'.
+
+    The N errors of weight <= 1 are checked as one array against a table
+    with one slot per syndrome value, which holds the walk index of the
+    first error with that value: the first repeat is the first index m
+    whose value's slot does not hold m, found with no sort.  Heavier errors
+    are streamed; each looks its value up in that table and in a dict of
+    the heavy values seen so far, so the scan stops at the first repeat
+    without holding them all.  Witnesses are rebuilt from walk indices.
+    When the values are Python ints (a > 62) or the 2^a slots would
+    outnumber the N errors more than 8 to 1, a sort (np.unique) and a dict
+    from each light value to its index stand in for the table.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = group.n
     light = _light_syndromes(group, t)
-    _, first_index, inverse = np.unique(light, return_index=True, return_inverse=True)
-    first_of = first_index[inverse.ravel()]
-    repeats = np.flatnonzero(first_of != np.arange(len(light)))
+    size = len(light)
+    walk = np.arange(size)
+    if light.dtype == object or (1 << group.a) > 8 * size:
+        _, first_index, inverse = np.unique(light, return_index=True, return_inverse=True)
+        first_of = first_index[inverse.ravel()]
+        table = None
+    else:
+        table = np.full(1 << group.a, size)  # size: no error of weight <= 1 has this value
+        np.minimum.at(table, light, walk)
+        first_of = table[light]
+    repeats = np.flatnonzero(first_of != walk)
     if repeats.size:
         m = int(repeats[0])
-        descs = _light_descriptors(n)
-        pair = (materialize(n, descs[first_of[m]]), materialize(n, descs[m]))
+        pair = (materialize(n, _light_descriptor(int(first_of[m]))), materialize(n, _light_descriptor(m)))
         return CorrectabilityReport(False, t, m + 1, m, pair)
-    total = len(light)
     if t < 2:
-        return CorrectabilityReport(True, t, total, total)
+        return CorrectabilityReport(True, t, size, size)
     values = light.tolist()
-    seen = dict(zip(values, _light_descriptors(n)))
+    index = dict(zip(values, range(size))) if table is None else None  # the values are distinct here
+    heavy = {}
+    total = size
     for desc, value in _heavy_syndromes(n, values, t):
         total += 1
-        if value in seen:
-            pair = (materialize(n, seen[value]), materialize(n, desc))
-            return CorrectabilityReport(False, t, total, len(seen), pair)
-        seen[value] = desc
-    return CorrectabilityReport(True, t, total, len(seen))
+        m = table.item(value) if index is None else index.get(value, size)
+        if m < size:
+            earlier = _light_descriptor(m)
+        elif value in heavy:
+            earlier = heavy[value]
+        else:
+            heavy[value] = desc
+            continue
+        return CorrectabilityReport(False, t, total, total - 1, (materialize(n, earlier), materialize(n, desc)))
+    return CorrectabilityReport(True, t, total, total)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import time
 import warnings
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import table_data
-from stabforge import cli
+from stabforge import cli, pauli
+from stabforge.stabilizer import materialize
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,6 +111,23 @@ def test_verify_json(capsys, code_path):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True and data["failures"] == []
+    assert data["correctability"] == {"total_errors": 25, "distinct_syndromes": 25}
+
+
+def test_verify_json_names_the_text_witness(capsys, code_path):
+    code, text, _ = run_cli(capsys, "verify", str(code_path), "--t", "2")
+    assert code == 1
+    witness = re.search(r"FAIL \((\S+) and (\S+) share syndrome", text).groups()
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--t", "2", "--json")
+    assert code == 1
+    data = json.loads(out)["correctability"]
+    assert (data["total_errors"], data["distinct_syndromes"]) == (27, 26)
+    assert data["collision"] == ["Z_4", "X_1 Y_2"]
+    named = []
+    for sparse in data["collision"]:
+        desc = () if sparse == "I" else tuple((int(q), L) for L, q in (s.split("_") for s in sparse.split()))
+        named.append(pauli.format(materialize(8, desc)))
+    assert tuple(named) == witness
 
 
 def test_verify_tampered_spec(capsys, code_path, tmp_path):

@@ -194,17 +194,31 @@ def test_weight_one_fast_path_matches_syndrome_j4():
         assert int(sz[i - 1]) == syndrome(group, single(16, i, "Z")).value
 
 
-def group_a63():
-    # 13 copies of the [[5,1,3]] code with 11 logical Z's added: a = 63, so
-    # the weight-1 syndromes no longer fit an int64; every weight-1 error
-    # still has its own syndrome, and two errors on one copy collide.
+def five_qubit_copies(copies, logical_zs):
+    # copies of the [[5,1,3]] code, the first logical_zs of them with their
+    # logical Z added: every weight-1 error still has its own syndrome, and
+    # two errors on one copy collide.
     blocks = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
-    n = 65
+    n = 5 * copies
     gens = [
-        parse("I" * (5 * c) + b + "I" * (n - 5 * c - 5)) for c in range(13) for b in blocks
-    ] + [parse("I" * (5 * c) + "ZZZZZ" + "I" * (n - 5 * c - 5)) for c in range(11)]
-    group = validate(n, gens)
+        parse("I" * (5 * c) + b + "I" * (n - 5 * c - 5)) for c in range(copies) for b in blocks
+    ] + [parse("I" * (5 * c) + "ZZZZZ" + "I" * (n - 5 * c - 5)) for c in range(logical_zs)]
+    return validate(n, gens)
+
+
+def group_a63():
+    # a = 63, so the weight-1 syndromes no longer fit an int64
+    group = five_qubit_copies(13, 11)
     assert group.a == 63
+    return group
+
+
+def group_a33():
+    # a = 33: int64 syndromes, but 2^a slots outnumber the 1 + 3n = 106
+    # errors of weight <= 1 far more than 8 to 1
+    group = five_qubit_copies(7, 5)
+    assert group.a == 33 and (1 << group.a) > 8 * (1 + 3 * group.n)
+    assert weight_one_syndromes(group)[0].dtype == np.int64
     return group
 
 
@@ -260,10 +274,19 @@ def test_correctability_matches_reference_above_62_generators():
     assert check_correctability(group, 1).ok
 
 
+def test_correctability_matches_reference_with_too_many_slots_for_a_table():
+    group = group_a33()
+    for t in (1, 2):
+        assert check_correctability(group, t) == reference_check_correctability(group, t)
+    assert check_correctability(group, 1).ok
+
+
 def test_correctability_t2_early_exit_j16():
     from stabforge import family
 
-    report = check_correctability(family.build_code(16).group(), 2)
+    group = family.build_code(16).group()
+    assert check_correctability(group, 1) == CorrectabilityReport(True, 1, 196_609, 196_609)
+    report = check_correctability(group, 2)
     assert not report.ok
     assert (report.total_errors, report.distinct_syndromes) == (196_611, 196_610)
     first, second = report.collision
