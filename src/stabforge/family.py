@@ -103,37 +103,34 @@ def derive_generators(assignment: NumberAssignment) -> list[PauliOperator]:
 class CodeSpec:
     """Persistent description of a code: parameters, generators, seeds.
 
-    Files are written in version 2 only; version 1 files still load.  Both
-    versions write each generator as a Pauli string.  Version 2 writes each
-    seed as its qubit support, e.g. [1, 3] for X_1 X_3, and loads them as
-    one PureXList; version 1 wrote and loads each as a dense Pauli string.
+    The seeds are one PureXList on n qubits, made from any +1 pure-X
+    operators on n qubits given; another seed raises ValueError.  Files are
+    written in version 2 only; version 1 files still load.  Each generator
+    is written as a Pauli string; version 2 writes each seed as its qubit
+    support, e.g. [1, 3] for X_1 X_3, and version 1 as a Pauli string.
     """
 
     n: int
     k: int
     j: int
     generators: tuple[PauliOperator, ...]
-    seed_generators: PureXList | tuple[PauliOperator, ...]  # dense only when loaded from a version 1 file
+    seed_generators: PureXList
     construction: str = CONSTRUCTION_NAME
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed_generators", _pure_x_seeds(self.n, self.seed_generators))
 
     def group(self) -> StabilizerGroup:
         return validate(self.n, self.generators)
 
     def to_json_dict(self) -> dict:
-        """The version 2 JSON form; ValueError if a seed generator is not a
-        +1 pure-X operator on n qubits."""
-        seeds = self.seed_generators
-        if not (isinstance(seeds, PureXList) and seeds.n == self.n):
-            for idx, seed in enumerate(seeds, 1):
-                if seed.n != self.n or seed.z_bits or seed.sign != 1:
-                    raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {self.n} qubits")
-            seeds = pauli.x_parts(self.n, seeds)
+        """The version 2 JSON form."""
         return {
             "n": self.n,
             "k": self.k,
             "j": self.j,
             "generators": [pauli.format(g) for g in self.generators],
-            "seed_generators": seeds.supports(),
+            "seed_generators": self.seed_generators.supports(),
             "construction": self.construction,
             "version": FORMAT_VERSION,
         }
@@ -160,10 +157,12 @@ class CodeSpec:
     def from_json_dict(cls, data: dict) -> "CodeSpec":
         """Load the JSON form strictly: integer fields must be JSON integers,
         n is at most that of the largest family code, k must equal n minus
-        the generator count, every operator must act on n qubits, and the
-        version (1 when absent) must be 1 or 2.  Version 2 seeds must be
-        lists of integer qubits, strictly ascending in 1..n.  Any violation
-        raises ValueError("malformed code spec: ...")."""
+        the generator count, every generator must act on n qubits, the
+        construction (the family's when absent) must be a string, and the
+        version (1 when absent) must be 1 or 2.  Version 1 seeds must be +1
+        pure-X Pauli strings on n qubits; version 2 seeds must be lists of
+        integer qubits, strictly ascending in 1..n.  Any violation raises
+        ValueError("malformed code spec: ...")."""
         try:
             n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
             version = _json_int(data, "version", 1)
@@ -174,17 +173,17 @@ class CodeSpec:
             if n > 1 << MAX_J:
                 raise ValueError(f"n must be at most {1 << MAX_J}, got {n}")
             generators = _json_operators(data, "generators")
-            if version == 1:
-                seeds = _json_operators(data, "seed_generators")
-            else:
-                seeds = _json_supports(data, "seed_generators", n)
-            construction = str(data.get("construction", CONSTRUCTION_NAME))
+            key = "seed_generators"
+            seeds = _json_operators(data, key) if version == 1 else _json_supports(data, key, n)
+            construction = data.get("construction", CONSTRUCTION_NAME)
+            if not isinstance(construction, str):
+                raise TypeError(f"construction must be a string, got {construction!r}")
             if k != n - len(generators):
                 raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
-            for role, ops in (("generator", generators), ("seed generator", () if version == 2 else seeds)):
-                for idx, op in enumerate(ops, 1):
-                    if op.n != n:
-                        raise ValueError(f"{role} {idx} acts on {op.n} qubits, expected {n}")
+            for idx, op in enumerate(generators, 1):
+                if op.n != n:
+                    raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
+            seeds = _pure_x_seeds(n, seeds)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed code spec: {exc}") from exc
         return cls(n, k, j, generators, seeds, construction)
@@ -222,6 +221,18 @@ def _json_supports(data: dict, key: str, n: int) -> PureXList:
         return pauli.pure_xs(n, supports)
     except (TypeError, ValueError) as exc:  # n >= 1 here, so the error names a support
         raise type(exc)(f"seed generator {exc.support_index}: {exc}") from exc
+
+
+def _pure_x_seeds(n: int, seeds) -> PureXList:
+    """seeds as one PureXList on n qubits; ValueError names the first seed
+    that is not a +1 pure-X operator on n qubits."""
+    if isinstance(seeds, PureXList) and seeds.n == n:
+        return seeds
+    seeds = list(seeds)
+    for idx, seed in enumerate(seeds, 1):
+        if seed.n != n or seed.z_bits or seed.sign != 1:
+            raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
+    return pauli.x_parts(n, seeds)
 
 
 def build_code(j: int) -> CodeSpec:

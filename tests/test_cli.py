@@ -601,7 +601,11 @@ def test_error_line_escapes_line_breaks(capsys):
     "version, seeds, message",
     [
         (2, [], "error: expected 3 seed generators, got 0"),
-        (1, ["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"], "error: seed 3 is not a +1 pure-X operator"),
+        (
+            1,
+            ["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"],
+            "error: malformed code spec: seed generator 3 is not a +1 pure-X operator on 8 qubits",
+        ),
         (1, ["+XXIIIIII", "+XIXIIIII", "+XXIIIIII"], "error: seed 3 is dependent modulo the type-1 X-parts"),
         (2, [[1, 2], [1, 3], [1, 2]], "error: seed 3 is dependent modulo the type-1 X-parts"),
     ],
@@ -616,3 +620,19 @@ def test_simulate_bad_seeds_exit_2(capsys, code_path, tmp_path, version, seeds, 
     bad.write_text(json.dumps(data))
     err = _refused_quickly(capsys, "simulate", str(bad), "--model", "exhaustive", "--json")
     assert err == message + "\n"
+
+
+def test_version_1_seed_that_is_not_pure_x_is_malformed(capsys, code_path, tmp_path):
+    # loading refuses it, so verify, syndrome and simulate all exit 2 with the same line
+    data = json.loads(code_path.read_text())
+    data["seed_generators"], data["version"] = ["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"], 1
+    bad = tmp_path / "seeds.json"
+    bad.write_text(json.dumps(data))
+    message = "error: malformed code spec: seed generator 3 is not a +1 pure-X operator on 8 qubits\n"
+    for argv in (
+        ["verify", str(bad)],
+        ["verify", str(bad), "--json"],
+        ["syndrome", str(bad), "--error", "XIIIIIII"],
+        ["simulate", str(bad), "--model", "exhaustive"],
+    ):
+        assert _refused_quickly(capsys, *argv) == message

@@ -16,7 +16,7 @@ from stabforge.family import (
     derive_generators,
     letter_census,
 )
-from stabforge.pauli import PauliOperator, PureX, commutes, letter, single, square_sign
+from stabforge.pauli import PauliOperator, PureXList, commutes, letter, single, square_sign
 
 
 def test_assign_numbers_golden():
@@ -160,7 +160,7 @@ def test_codespec_json_round_trip(code8, tmp_path):
     assert data["version"] == 2
     loaded = CodeSpec.load(path)
     assert loaded == code8
-    assert all(isinstance(s, PureX) for s in loaded.seed_generators)
+    assert isinstance(loaded.seed_generators, PureXList)
     assert [pauli.format(s) for s in loaded.seed_generators] == table_data.SEED_GENERATORS
 
 
@@ -223,6 +223,12 @@ def test_codespec_family_out_round_trip_byte_identical(j, tmp_path):
         {"seed_generators": [[1, 2], [1, 3], [1, 5.0]]},
         {"seed_generators": [[1, 2], [1, 3], [1, [5]]]},
         {"seed_generators": [[1, 2], [1, 3], [1, None]]},
+        {"version": 1, "seed_generators": ["+XXIIIIII", "+XIXIIIII", "+ZIIIIIII"]},  # not pure X
+        {"version": 1, "seed_generators": ["+XXIIIIII", "+XIXIIIII", "-XIIIXIII"]},
+        {"version": 1, "seed_generators": ["+XXIIIIII", "+XIXIIIII", "+XIIIX"]},
+        {"construction": None},
+        {"construction": 5},
+        {"construction": ["x"]},
     ],
 )
 def test_codespec_load_is_strict(code8, change):
@@ -261,12 +267,52 @@ def test_codespec_version_defaults_to_1(code8):
     assert CodeSpec.from_json_dict(data) == code8
 
 
-def test_codespec_save_rejects_a_seed_that_is_not_pure_x(code8):
-    # only a version 1 file can hold such a seed; version 2 has no form for it
+def test_codespec_rejects_a_seed_that_is_not_pure_x(code8):
+    # neither file version can hold such a seed, and no CodeSpec holds one
     for bad in ("+ZXIIIIII", "-XXIIIIII", "+XX"):
-        spec = dataclasses.replace(code8, seed_generators=(pauli.parse(bad),) + code8.seed_generators[1:])
-        with pytest.raises(ValueError, match="seed generator 1 is not a \\+1 pure-X operator on 8 qubits"):
-            spec.to_json_dict()
+        seeds = (pauli.parse(bad),) + code8.seed_generators[1:]
+        with pytest.raises(ValueError, match="^seed generator 1 is not a \\+1 pure-X operator on 8 qubits$"):
+            dataclasses.replace(code8, seed_generators=seeds)
+        data = {**code8.to_json_dict(), "seed_generators": [pauli.format(s) for s in seeds], "version": 1}
+        with pytest.raises(ValueError) as malformed:
+            CodeSpec.from_json_dict(data)
+        assert str(malformed.value) == "malformed code spec: seed generator 1 is not a +1 pure-X operator on 8 qubits"
+
+
+def test_codespec_seeds_are_one_pure_x_list(code8, tmp_path):
+    path = tmp_path / "code8.json"
+    code8.save(path)
+    v1 = {**code8.to_json_dict(), "seed_generators": table_data.SEED_GENERATORS, "version": 1}
+    specs = [
+        code8,
+        CodeSpec.load(path),
+        CodeSpec.from_json_dict(v1),
+        dataclasses.replace(code8, seed_generators=list(code8.seed_generators)),
+        dataclasses.replace(code8, seed_generators=()),
+    ]
+    for spec in specs:
+        assert isinstance(spec.seed_generators, PureXList) and spec.seed_generators.n == 8
+    assert specs[1:4] == [code8] * 3 and hash(specs[3]) == hash(code8)
+    assert specs[4].to_json_dict()["seed_generators"] == []
+
+
+def test_codespec_names_a_construction_that_is_not_a_string(code8):
+    for bad in (None, 5, ["x"]):
+        with pytest.raises(ValueError) as malformed:
+            CodeSpec.from_json_dict({**code8.to_json_dict(), "construction": bad})
+        assert str(malformed.value) == f"malformed code spec: construction must be a string, got {bad!r}"
+
+
+@pytest.mark.parametrize("construction", [None, "", "another name"])
+def test_codespec_construction_is_a_json_string(code8, construction):
+    data = code8.to_json_dict()
+    if construction is None:
+        del data["construction"]
+    else:
+        data["construction"] = construction
+    spec = CodeSpec.from_json_dict(data)
+    assert spec.construction == (family.CONSTRUCTION_NAME if construction is None else construction)
+    assert spec.to_json_dict()["construction"] == spec.construction
 
 
 # sha256 of the j = 16 file that CodeSpec.save (and so `family --j 16 --out`)

@@ -15,7 +15,8 @@ from stabforge import cli, family, pauli
 from stabforge.pauli import PauliOperator
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+# the letter of each pair of an x digit and a z digit
+_DIGITS_LETTER = {f"{x}{z}": letter for letter, (x, z) in _LETTER_BITS.items()}
 
 
 def ref_parse(s):
@@ -40,9 +41,9 @@ def ref_parse(s):
 
 
 def ref_format(p):
-    body = "".join(
-        _BITS_LETTER[((p.x_bits >> b) & 1, (p.z_bits >> b) & 1)] for b in range(p.n)
-    )
+    # qubit 1 is bit 0, so each n-digit binary string is read lowest digit first
+    x_digits, z_digits = (format(bits, f"0{p.n}b")[::-1] for bits in (p.x_bits, p.z_bits))
+    body = "".join(_DIGITS_LETTER[x + z] for x, z in zip(x_digits, z_digits))
     return ("+" if p.sign == 1 else "-") + body
 
 
