@@ -146,7 +146,7 @@ def seed_generators(group: StabilizerGroup) -> PureXList:
 def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
     """Problems with a claimed seed-generator list; empty means valid.
 
-    Seeds are a PureXList or a sequence of PauliOperators.  In seed order
+    Seeds are a PureXList, or PureX and PauliOperator mixed.  In seed order
     each must act on n qubits, be a +1 pure-X operator, commute with every
     type-2 generator and be independent modulo the type-1 X-parts and the
     seeds before it; a seed's problem is the first of these it fails.  A

@@ -118,7 +118,13 @@ class CodeSpec:
     construction: str = CONSTRUCTION_NAME
 
     def __post_init__(self):
-        object.__setattr__(self, "seed_generators", _pure_x_seeds(self.n, self.seed_generators))
+        seeds, n = self.seed_generators, self.n
+        if not (isinstance(seeds, PureXList) and seeds.n == n):
+            seeds = list(seeds)
+            for idx, seed in enumerate(seeds, 1):
+                if seed.n != n or seed.z_bits or seed.sign != 1:
+                    raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
+            object.__setattr__(self, "seed_generators", pauli.x_parts(n, seeds))
 
     def group(self) -> StabilizerGroup:
         return validate(self.n, self.generators)
@@ -183,10 +189,9 @@ class CodeSpec:
             for idx, op in enumerate(generators, 1):
                 if op.n != n:
                     raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
-            seeds = _pure_x_seeds(n, seeds)
+            return cls(n, k, j, generators, seeds, construction)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed code spec: {exc}") from exc
-        return cls(n, k, j, generators, seeds, construction)
 
     @classmethod
     def load(cls, path) -> "CodeSpec":
@@ -221,18 +226,6 @@ def _json_supports(data: dict, key: str, n: int) -> PureXList:
         return pauli.pure_xs(n, supports)
     except (TypeError, ValueError) as exc:  # n >= 1 here, so the error names a support
         raise type(exc)(f"seed generator {exc.support_index}: {exc}") from exc
-
-
-def _pure_x_seeds(n: int, seeds) -> PureXList:
-    """seeds as one PureXList on n qubits; ValueError names the first seed
-    that is not a +1 pure-X operator on n qubits."""
-    if isinstance(seeds, PureXList) and seeds.n == n:
-        return seeds
-    seeds = list(seeds)
-    for idx, seed in enumerate(seeds, 1):
-        if seed.n != n or seed.z_bits or seed.sign != 1:
-            raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
-    return pauli.x_parts(n, seeds)
 
 
 def build_code(j: int) -> CodeSpec:

@@ -16,9 +16,9 @@ Text form: an explicit "+" or "-" followed by one character per qubit
 from {I, X, Y, Z}, qubit 1 leftmost, e.g. "+XIXIZYZY".  ``parse`` also
 reads an unsigned string as +1 and U+2212 "−" as a minus sign.
 
-``PureXList`` holds many +1 pure-X operators as their qubit supports in
-one flat array, so a seed X_1 X_c on 65,536 qubits costs two array
-entries, not an 8 KB int; it makes each operator on access.
+``PureX`` holds a +1 pure-X operator as its qubit support instead, so a
+seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints;
+``PureXList`` holds many as one flat array, making each on access.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -44,6 +45,9 @@ _ILLEGAL = re.compile("[^IXYZ]")
 # letter -> x bit and letter -> z bit, as binary digits
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
+# hash() of a non-negative int is its residue modulo this Mersenne prime 2^w - 1
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_WIDTH = _HASH_MODULUS.bit_length()
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,62 @@ class PauliOperator:
         return format(self)
 
 
+class PureX:
+    """Immutable +1 pure-X operator on n qubits, held as its support: the
+    strictly ascending 1-based qubits on which it acts as X.
+
+    It reads like a PauliOperator (``n``, ``x_bits``, ``z_bits``, ``sign``,
+    all read-only), and equals and hashes like the PauliOperator of the same
+    value, so the two mix in comparisons, sets and the functions of this
+    module.  ``x_bits`` is built on each access and not kept.
+    """
+
+    __slots__ = ("_n", "_support")
+    z_bits = 0
+    sign = 1
+
+    def __init__(self, n: int, support):
+        self._support = pure_xs(n, [support])[0].support
+        self._n = n
+
+    n = property(operator.attrgetter("_n"))
+    support = property(operator.attrgetter("_support"))
+
+    @property
+    def x_bits(self) -> int:
+        return sum(1 << (q - 1) for q in self.support)  # the bits are distinct
+
+    def __eq__(self, other):
+        if isinstance(other, PureX):
+            return self.n == other.n and self.support == other.support
+        if isinstance(other, PauliOperator):
+            return (other.n, other.x_bits, other.z_bits, other.sign) == (self.n, self.x_bits, 0, 1)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # PauliOperator hashes (n, x_bits, z_bits, sign); x_bits is a sum of
+        # distinct powers of two, and 2^(q-1) = 2^((q-1) mod w) modulo 2^w - 1
+        x_hash = sum(1 << ((q - 1) % _HASH_WIDTH) for q in self.support) % _HASH_MODULUS
+        return hash((self.n, x_hash, 0, 1))
+
+    def __repr__(self) -> str:
+        return f"PureX(n={self.n}, support={self.support})"
+
+    def __str__(self) -> str:
+        return format(self)
+
+
 class PureXList(Sequence):
     """Immutable sequence of +1 pure-X operators on n qubits, held as the
     read-only arrays ``qubits``, every support one after another, and
-    ``ends``, where each ends.  Items are PauliOperators made on access (a
-    slice is a tuple of them).  The list equals only another PureXList, and
-    it compares and hashes by n and the two arrays, making no item.
+    ``ends``, where each ends.  Items are PureX made on access (a slice is
+    a tuple of them); the list equals and hashes like the tuple of them.
 
-    The constructor is the one check of supports: 1 <= n < 2^63, and each
-    support strictly ascending in 1..n, a range error anywhere before an
-    order error, whose ``support_index`` is the bad support's 1-based
-    position.  Only then are qubits narrowed (int32 if n < 2^31).
+    The constructor is the one check of supports: 1 <= n < 2^63, ``ends``
+    non-decreasing from 0 to the qubit count, and each support strictly
+    ascending in 1..n, a range error anywhere before an order error, whose
+    ``support_index`` is the bad support's 1-based position.  Only then are
+    qubits narrowed (int32 if n < 2^31).
     """
 
     __slots__ = ("_n", "_ends", "_qubits")
@@ -91,6 +140,8 @@ class PureXList(Sequence):
         if not 1 <= n < 1 << 63:
             raise ValueError(f"qubit count must lie in 1..2^63 - 1, got {n}")
         ends, qubits = np.array(ends, dtype=np.int64), np.asarray(qubits)
+        if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if ends.size else 0) != qubits.size:
+            raise ValueError(f"ends must rise from 0 to {qubits.size}, the qubit count")
         rising = np.diff(qubits) > 0
         # a step from the last qubit of one support to the first of the next is not an order check
         rising[ends[(ends > 0) & (ends < qubits.size)] - 1] = True
@@ -123,8 +174,10 @@ class PureXList(Sequence):
         ends = self._ends.tolist()
         return itertools.starmap(self._item, zip(itertools.chain((0,), ends), ends))
 
-    def _item(self, start: int, end: int) -> PauliOperator:
-        return PauliOperator(self._n, sum(1 << (q - 1) for q in self._qubits[start:end].tolist()), 0, 1)
+    def _item(self, start: int, end: int) -> PureX:
+        p = object.__new__(PureX)
+        p._n, p._support = self._n, tuple(self._qubits[start:end].tolist())
+        return p
 
     def supports(self) -> list[list[int]]:
         """Every support as a list of qubits, from one pass over the arrays."""
@@ -132,21 +185,22 @@ class PureXList(Sequence):
         return list(map(flat.__getitem__, map(slice, itertools.chain((0,), ends), ends)))
 
     def __eq__(self, other):
-        if not isinstance(other, PureXList):
-            return NotImplemented
-        same = self._n == other.n and np.array_equal(self._ends, other.ends)
-        return same and np.array_equal(self._qubits, other.qubits)
+        if isinstance(other, PureXList) and self._n == other.n:
+            return np.array_equal(self._ends, other.ends) and np.array_equal(self._qubits, other.qubits)
+        if isinstance(other, (PureXList, list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
 
-    def __hash__(self) -> int:  # equal lists have equal n, so equal dtypes and bytes
-        return hash((self._n, self._ends.tobytes(), self._qubits.tobytes()))
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"PureXList(n={self._n}, {len(self)} supports)"
 
 
 def pure_xs(n: int, supports) -> PureXList:
-    """PureXList of the supports, which must hold integers (not bools); a
-    TypeError's ``support_index`` names the bad support."""
+    """PureXList of PureX(n, s) for s in supports, which must hold integers
+    (not bools); a TypeError's ``support_index`` names the bad support."""
     supports = list(map(tuple, supports))
     if set(map(type, itertools.chain.from_iterable(supports))) - {int}:  # numpy integers, or bad input
         for index, s in enumerate(supports):
@@ -165,13 +219,15 @@ def pure_xs(n: int, supports) -> PureXList:
 
 
 def x_parts(n: int, ops) -> PureXList:
-    """The X-parts of ops, operators on n qubits, as one PureXList, from one
-    numpy pass over the 64-bit words of their X bits."""
-    ops, words = list(ops), (n + 63) // 64
-    raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in ops), dtype="<u8")
-    row, word = np.nonzero(raw.reshape(len(ops), words))
+    """The X-parts of ops, operators on n qubits, as one PureXList; those of
+    the ops that are not PureX come from one numpy pass over their words."""
+    dense, words = [op for op in ops if not isinstance(op, PureX)], (n + 63) // 64
+    raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in dense), dtype="<u8")
+    row, word = np.nonzero(raw.reshape(len(dense), words))
     which, bit = np.nonzero(np.unpackbits(raw[row * words + word].view(np.uint8).reshape(-1, 8), 1, bitorder="little"))
-    return PureXList(n, np.cumsum(np.bincount(row[which], minlength=len(ops))), word[which] * 64 + bit + 1)
+    ends = np.cumsum(np.bincount(row[which], minlength=len(dense)))
+    found = iter(PureXList(n, ends, word[which] * 64 + bit + 1).supports())
+    return pure_xs(n, [op.support if isinstance(op, PureX) else next(found) for op in ops])
 
 
 def _qubit(q) -> int:

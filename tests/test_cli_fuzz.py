@@ -82,13 +82,13 @@ def _spec_dict(group, version):
     try:
         seeds = codewords.seed_generators(group)
     except ValueError:
-        seeds = pauli.pure_xs(group.n, [])
+        seeds = []
     return {
         "n": group.n,
         "k": group.n - group.a,
         "j": 0,
         "generators": [pauli.format(g) for g in group.generators],
-        "seed_generators": [pauli.format(s) for s in seeds] if version == 1 else seeds.supports(),
+        "seed_generators": [pauli.format(s) if version == 1 else list(s.support) for s in seeds],
         "version": version,
     }
 
@@ -195,7 +195,7 @@ def test_fuzz_argv(tmp_path_factory):
 def test_fuzz_codespec(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     v2 = family.build_code(3).to_json_dict()
-    v1 = {**v2, "seed_generators": [pauli.format(s) for s in pauli.pure_xs(8, v2["seed_generators"])], "version": 1}
+    v1 = {**v2, "seed_generators": [pauli.format(pauli.PureX(8, s)) for s in v2["seed_generators"]], "version": 1}
 
     @FUZZ
     @given(st.data())

@@ -78,7 +78,7 @@ def test_seed_generators_family(group8):
 
 def test_seed_generators_full_group():
     group = validate(2, [parse("ZI"), parse("IZ")])
-    assert list(seed_generators(group)) == []
+    assert seed_generators(group) == []
 
 
 def test_seed_generators_repetition_code():
@@ -104,15 +104,15 @@ def test_j16_seeds_build_and_check_in_little_memory():
     assert peak < 64 * 2**20
 
 
-# sha256 of the repr of the list of build_code(16)'s seed supports as tuples,
-# taken before seed_generators and pure_xs stopped visiting the seeds one by one
+# sha256 of repr([s.support for s in build_code(16).seed_generators]), taken
+# before seed_generators and pure_xs stopped visiting the seeds one by one
 J16_SEEDS_SHA256 = "c6ee160937329aa3c51710c5448a752dde43438b9fa85a239707dcac1c22b7cf"
 
 
 def test_j16_seeds_are_pinned():
     from stabforge import family
 
-    supports = list(map(tuple, family.build_code(16).seed_generators.supports()))
+    supports = [s.support for s in family.build_code(16).seed_generators]
     assert len(supports) == 65518 and supports[0] == (1, 2) and supports[-1] == (1, 65533)
     assert hashlib.sha256(repr(supports).encode()).hexdigest() == J16_SEEDS_SHA256
 
@@ -358,7 +358,7 @@ def test_seed_generators_match_reference_family(j):
     from stabforge import family
 
     group = family.build_code(j).group()
-    assert list(seed_generators(group)) == reference_seed_generators(group)
+    assert seed_generators(group) == reference_seed_generators(group)
 
 
 @given(valid_groups())
@@ -369,4 +369,4 @@ def test_seed_generators_match_reference_random(group):
         with pytest.raises(MinusSignPureZError):
             seed_generators(group)
         return
-    assert list(seed_generators(group)) == expected
+    assert seed_generators(group) == expected

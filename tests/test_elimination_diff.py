@@ -5,7 +5,7 @@ before ``stabilizer.SignedEchelon``: the inline signed loop of
 ``validate`` (keyed by the highest bit of z << n | x), the inline X-part loop
 of ``classify_generators``, and the unsigned echelon (here ``IntEchelon``)
 behind the seed pivots and the ``check_seeds`` span.  ``nullspace_rref`` is
-the int-yielding nullspace from before the seeds were held as qubit
+the int-yielding nullspace from before the seeds were held as ``PureX``
 supports (``reference_supports`` puts it in the library's return form),
 and ``reference_check_seeds`` reduces every seed one at a time, as
 ``check_seeds`` did before it took the leading bits of all seeds at once.
@@ -31,7 +31,7 @@ from stabforge.codewords import (
     classify_generators,
     seed_generators,
 )
-from stabforge.pauli import PauliOperator, PureXList, commutes, multiply, parse, pure_xs, square_sign
+from stabforge.pauli import PauliOperator, PureX, commutes, multiply, parse, square_sign
 from stabforge.stabilizer import (
     DependentGeneratorsWarning,
     MinusIdentityError,
@@ -228,7 +228,7 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
     seed_lists = [list(claimed_seeds)]
     if not isinstance(cls, str):
         seeds = seed_generators(group)
-        assert list(seeds) == reference_seed_generators(group)
+        assert seeds == reference_seed_generators(group)
         seed_lists += collision_lists(n, cls, seeds)
     for seeds in seed_lists:
         assert check_seeds(group, seeds) == _reference_problems(group, seeds)
@@ -236,15 +236,14 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
 
 
 def pure_x(n, x_bits):
-    """The pure-X operator of x_bits as an item of a PureXList, made from its support."""
-    return pure_xs(n, [[q for q in range(1, n + 1) if (x_bits >> (q - 1)) & 1]])[0]
+    return PureX(n, [q for q in range(1, n + 1) if (x_bits >> (q - 1)) & 1])
 
 
 def collision_lists(n, cls, seeds):
     """The constructed seeds, then lists whose leading bits collide, so that
     check_seeds must run its echelon: a dense product of two seeds, a
-    repeated seed, a seed on a type-1 pivot, and dense seeds and items of
-    the PureXList mixed with a dense duplicate."""
+    repeated seed, a seed on a type-1 pivot, and dense and PureX seeds
+    mixed with a dense duplicate."""
     type1 = cls[0]
     lists = [seeds]
     items = list(seeds)
@@ -268,8 +267,8 @@ def candidate_lists(draw):
     dependent (+identity) and -identity cases are common.  Most lists keep
     only candidates that square to +1 and commute with those before, so
     validate accepts them; the rest are left raw to exercise the
-    rejections too.  Claimed seeds are dense operators or items of a
-    PureXList made from a support, some of them on another qubit count.
+    rejections too.  Claimed seeds are dense operators or PureX supports,
+    some of them on another qubit count.
     """
     n = draw(st.integers(1, 7))
     bits = st.integers(0, (1 << n) - 1)
@@ -306,8 +305,8 @@ def test_collision_lists_match_reference(j):
     code = family.build_code(j)
     group = validate(code.n, code.generators)
     cls = classify_generators(group)
-    assert isinstance(code.seed_generators, PureXList)
     seeds = list(code.seed_generators)
+    assert all(isinstance(s, PureX) for s in seeds)
     for claimed in collision_lists(code.n, (cls.type1, cls.type2), seeds)[1:]:
         problems = check_seeds(group, claimed)
         assert problems == _reference_problems(group, claimed)
@@ -315,15 +314,15 @@ def test_collision_lists_match_reference(j):
 
 
 def test_seed_problems_keep_their_order():
-    """Problems of every kind, from parsed seeds and PureXList items, come out in seed order."""
+    """Problems of every kind, from dense and PureX seeds, come out in seed order."""
     group = validate(8, family.build_code(3).generators)
     claimed = [
-        pure_x(8, 0b11),
-        parse("+XXIIIIII"),  # a parsed duplicate of seed 1
-        pure_x(4, 0b11),
-        pure_x(8, 0b1),  # X_1 anticommutes with the all-Z generator
+        PureX(8, (1, 2)),
+        parse("+XXIIIIII"),  # a dense duplicate of seed 1
+        PureX(4, (1, 2)),
+        PureX(8, (1,)),  # X_1 anticommutes with the all-Z generator
         parse("+ZIIIIIII"),
-        pure_x(8, 0),  # the identity
+        PureX(8, ()),  # the identity
         parse("+XIXIIIII"),
     ]
     problems = check_seeds(group, claimed)
@@ -385,7 +384,7 @@ def test_family_seeds_match_column_by_column_reference(j):
     assert split(gf2.nullspace_rref(constraints, code.n, skip=list(pivots))) == reference_supports(
         constraints, code.n, pivots
     )
-    assert list(seed_generators(group)) == reference_seed_generators(group)
+    assert seed_generators(group) == reference_seed_generators(group)
 
 
 @settings(max_examples=300, deadline=None)

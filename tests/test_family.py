@@ -16,7 +16,7 @@ from stabforge.family import (
     derive_generators,
     letter_census,
 )
-from stabforge.pauli import PauliOperator, PureXList, commutes, letter, single, square_sign
+from stabforge.pauli import PauliOperator, PureX, PureXList, commutes, letter, single, square_sign
 
 
 def test_assign_numbers_golden():
@@ -161,6 +161,7 @@ def test_codespec_json_round_trip(code8, tmp_path):
     loaded = CodeSpec.load(path)
     assert loaded == code8
     assert isinstance(loaded.seed_generators, PureXList)
+    assert all(isinstance(s, PureX) for s in loaded.seed_generators)
     assert [pauli.format(s) for s in loaded.seed_generators] == table_data.SEED_GENERATORS
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from stabforge import codewords, family, gf2, pauli
 from stabforge.pauli import (
     PauliOperator,
+    PureX,
     PureXList,
     pure_xs,
     commutes,
@@ -203,8 +204,8 @@ def test_group_order():
     assert len(two) == 32
 
 
-def dense_twin(n, support):
-    return PauliOperator(n, sum(1 << (q - 1) for q in support), 0, 1)
+def dense_twin(p):
+    return PauliOperator(p.n, sum(1 << (q - 1) for q in p.support), 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -213,56 +214,44 @@ def dense_twin(n, support):
         (1, ()),
         (8, (1, 3)),
         (8, (1, 2, 3, 4, 5, 6, 7, 8)),
-        (64, (61, 62, 64)),
+        (64, (61, 62, 64)),  # qubits 62 and up fold over the 61-bit hash modulus
         (200, (1, 61, 62, 122, 123, 183, 200)),
         (65536, (1, 65536)),
         (65536, (61, 122, 40000, 65535)),
     ],
 )
-def test_pure_x_list_items_are_their_dense_twins(n, support):
-    xs = pure_xs(n, [support])
-    p, dense = xs[0], dense_twin(n, support)
-    assert type(p) is PauliOperator and p == dense and hash(p) == hash(dense)
+def test_pure_x_matches_dense_twin(n, support):
+    p = PureX(n, support)
+    dense = dense_twin(p)
+    assert (p.n, p.x_bits, p.z_bits, p.sign) == (dense.n, dense.x_bits, 0, 1)
+    assert p == dense and dense == p and not p != dense and not dense != p
+    assert hash(p) == hash(dense)
     assert str(p) == str(dense) == pauli.format(p)
+    assert {dense: 1}[p] == 1 and p in {dense}
+    assert p == PureX(n, list(support)) and hash(p) == hash(PureX(n, support))
     assert multiply(p, dense) == PauliOperator(n, 0, 0, 1)
     assert weight(p) == len(support)
-    assert xs == pure_xs(n, [list(support)]) and hash(xs) == hash(pure_xs(n, [list(support)]))
-    assert pauli.x_parts(n, [dense]) == xs and xs.supports() == [list(support)]
 
 
 @given(st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
-def test_pure_x_list_items_are_their_dense_twins_random(case):
+def test_pure_x_matches_dense_twin_random(case):
     n, qubits = case
-    xs = pure_xs(n, [sorted(qubits)])
-    dense = dense_twin(n, qubits)
-    assert xs[0] == dense and str(xs[0]) == str(dense) and pauli.x_parts(n, [dense]) == xs
+    p = PureX(n, sorted(qubits))
+    dense = dense_twin(p)
+    assert p == dense and hash(p) == hash(dense) and str(p) == str(dense)
 
 
-def _outcome(make):
-    """The supports of the PureXList made, or the type and text of the error raised."""
-    try:
-        return make().supports()
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
+def test_pure_x_differs_from_other_values():
+    p = PureX(8, (1, 3))
+    assert p != PureX(8, (1, 4)) and p != PureX(9, (1, 3))
+    assert p != PauliOperator(8, 0b101, 0, -1) and p != PauliOperator(8, 0b101, 1, 1)
+    assert p != PauliOperator(9, 0b101, 0, 1) and p != "+XIXIIIII"
+    assert PureX(8, (1, 3)) == PauliOperator(8, 0b101, 0, 1)
 
 
 @pytest.mark.parametrize(
     "n, support",
     [
-        (8, (2**63,)),  # past int64, so out of range
-        (8, (1, 2**63)),
-        (8, (-(2**63) - 1,)),
-        (8, (np.uint64(2**64 - 1),)),
-        (8, (np.int64(1), np.int64(3))),
-        (8, (np.int64(3), np.int64(1))),
-        (8, (np.int32(1), 2)),
-        (8, (True,)),
-        (8, (1, False)),
-        (8, (np.True_,)),
-        (8, ()),
-        (8, [1, 3]),
-        (8, [3, 1]),
-        (8, [1, 2**63]),
         (8, (3, 1)),  # unsorted
         (8, (1, 1)),  # duplicate
         (8, (1, 3, 3)),
@@ -274,19 +263,55 @@ def _outcome(make):
         (8, (True, 2)),
     ],
 )
-def test_pure_xs_reads_a_support_alone_as_in_a_batch(n, support):
-    want = _outcome(lambda: pure_xs(n, [support]))
+def test_pure_x_rejects_bad_supports(n, support):
+    with pytest.raises((ValueError, TypeError)) as single:
+        PureX(n, support)
+    # the batch check gives the same error, alone or between good supports
+    for supports in ([support], [(1,), support, (n,)]):
+        with pytest.raises(single.type) as batch:
+            pure_xs(n, supports)
+        assert str(batch.value) == str(single.value)
+
+
+def _outcome(make):
+    """The PureX values made, or the type and text of the error raised."""
+    try:
+        return [(p.n, p.support) for p in make()]
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        (2**63,),  # past int64, so out of range
+        (1, 2**63),
+        (-(2**63) - 1,),
+        (np.uint64(2**64 - 1),),
+        (np.int64(1), np.int64(3)),
+        (np.int64(3), np.int64(1)),
+        (np.int32(1), 2),
+        (True,),
+        (1, False),
+        (np.True_,),
+        (),
+        [1, 3],
+        [3, 1],
+        [1, 2**63],
+    ],
+)
+def test_pure_xs_matches_pure_x_on_edge_qubits(support):
+    n = 8
+    want = _outcome(lambda: [PureX(n, support)])
+    assert _outcome(lambda: pure_xs(n, [support])) == want
     batch = [(1,), support, (n,)]
     if isinstance(want, list):
-        assert _outcome(lambda: pure_xs(n, batch)) == [[1]] + want + [[n]]
-        assert all(type(q) is int for q in want[0])
+        assert _outcome(lambda: pure_xs(n, batch)) == [(n, (1,))] + want + [(n, (n,))]
         return
-    # the batch gives the same error, alone or between good supports
     assert _outcome(lambda: pure_xs(n, batch)) == want
     with pytest.raises(want[0]) as bad:
         pure_xs(n, batch)
-    if n:  # with no qubits there is no support to name
-        assert bad.value.support_index == 2
+    assert bad.value.support_index == 2
 
 
 def test_pure_xs_names_the_first_bad_support():
@@ -306,35 +331,35 @@ SUPPORTS = st.lists(st.lists(st.integers(-1, 10), max_size=4), max_size=6)
 
 
 @given(st.integers(1, 9), SUPPORTS)
-def test_pure_xs_batch_matches_one_support_at_a_time(n, supports):
+def test_pure_xs_matches_pure_x(n, supports):
     def outcome(make):
         try:
             return make()
         except (ValueError, TypeError) as exc:
             return type(exc)
     # the batch reports a range error anywhere first, so only the kinds of error are compared
-    want = outcome(lambda: [pure_xs(n, [s]).supports()[0] for s in supports])
-    assert outcome(lambda: pure_xs(n, supports).supports()) == want
+    want = outcome(lambda: [PureX(n, s) for s in supports])
+    assert outcome(lambda: pure_xs(n, supports)) == want
 
 
-def test_pure_x_list_equals_only_a_pure_x_list():
+def test_pure_x_is_read_only():
+    p = PureX(8, (1, 3))
+    for name, value in (("n", 9), ("support", (2,)), ("x_bits", 2), ("z_bits", 1), ("sign", -1), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p == PureX(8, (1, 3))
+
+
+def test_pure_x_list_equals_and_hashes_like_the_tuple_of_its_items():
     xs = pure_xs(8, [(1, 2), (), (3, 5, 8)])
+    items = (PureX(8, (1, 2)), PureX(8, ()), PureX(8, (3, 5, 8)))
     dense = [PauliOperator(8, 0b11, 0, 1), PauliOperator(8, 0, 0, 1), PauliOperator(8, 0b10010100, 0, 1)]
-    assert list(xs) == dense and xs[:] == tuple(dense)
-    same = (
-        pure_xs(8, [[1, 2], [], [3, 5, 8]]),
-        PureXList(8, [2, 2, 5], np.array([1, 2, 3, 5, 8], dtype=np.uint16)),
-        pauli.x_parts(8, dense),
-    )
-    for other in same:
-        assert xs == other and other == xs and not xs != other and hash(xs) == hash(other)
-    unequal = (
-        pure_xs(8, [(1, 2), ()]),
-        pure_xs(9, [(1, 2), (), (3, 5, 8)]),
-        pure_xs(8, [(1, 2), (), (3, 5, 7)]),
-        pure_xs(8, [(1,), (2,), (3, 5, 8)]),  # the same qubits, split elsewhere
-    )
-    for other in unequal + (dense, tuple(dense), list(xs), "+XXIIIIII", None):
+    for other in (items, list(items), dense, tuple(dense), pure_xs(8, [[1, 2], [], [3, 5, 8]])):
+        assert xs == other and other == xs and not xs != other and not other != xs
+        assert hash(xs) == hash(tuple(other))
+    assert hash(xs) == hash(tuple(xs)) == hash(items)
+    unequal = (items[:2], dense[::-1], pure_xs(9, [(1, 2), (), (3, 5, 8)]), pure_xs(8, [(1, 2), (), (3, 5, 7)]))
+    for other in unequal + ("+XXIIIIII", None):
         assert xs != other and other != xs and not xs == other
 
 
@@ -343,8 +368,9 @@ def test_pure_x_list_equals_version_1_dense_seeds(j):
     code = family.build_code(j)
     seeds = code.seed_generators
     assert isinstance(seeds, PureXList)
-    dense = [parse(pauli.format(s)) for s in seeds]
-    assert list(seeds) == dense and pauli.x_parts(code.n, dense) == seeds
+    assert hash(seeds) == hash(tuple(seeds))
+    dense = tuple(parse(pauli.format(s)) for s in seeds)
+    assert seeds == dense and dense == seeds and hash(seeds) == hash(dense)
     v1 = family.CodeSpec.from_json_dict(
         {**code.to_json_dict(), "seed_generators": [pauli.format(s) for s in dense], "version": 1}
     )
@@ -352,32 +378,19 @@ def test_pure_x_list_equals_version_1_dense_seeds(j):
     assert v1 == code and code == v1 and hash(v1) == hash(code)
 
 
-def test_pure_x_list_hash_makes_no_items(monkeypatch):
-    seeds = family.build_code(16).seed_generators
-    twin = PureXList(seeds.n, seeds.ends, seeds.qubits)
-
-    def refuse(*args):
-        raise AssertionError("an item was made")
-
-    monkeypatch.setattr(PureXList, "_item", refuse)
-    assert hash(seeds) == hash(twin) and seeds == twin
-    assert seeds != PureXList(seeds.n, seeds.ends[:-1], seeds.qubits[:-2])
-
-
 def test_pure_x_list_indexing():
     xs = pure_xs(8, [(1, 2), (), (3, 5, 8)])
-    assert len(xs) == 3 and xs[0] == parse("+XXIIIIII") and xs[1] == identity(8) and xs[2] == parse("+IIXIXIIX")
+    assert len(xs) == 3 and xs[0] == PureX(8, (1, 2)) and xs[1] == PureX(8, ()) and xs[2] == PureX(8, (3, 5, 8))
     assert xs[-1] == xs[2] and xs[-3] == xs[0] and xs[np.int64(1)] == xs[1]
     assert xs[1:] == (xs[1], xs[2]) and xs[::-2] == (xs[2], xs[0]) and xs[5:] == () and xs[:] == tuple(xs)
     assert list(xs) == [xs[0], xs[1], xs[2]] and list(reversed(xs)) == [xs[2], xs[1], xs[0]]
-    assert identity(8) in xs and xs.index(parse("+IIXIXIIX")) == 2 and single(8, 1, "X") not in xs
+    assert PureX(8, ()) in xs and xs.index(PureX(8, (3, 5, 8))) == 2 and PureX(8, (1,)) not in xs
     for past in (3, -4, 2**70):
         with pytest.raises(IndexError):
             xs[past]
     with pytest.raises(TypeError):
         xs["1"]
-    empty = pure_xs(8, [])
-    assert len(empty) == 0 and list(empty) == [] and empty == PureXList(8, [], []) and empty != xs
+    assert len(pure_xs(8, [])) == 0 and list(pure_xs(8, [])) == [] and pure_xs(8, []) == ()
 
 
 def test_pure_x_list_is_read_only():
@@ -391,9 +404,7 @@ def test_pure_x_list_is_read_only():
     ends, qubits = np.array([2, 3]), np.array([1, 2, 3])
     copied = PureXList(8, ends, qubits)
     ends[0] = qubits[0] = 5  # the list keeps its own arrays
-    assert copied.supports() == [[1, 2], [3]] and copied == xs
-    with pytest.raises(AttributeError):  # an item is a frozen PauliOperator
-        copied[0].x_bits = 1
+    assert copied == [PureX(8, (1, 2)), PureX(8, (3,))]
 
 
 def test_pure_x_list_items_hold_python_ints():
@@ -406,31 +417,46 @@ def test_pure_x_list_items_hold_python_ints():
         codewords.seed_generators(family.build_code(4).group()),
     ]
     for xs in lists:
-        assert len(xs) and all(type(p.x_bits) is int for p in xs)
-        assert all(type(p.x_bits) is int for p in (xs[0], xs[-1]))
+        assert len(xs) and all(type(q) is int for p in xs for q in p.support)
+        assert all(type(q) is int for p in (xs[0], xs[-1]) for q in p.support)
         assert all(type(q) is int for support in xs.supports() for q in support)
 
 
 def test_pure_x_list_keeps_qubits_past_int32():
-    # supports() only: an item on 2^40 qubits would be a 2^35-bit int
     xs = pure_xs(2**40, [(1, 2**35)])
-    assert xs.supports() == [[1, 2**35]] and xs.qubits.dtype == np.int64
+    assert xs[0].support == (1, 2**35) and xs.supports() == [[1, 2**35]] and xs.qubits.dtype == np.int64
     with pytest.raises(ValueError, match="strictly ascending") as bad:
         pure_xs(2**40, [(2**35, 1)])
     assert bad.value.support_index == 1
     assert pure_xs(2**31 - 1, [(1, 2**31 - 1)]).qubits.dtype == np.int32
-    assert pure_xs(2**63 - 1, [(1, 2**63 - 1)]).supports() == [[1, 2**63 - 1]]
+    assert pure_xs(2**63 - 1, [(1, 2**63 - 1)])[0].support == (1, 2**63 - 1)
     for n in (0, 2**63, 2**70):  # qubits are held as int64
         with pytest.raises(ValueError, match="qubit count must lie in 1..2\\^63 - 1"):
             pure_xs(n, [(1, 2)])
 
 
+@pytest.mark.parametrize(
+    "ends, qubits",
+    [
+        ([2], [1, 2, 3]),  # a qubit that no support holds
+        ([3, 1], [1, 2, 3]),  # falling
+        ([-1, 3], [1, 2, 3]),
+        ([4], [1, 2, 3]),
+        ([], [1, 2, 3]),
+    ],
+)
+def test_pure_x_list_checks_its_ends(ends, qubits):
+    with pytest.raises(ValueError, match="ends must rise from 0 to 3, the qubit count"):
+        PureXList(8, ends, qubits)
+    assert PureXList(8, [0, 3, 3], qubits).supports() == [[], [1, 2, 3], []]
+
+
 def test_x_parts_match_the_x_bits():
     rng = np.random.default_rng(5)
     for n in (1, 7, 64, 65, 130, 200):
-        ops = [pure_xs(n, [sorted({1, n})])[0], PauliOperator(n, 0, 1, -1)]
+        ops = [PureX(n, sorted({1, n})), PauliOperator(n, 0, 1, -1)]
         ops += [PauliOperator(n, int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n), 0, 1) for _ in range(3)]
         ops += [parse("".join(rng.choice(list("IXYZ"), size=n))) for _ in range(5)]
-        want = [[q for q in range(1, n + 1) if op.x_bits >> (q - 1) & 1] for op in ops]
-        assert pauli.x_parts(n, ops).supports() == want
-    assert pauli.x_parts(8, []) == pure_xs(8, [])
+        want = [tuple(q for q in range(1, n + 1) if op.x_bits >> (q - 1) & 1) for op in ops]
+        assert [p.support for p in pauli.x_parts(n, ops)] == want
+    assert pauli.x_parts(8, []) == ()
