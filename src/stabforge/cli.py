@@ -8,6 +8,7 @@ Every exit 2 is a UsageError, which main alone prints as one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -360,6 +361,7 @@ def cmd_tables(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, once per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stabforge",

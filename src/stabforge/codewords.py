@@ -178,7 +178,7 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
         for idx, s in enumerate(seeds, 1):
             if s.n != n:
                 found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
-            elif s.z_bits or s.sign != 1:
+            elif not pauli.is_pure_x(s, n):
                 found[idx] = f"seed {idx} is not a +1 pure-X operator"
         index = np.array([idx for idx in range(1, len(seeds) + 1) if idx not in found], dtype=np.int64)
         xs = pauli.x_parts(n, [seeds[idx - 1] for idx in index.tolist()])

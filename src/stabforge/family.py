@@ -122,7 +122,7 @@ class CodeSpec:
         if not (isinstance(seeds, PureXList) and seeds.n == n):
             seeds = list(seeds)
             for idx, seed in enumerate(seeds, 1):
-                if seed.n != n or seed.z_bits or seed.sign != 1:
+                if not pauli.is_pure_x(seed, n):
                     raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
             object.__setattr__(self, "seed_generators", pauli.x_parts(n, seeds))
 

@@ -23,7 +23,7 @@ from .stabilizer import iter_errors, syndrome, validate
 
 MAX_QUBITS = 12
 ATOL = 1e-10
-GRAM_BLOCK_ROWS = 256
+GRAM_BLOCK_ROWS = 64
 
 # the real single-qubit basis matrices; Y = X @ Z
 MAT_I = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -215,7 +215,8 @@ def verify_code(code, t: int) -> VerificationReport:
     lidx = np.tile(np.arange(count), len(errors))
 
     num = len(v)
-    # Gram matrix in row blocks, so peak memory stays O(block * num)
+    # Gram matrix in row blocks, so peak memory stays O(block * num); the
+    # scan stops at the block holding the first row-major violation
     witness = None
     for start in range(0, num, GRAM_BLOCK_ROWS):
         rows = slice(start, start + GRAM_BLOCK_ROWS)

@@ -218,6 +218,11 @@ def pure_xs(n: int, supports) -> PureXList:
     return PureXList(n, ends, qubits)
 
 
+def is_pure_x(op, n: int) -> bool:
+    """Whether op is a +1 pure-X operator on n qubits: the rule for a seed."""
+    return op.n == n and not op.z_bits and op.sign == 1
+
+
 def x_parts(n: int, ops) -> PureXList:
     """The X-parts of ops, operators on n qubits, as one PureXList; those of
     the ops that are not PureX come from one numpy pass over their words."""

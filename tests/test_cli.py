@@ -283,6 +283,25 @@ def test_simulate_env_seed(capsys, code_path, monkeypatch):
     assert json.loads(out)["seed"] == 123
 
 
+def test_cached_parser_carries_no_state_between_calls(capsys, code_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("STABFORGE_SEED", "123")
+    simulate = ["simulate", str(code_path), "--model", "depolarizing:0.1", "--trials", "5", "--json"]
+    sequence = [
+        ["family"],  # usage error: no --j
+        simulate + ["--seed", "5"],
+        simulate,
+        ["verify", str(code_path), "--json"],
+    ]
+    rounds = [[run_cli(capsys, *argv) for argv in sequence] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == [2, 0, 0, 0]
+    assert [json.loads(rounds[0][i][1])["seed"] for i in (1, 2)] == [5, 123]
+    # the variable is read when simulate runs, not when the parser is built
+    monkeypatch.setenv("STABFORGE_SEED", "9")
+    assert json.loads(run_cli(capsys, *simulate)[1])["seed"] == 9
+
+
 def test_simulate_bad_model(capsys, code_path):
     code, _, err = run_cli(capsys, "simulate", str(code_path), "--model", "bogus:1")
     assert code == 2

@@ -135,9 +135,16 @@ def test_verify_code_blocked_gram_matches_one_block(code8, monkeypatch, t):
     # one block is the whole Gram matrix; the first witness is row-major
     monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", 1 << 20)
     whole = verify_code(code8, t)
-    for block in (1, 7, 256):
+    for block in (1, 7, 64, 256):
         monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", block)
         assert verify_code(code8, t) == whole
+
+
+def test_verify_code_t2_report_is_pinned(code8):
+    report = verify_code(code8, 2)
+    assert report.witness == ("+XIIIIIII", 0, "+IYIZIIII", 1)
+    assert (report.rank, report.num_vectors, report.dimension) == (256, 2216, 256)
+    assert not report.orthogonality_ok and not report.rank_ok
 
 
 def reference_verify_code(code, t):

@@ -460,3 +460,12 @@ def test_x_parts_match_the_x_bits():
         want = [tuple(q for q in range(1, n + 1) if op.x_bits >> (q - 1) & 1) for op in ops]
         assert [p.support for p in pauli.x_parts(n, ops)] == want
     assert pauli.x_parts(8, []) == ()
+
+
+def test_is_pure_x_is_the_seed_rule():
+    assert pauli.is_pure_x(parse("+XIXI"), 4) and pauli.is_pure_x(PureX(4, [1, 3]), 4)
+    assert pauli.is_pure_x(parse("+IIII"), 4)
+    assert not pauli.is_pure_x(parse("+XIXI"), 5)  # wrong qubit count
+    assert not pauli.is_pure_x(parse("-XIXI"), 4)
+    assert not pauli.is_pure_x(parse("+XIYI"), 4)
+    assert not pauli.is_pure_x(parse("+ZIII"), 4)
