@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2, pauli
+from . import gf2
 from .pauli import PauliOperator, PureXList
 from .stabilizer import GroupTooLargeError, SignedEchelon, StabilizerGroup, enumerate_elements
 
@@ -143,27 +143,28 @@ def seed_generators(group: StabilizerGroup) -> PureXList:
     return PureXList(group.n, *gf2.nullspace_rref([g.z_bits for g in cls.type2], group.n, skip=pivots))
 
 
-def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
-    """Problems with a claimed seed-generator list; empty means valid.
+def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
+    """Problems with a claimed seed list, one PureXList on n qubits (anything
+    else raises TypeError); empty means valid.
 
-    Seeds are a PureXList, or PureX and PauliOperator mixed.  In seed order
-    each must act on n qubits, be a +1 pure-X operator, commute with every
-    type-2 generator and be independent modulo the type-1 X-parts and the
-    seeds before it; a seed's problem is the first of these it fails.  A
-    PureXList on n qubits passes the first two checks as a whole; other
-    seeds take them one at a time, and those that pass become a PureXList,
-    whose type-2 parities and leading X bits come at once from its arrays.
-    Vectors with distinct leading bits are independent, and the type-1
-    X-parts are in echelon form, so only when a valid seed is the identity
-    or shares its leading bit with a type-1 pivot or another seed does
-    SignedEchelon, the one independence decision, take the valid seeds.
+    In seed order each seed must commute with every type-2 generator and be
+    independent modulo the type-1 X-parts and the seeds before it; a seed's
+    problem is the first of these it fails.  Type-2 parities and leading X
+    bits come at once from the arrays.  Vectors with distinct leading bits are
+    independent, and the type-1 X-parts are in echelon form, so SignedEchelon,
+    the one independence decision, runs only when a commuting seed is the
+    identity or shares its leading bit with a type-1 pivot or another seed.
 
     A group outside the seed construction (MinusSignPureZError) is one more
     problem, after the count check.
     """
-    seeds = seeds if isinstance(seeds, PureXList) else list(seeds)
-    problems = []
     n = group.n
+    if not (isinstance(seeds, PureXList) and seeds.n == n):
+        raise TypeError(
+            f"seeds must be a PureXList on {n} qubits: a CodeSpec's seed_generators, "
+            "or pauli.pure_xs / pauli.x_parts of +1 pure-X operators"
+        )
+    problems = []
     k = n - group.a
     if len(seeds) != k:
         problems.append(f"expected {k} seed generators, got {len(seeds)}")
@@ -171,25 +172,15 @@ def check_seeds(group: StabilizerGroup, seeds) -> list[str]:
         cls = classify_generators(group)
     except MinusSignPureZError as exc:
         return problems + [str(exc)]
+    odd, leads = _support_checks(seeds, cls.type2, n)
     found: dict[int, str] = {}  # seed index -> its problem
-    if isinstance(seeds, PureXList) and seeds.n == n:
-        xs, index = seeds, np.arange(1, len(seeds) + 1)
-    else:
-        for idx, s in enumerate(seeds, 1):
-            if s.n != n:
-                found[idx] = f"seed {idx} acts on {s.n} qubits, expected {n}"
-            elif not pauli.is_pure_x(s, n):
-                found[idx] = f"seed {idx} is not a +1 pure-X operator"
-        index = np.array([idx for idx in range(1, len(seeds) + 1) if idx not in found], dtype=np.int64)
-        xs = pauli.x_parts(n, [seeds[idx - 1] for idx in index.tolist()])
-    odd, leads = _support_checks(xs, cls.type2, n)
-    for idx in index[odd].tolist():
+    for idx in (np.flatnonzero(odd) + 1).tolist():
         found[idx] = f"seed {idx} anticommutes with a type-2 generator"
     pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
     counts = np.bincount(np.concatenate((np.array(pivots, dtype=np.int64), leads[~odd])) + 1, minlength=1)
     if counts[0] or counts.max() > 1:  # bin 0 counts identities, leading bit -1
         span = SignedEchelon(cls.type1)
-        for idx in index[~odd].tolist():
+        for idx in (np.flatnonzero(~odd) + 1).tolist():
             if not span.insert(seeds[idx - 1]).x_bits:
                 found[idx] = f"seed {idx} is dependent modulo the type-1 X-parts"
     return problems + [found[idx] for idx in sorted(found)]

@@ -99,6 +99,12 @@ def test_verify_pass(capsys, code_path):
     assert "rank: 200/200" in out
 
 
+def test_verify_oracle_json(capsys, code_path):
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--oracle", "--json")
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"rank": 200, "num_vectors": 200, "dimension": 256}
+
+
 def test_verify_t2_fails(capsys, code_path):
     code, out, _ = run_cli(capsys, "verify", str(code_path), "--t", "2")
     assert code == 1

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import pytest
@@ -20,7 +22,7 @@ from stabforge.codewords import (
     seed_generators,
     string_to_label,
 )
-from stabforge.pauli import multiply, parse
+from stabforge.pauli import multiply, parse, pure_xs, x_parts
 from stabforge.stabilizer import enumerate_elements, validate
 
 
@@ -118,20 +120,28 @@ def test_j16_seeds_are_pinned():
 
 
 def test_check_seeds(group8, code8):
-    assert check_seeds(group8, code8.seed_generators) == []
+    seeds = code8.seed_generators
+    assert check_seeds(group8, seeds) == []
     # wrong count
-    assert check_seeds(group8, code8.seed_generators[:2])
-    # not pure X
-    bad = list(code8.seed_generators)
-    bad[0] = parse("+ZXIIIIII")
-    assert check_seeds(group8, bad)
+    assert check_seeds(group8, pure_xs(8, seeds.supports()[:2])) == ["expected 3 seed generators, got 2"]
+    # not pure X: no PureXList holds it, and a CodeSpec refuses it
+    bad = [parse("+ZXIIIIII"), *seeds[1:]]
+    with pytest.raises(ValueError, match=re.escape("seed generator 1 is not a +1 pure-X operator on 8 qubits")):
+        dataclasses.replace(code8, seed_generators=bad)
     # anticommutes with the type-2 generator
     bad[0] = parse("+XIIIIIII")
-    assert any("type-2" in p for p in check_seeds(group8, bad))
+    assert any("type-2" in p for p in check_seeds(group8, x_parts(8, bad)))
     # dependent modulo type-1 X-parts
-    bad[0] = multiply(code8.seed_generators[1], code8.seed_generators[2])
-    dep = list(code8.seed_generators) + [bad[0]]
-    assert any("dependent" in p for p in check_seeds(group8, dep))
+    dep = [*seeds, multiply(seeds[1], seeds[2])]
+    assert any("dependent" in p for p in check_seeds(group8, x_parts(8, dep)))
+
+
+def test_check_seeds_takes_only_a_pure_x_list_on_n(group8, code8):
+    seeds = code8.seed_generators
+    # a list, a tuple (a PureXList slice is one) and a PureXList on 9 qubits
+    for other in (list(seeds), seeds[:], pure_xs(9, seeds.supports())):
+        with pytest.raises(TypeError, match="seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
+            check_seeds(group8, other)
 
 
 def test_codeword_group_size_guard():

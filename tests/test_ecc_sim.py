@@ -514,7 +514,7 @@ def test_table_matches_reference_random(group, t):
 def _toy_code():
     # <ZZ> on two qubits: logical words |00> and |11>, so a |1><1| projector
     # on qubit 1 annihilates word 0 and keeps word 1
-    return SimpleNamespace(n=2, generators=(parse("+ZZ"),), seed_generators=(parse("+XX"),))
+    return family.CodeSpec(n=2, k=1, j=0, generators=(parse("+ZZ"),), seed_generators=(parse("+XX"),))
 
 
 def test_kernel_raises_no_numpy_warnings(code8):
@@ -539,3 +539,9 @@ def test_simulator_rejects_large_code_before_building_it():
     with pytest.raises(ValueError, match="dense oracle is capped at 12 qubits, got 32"):
         Simulator(code)
     assert time.perf_counter() - start < 2.0
+
+
+def test_measure_syndrome_rejects_a_state_on_other_qubits(group8):
+    state = StateVector(4, np.eye(16)[0])
+    with pytest.raises(ValueError, match="^state and group qubit counts differ$"):
+        measure_syndrome(state, group8, np.random.default_rng(0))

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strategies import IntEchelon
-from stabforge import family, gf2
+from stabforge import family, gf2, pauli
 from stabforge.codewords import (
     GeneratorClassification,
     MinusSignPureZError,
@@ -231,8 +231,27 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
         assert seeds == reference_seed_generators(group)
         seed_lists += collision_lists(n, cls, seeds)
     for seeds in seed_lists:
-        assert check_seeds(group, seeds) == _reference_problems(group, seeds)
+        assert_seed_problems_match_reference(group, seeds)
     return outcome, cls
+
+
+def assert_seed_problems_match_reference(group, claimed):
+    """A claimed list of +1 pure-X seeds on n, as one PureXList, has the
+    reference's problems, which are returned.  Any other list is refused:
+    check_seeds raises TypeError, and CodeSpec names the first bad seed."""
+    n = group.n
+    claimed = list(claimed)
+    bad = [idx for idx, s in enumerate(claimed, 1) if not pauli.is_pure_x(s, n)]
+    if not bad:
+        problems = check_seeds(group, pauli.x_parts(n, claimed))
+        assert problems == _reference_problems(group, claimed)
+        return problems
+    with pytest.raises(TypeError, match=f"seeds must be a PureXList on {n} qubits"):
+        check_seeds(group, claimed)
+    message = f"seed generator {bad[0]} is not a +1 pure-X operator on {n} qubits"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        family.CodeSpec(n, n - group.a, 0, group.generators, claimed)
+    return None
 
 
 def pure_x(n, x_bits):
@@ -308,8 +327,7 @@ def test_collision_lists_match_reference(j):
     seeds = list(code.seed_generators)
     assert all(isinstance(s, PureX) for s in seeds)
     for claimed in collision_lists(code.n, (cls.type1, cls.type2), seeds)[1:]:
-        problems = check_seeds(group, claimed)
-        assert problems == _reference_problems(group, claimed)
+        problems = assert_seed_problems_match_reference(group, claimed)
         assert any("dependent modulo the type-1 X-parts" in p for p in problems)
 
 
@@ -319,21 +337,17 @@ def test_seed_problems_keep_their_order():
     claimed = [
         PureX(8, (1, 2)),
         parse("+XXIIIIII"),  # a dense duplicate of seed 1
-        PureX(4, (1, 2)),
         PureX(8, (1,)),  # X_1 anticommutes with the all-Z generator
-        parse("+ZIIIIIII"),
         PureX(8, ()),  # the identity
         parse("+XIXIIIII"),
     ]
-    problems = check_seeds(group, claimed)
+    problems = check_seeds(group, pauli.x_parts(8, claimed))
     assert problems == _reference_problems(group, claimed)
     assert problems == [
-        "expected 3 seed generators, got 7",
+        "expected 3 seed generators, got 5",
         "seed 2 is dependent modulo the type-1 X-parts",
-        "seed 3 acts on 4 qubits, expected 8",
-        "seed 4 anticommutes with a type-2 generator",
-        "seed 5 is not a +1 pure-X operator",
-        "seed 6 is dependent modulo the type-1 X-parts",
+        "seed 3 anticommutes with a type-2 generator",
+        "seed 4 is dependent modulo the type-1 X-parts",
     ]
 
 

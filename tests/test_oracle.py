@@ -145,6 +145,15 @@ def test_verify_code_t2_report_is_pinned(code8):
     assert report.witness == ("+XIIIIIII", 0, "+IYIZIIII", 1)
     assert (report.rank, report.num_vectors, report.dimension) == (256, 2216, 256)
     assert not report.orthogonality_ok and not report.rank_ok
+    assert str(report) == "\n".join(
+        [
+            "oracle verification: FAIL",
+            "  stabilization: ok",
+            "  orthogonality: FAIL",
+            "  rank: 256/2216 in dimension 256 (FAIL)",
+            "  witness: <+XIIIIIII psi_0 | +IYIZIIII psi_1> != 0",
+        ]
+    )
 
 
 def reference_verify_code(code, t):

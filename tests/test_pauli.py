@@ -469,3 +469,14 @@ def test_is_pure_x_is_the_seed_rule():
     assert not pauli.is_pure_x(parse("-XIXI"), 4)
     assert not pauli.is_pure_x(parse("+XIYI"), 4)
     assert not pauli.is_pure_x(parse("+ZIII"), 4)
+
+
+def test_pauli_operator_and_letter_guards():
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+        PauliOperator(2, 0, 0, 0)
+    with pytest.raises(ValueError, match="^x_bits out of range for n qubits$"):
+        PauliOperator(2, 4, 0)
+    with pytest.raises(ValueError, match="^z_bits out of range for n qubits$"):
+        PauliOperator(2, 0, 4)
+    with pytest.raises(ValueError, match=r"^qubit index 0 out of range 1\.\.3$"):
+        letter(parse("XYZ"), 0)

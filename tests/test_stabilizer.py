@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import table_data
 from strategies import valid_groups
-from stabforge import stabilizer
+from stabforge import codewords, family, oracle, stabilizer
 from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import (
     CorrectabilityReport,
@@ -292,3 +292,83 @@ def test_correctability_t2_early_exit_j16():
     first, second = report.collision
     assert (first.x_bits, first.z_bits, first.sign) == (0, 0b1000, 1)  # +IIIZ...
     assert (second.x_bits, second.z_bits, second.sign) == (0b11, 0b10, 1)  # +XY...
+
+
+def css_group(n, x_rows, z_rows):
+    """The CSS group of one X-stabilizer per row of x_rows and one
+    Z-stabilizer per row of z_rows, bit q-1 on qubit q."""
+    return validate(n, [PauliOperator(n, r, 0, 1) for r in x_rows] + [PauliOperator(n, 0, r, 1) for r in z_rows])
+
+
+def golay_group():
+    """The [[23,1,7]] CSS code of the cyclic Golay code: its X- and
+    Z-stabilizers are the 11 shifts of h(x) = (x + 1)(x^11 + x^9 + x^7 +
+    x^6 + x^5 + x + 1)."""
+    g = 0b101011100011  # x^11 + x^9 + x^7 + x^6 + x^5 + x + 1
+    rows = [(g ^ (g << 1)) << s for s in range(11)]
+    assert all(r.bit_count() == 8 and r < 1 << 23 for r in rows)
+    return css_group(23, rows, rows)
+
+
+# the [[8,0,4]] CSS state of the extended Hamming code, which is self-dual
+HAMMING8_ROWS = (0b11110000, 0b11001100, 0b10101010, 0b11111111)
+
+# t -> (ok, total_errors, distinct_syndromes, collision)
+GOLAY_REPORTS = {
+    2: (True, 2347, 2347, None),
+    3: (True, 50164, 50164, None),
+    # the first weight-4 error shares a syndrome with a weight-3 one
+    4: (False, 50165, 50164, ("+IIIIIIIIIXIIXIIIIIIIIXI", "+XXXXIIIIIIIIIIIIIIIIIII")),
+}
+
+
+def _summary(report):
+    pair = report.collision and tuple(map(str, report.collision))
+    return report.ok, report.total_errors, report.distinct_syndromes, pair
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_correctability_walks_heavy_errors_of_golay_code(t):
+    group = golay_group()
+    report = check_correctability(group, t)
+    assert _summary(report) == GOLAY_REPORTS[t]
+    assert report == reference_check_correctability(group, t)
+
+
+def test_correctability_finds_two_heavy_errors_colliding():
+    group = css_group(8, HAMMING8_ROWS, HAMMING8_ROWS)
+    report = check_correctability(group, 2)
+    assert _summary(report) == (False, 89, 88, ("+XIIXIIII", "+IXXIIIII"))
+    assert report == reference_check_correctability(group, 2)
+
+
+def _oracle_ok(group, t):
+    seeds = codewords.seed_generators(group)
+    assert codewords.check_seeds(group, seeds) == []
+    code = family.CodeSpec(group.n, group.n - group.a, 0, group.generators, seeds)
+    return oracle.verify_code(code, t).ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_groups(), st.integers(0, 2))
+def test_correctability_agrees_with_dense_oracle(group, t):
+    try:
+        oracle_ok = _oracle_ok(group, t)
+    except codewords.MinusSignPureZError:  # no seeds: outside the seed construction
+        assume(False)
+    assert check_correctability(group, t).ok == oracle_ok
+
+
+def test_correctability_agrees_with_dense_oracle_on_hamming_state():
+    group = css_group(8, HAMMING8_ROWS, HAMMING8_ROWS)
+    assert check_correctability(group, 1).ok and _oracle_ok(group, 1)
+    assert not check_correctability(group, 2).ok and not _oracle_ok(group, 2)
+
+
+def test_correctability_and_syndrome_guards(group8):
+    with pytest.raises(ValueError, match="^t must be non-negative$"):
+        check_correctability(group8, -1)
+    with pytest.raises(ValueError, match="^syndrome length mismatch$"):
+        Syndrome(1, 2) ^ Syndrome(1, 3)
+    with pytest.raises(ValueError, match="^error acts on 4 qubits, expected 8$"):
+        syndrome(group8, single(4, 1, "X"))
