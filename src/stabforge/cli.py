@@ -343,9 +343,8 @@ def cmd_tables(args) -> int:
         code = family.build_code(3)
         payload = {
             "syndromes": {
-                "fx": [assignment.as_string(assignment.f_x(i)) for i in range(1, 9)],
-                "fz": [assignment.as_string(assignment.f_z(i)) for i in range(1, 9)],
-                "fy": [assignment.as_string(assignment.f_y(i)) for i in range(1, 9)],
+                name: [assignment.as_string(int(v)) for v in values]
+                for name, values in (("fx", assignment.fx), ("fz", assignment.fz), ("fy", assignment.fy))
             },
             "code": {
                 "generators": [pauli.format(g) for g in code.generators],

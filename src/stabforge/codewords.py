@@ -158,12 +158,7 @@ def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
     A group outside the seed construction (MinusSignPureZError) is one more
     problem, after the count check.
     """
-    n = group.n
-    if not (isinstance(seeds, PureXList) and seeds.n == n):
-        raise TypeError(
-            f"seeds must be a PureXList on {n} qubits: a CodeSpec's seed_generators, "
-            "or pauli.pure_xs / pauli.x_parts of +1 pure-X operators"
-        )
+    n = _require_seeds(group, seeds)
     problems = []
     k = n - group.a
     if len(seeds) != k:
@@ -184,6 +179,17 @@ def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
             if not span.insert(seeds[idx - 1]).x_bits:
                 found[idx] = f"seed {idx} is dependent modulo the type-1 X-parts"
     return problems + [found[idx] for idx in sorted(found)]
+
+
+def _require_seeds(group: StabilizerGroup, seeds) -> int:
+    """group.n, once seeds is checked to be one PureXList on it (else TypeError)."""
+    n = group.n
+    if not (isinstance(seeds, PureXList) and seeds.n == n):
+        raise TypeError(
+            f"seeds must be a PureXList on {n} qubits: a CodeSpec's seed_generators, "
+            "or pauli.pure_xs / pauli.x_parts of +1 pure-X operators"
+        )
+    return n
 
 
 def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,13 +238,14 @@ def codeword(group: StabilizerGroup, seed, _cls: GeneratorClassification | None 
     return FormalState(group.n, terms).canonical()
 
 
-def encode(group: StabilizerGroup, seeds, logical) -> FormalState:
+def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
     """Encode a k-bit logical word c_1..c_k (k = n - a) as a code word.
 
-    The seed label is N_1^{c_1}..N_k^{c_k}|0..0>; the result is the
-    unnormalized orbit sum (the 2^{b/2} normalization is left to callers).
+    The seeds are one PureXList on n qubits (anything else raises
+    TypeError).  The seed label is N_1^{c_1}..N_k^{c_k}|0..0>; the result is
+    the unnormalized orbit sum (the 2^{b/2} normalization is left to callers).
     """
-    seeds = list(seeds)
+    _require_seeds(group, seeds)
     if isinstance(logical, str):
         if set(logical) - {"0", "1"}:
             raise ValueError(f"bad logical word {logical!r}")
@@ -256,16 +263,18 @@ def encode(group: StabilizerGroup, seeds, logical) -> FormalState:
     return codeword(group, label)
 
 
-def basis(group: StabilizerGroup, seeds) -> list[FormalState]:
-    """All 2^{n-a} encodings, logical word index i with c_1 as its low bit."""
-    seeds = list(seeds)
+def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
+    """All 2^{n-a} encodings, logical word index i with c_1 as its low bit;
+    the seeds are one PureXList on n qubits (anything else raises TypeError)."""
+    _require_seeds(group, seeds)
     k = group.n - group.a
+    xs = [s.x_bits for s in seeds]
     cls = classify_generators(group)
     out = []
     for i in range(1 << k):
         label = 0
         for r in range(k):
             if (i >> r) & 1:
-                label ^= seeds[r].x_bits
+                label ^= xs[r]
         out.append(codeword(group, label, _cls=cls))
     return out

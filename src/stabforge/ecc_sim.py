@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import codewords
 from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
-from .pauli import PauliOperator, parse as parse_pauli, single
+from .pauli import PauliOperator, parse as parse_pauli
 from .stabilizer import (
-    StabilizerGroup, Syndrome, check_correctability, error_syndromes, materialize, syndrome, validate,
+    StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome, validate,
 )
 
 FIDELITY_TOL = 1e-10
@@ -395,13 +396,12 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     reports = []
     if model == "exhaustive":
         index = 0
-        for i in range(1, code.n + 1):
-            for letter in "XYZ":
-                err = PauliError(single(code.n, i, letter))
-                for words in _blocks(range(1 << sim.k)):
-                    rngs = [trial_rng(seed, index + j) for j in range(len(words))]
-                    reports += sim._trial_block(err, rngs, list(words))
-                    index += len(words)
+        for op in itertools.islice(iter_errors(code.n, 1), 1, None):  # the identity comes first
+            err = PauliError(op)
+            for words in _blocks(range(1 << sim.k)):
+                rngs = [trial_rng(seed, index + j) for j in range(len(words))]
+                reports += sim._trial_block(err, rngs, list(words))
+                index += len(words)
     else:
         spec = parse_error_spec(model, code.n)
         for block in _blocks(range(trials)):

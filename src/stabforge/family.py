@@ -47,15 +47,6 @@ class NumberAssignment:
     def bit_width(self) -> int:
         return self.j + 2
 
-    def f_x(self, i: int) -> int:
-        return int(self.fx[i - 1])
-
-    def f_z(self, i: int) -> int:
-        return int(self.fz[i - 1])
-
-    def f_y(self, i: int) -> int:
-        return int(self.fy[i - 1])
-
     def as_string(self, value: int) -> str:
         return format(value, f"0{self.bit_width}b")
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -45,9 +44,6 @@ _ILLEGAL = re.compile("[^IXYZ]")
 # letter -> x bit and letter -> z bit, as binary digits
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
-# hash() of a non-negative int is its residue modulo this Mersenne prime 2^w - 1
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_WIDTH = _HASH_MODULUS.bit_length()
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,9 @@ class PureX:
     strictly ascending 1-based qubits on which it acts as X.
 
     It reads like a PauliOperator (``n``, ``x_bits``, ``z_bits``, ``sign``,
-    all read-only), and equals and hashes like the PauliOperator of the same
-    value, so the two mix in comparisons, sets and the functions of this
-    module.  ``x_bits`` is built on each access and not kept.
+    all read-only), so the functions of this module take it, but it is a
+    plain (n, support) record: it equals and hashes as that pair, and never
+    equals a PauliOperator.  ``x_bits`` is built on each access and not kept.
     """
 
     __slots__ = ("_n", "_support")
@@ -104,15 +100,10 @@ class PureX:
     def __eq__(self, other):
         if isinstance(other, PureX):
             return self.n == other.n and self.support == other.support
-        if isinstance(other, PauliOperator):
-            return (other.n, other.x_bits, other.z_bits, other.sign) == (self.n, self.x_bits, 0, 1)
         return NotImplemented
 
     def __hash__(self) -> int:
-        # PauliOperator hashes (n, x_bits, z_bits, sign); x_bits is a sum of
-        # distinct powers of two, and 2^(q-1) = 2^((q-1) mod w) modulo 2^w - 1
-        x_hash = sum(1 << ((q - 1) % _HASH_WIDTH) for q in self.support) % _HASH_MODULUS
-        return hash((self.n, x_hash, 0, 1))
+        return hash((self.n, self.support))
 
     def __repr__(self) -> str:
         return f"PureX(n={self.n}, support={self.support})"
@@ -125,7 +116,8 @@ class PureXList(Sequence):
     """Immutable sequence of +1 pure-X operators on n qubits, held as the
     read-only arrays ``qubits``, every support one after another, and
     ``ends``, where each ends.  Items are PureX made on access (a slice is
-    a tuple of them); the list equals and hashes like the tuple of them.
+    a tuple of them).  It equals only another PureXList with the same n and
+    arrays, and hashes like the tuple of its items.
 
     The constructor is the one check of supports: 1 <= n < 2^63, ``ends``
     non-decreasing from 0 to the qubit count, and each support strictly
@@ -185,14 +177,12 @@ class PureXList(Sequence):
         return list(map(flat.__getitem__, map(slice, itertools.chain((0,), ends), ends)))
 
     def __eq__(self, other):
-        if isinstance(other, PureXList) and self._n == other.n:
-            return np.array_equal(self._ends, other.ends) and np.array_equal(self._qubits, other.qubits)
-        if isinstance(other, (PureXList, list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
+        if not isinstance(other, PureXList):
+            return NotImplemented
+        return self._n == other.n and np.array_equal(self._ends, other.ends) and np.array_equal(self._qubits, other.qubits)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(tuple(self))  # perfbench's build-large fingerprint hashes tuple(seeds)
 
     def __repr__(self) -> str:
         return f"PureXList(n={self._n}, {len(self)} supports)"

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import table_data
 from strategies import IntEchelon, rank, valid_groups
-from stabforge import codewords
+from stabforge import codewords, pauli
 from stabforge.codewords import (
     FormalState,
     MinusSignPureZError,
@@ -22,7 +22,7 @@ from stabforge.codewords import (
     seed_generators,
     string_to_label,
 )
-from stabforge.pauli import multiply, parse, pure_xs, x_parts
+from stabforge.pauli import PauliOperator, multiply, parse, pure_xs, x_parts
 from stabforge.stabilizer import enumerate_elements, validate
 
 
@@ -80,7 +80,7 @@ def test_seed_generators_family(group8):
 
 def test_seed_generators_full_group():
     group = validate(2, [parse("ZI"), parse("IZ")])
-    assert seed_generators(group) == []
+    assert seed_generators(group).supports() == []
 
 
 def test_seed_generators_repetition_code():
@@ -144,6 +144,18 @@ def test_check_seeds_takes_only_a_pure_x_list_on_n(group8, code8):
             check_seeds(group8, other)
 
 
+def test_encode_and_basis_take_only_a_pure_x_list_on_n(group8, code8):
+    seeds = code8.seed_generators
+    # -XXZIIIII has seed 1's X-part; a Z part and sign must not be dropped silently
+    signed = [PauliOperator(8, seeds[0].x_bits, 0b100, -1), *seeds[1:]]
+    assert pauli.format(signed[0]) == "-XXZIIIII"
+    for other in (signed, list(seeds), seeds[:], pure_xs(9, seeds.supports())):
+        with pytest.raises(TypeError, match="seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
+            encode(group8, other, "100")
+        with pytest.raises(TypeError, match="seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
+            basis(group8, other)
+
+
 def test_codeword_group_size_guard():
     from stabforge.pauli import single
     from stabforge.stabilizer import GroupTooLargeError, StabilizerGroup
@@ -199,7 +211,7 @@ def test_basis_repetition_code():
 
 def test_basis_trivial_code():
     group = validate(2, [parse("ZI"), parse("IZ")])
-    states = basis(group, [])
+    states = basis(group, pure_xs(2, []))
     assert len(states) == 1 and states[0].terms == {0: 1}
 
 
@@ -329,6 +341,10 @@ def test_random_groups_full_construction(rng):
         assert np.allclose(gram(dense), np.eye(len(dense)), atol=1e-12)
 
 
+def _texts(ops):
+    return [pauli.format(op) for op in ops]
+
+
 def reference_seed_generators(group):
     """The seed rule column by column: each nullspace vector v_c of the type-2
     Z-constraints is kept when it is independent of the type-1 X-parts and
@@ -368,7 +384,7 @@ def test_seed_generators_match_reference_family(j):
     from stabforge import family
 
     group = family.build_code(j).group()
-    assert seed_generators(group) == reference_seed_generators(group)
+    assert _texts(seed_generators(group)) == _texts(reference_seed_generators(group))
 
 
 @given(valid_groups())
@@ -379,4 +395,4 @@ def test_seed_generators_match_reference_random(group):
         with pytest.raises(MinusSignPureZError):
             seed_generators(group)
         return
-    assert seed_generators(group) == expected
+    assert _texts(seed_generators(group)) == _texts(expected)

@@ -22,9 +22,9 @@ from stabforge.pauli import PauliOperator, PureX, PureXList, commutes, letter, s
 def test_assign_numbers_golden():
     a = assign_numbers(3)
     for i in range(1, 9):
-        assert a.as_string(a.f_x(i)) == table_data.FX[i - 1]
-        assert a.as_string(a.f_z(i)) == table_data.FZ[i - 1]
-        assert a.as_string(a.f_y(i)) == table_data.FY[i - 1]
+        assert a.as_string(int(a.fx[i - 1])) == table_data.FX[i - 1]
+        assert a.as_string(int(a.fz[i - 1])) == table_data.FZ[i - 1]
+        assert a.as_string(int(a.fy[i - 1])) == table_data.FY[i - 1]
 
 
 def test_assign_numbers_prefixes_and_xor():
@@ -35,8 +35,8 @@ def test_assign_numbers_prefixes_and_xor():
         assert all(v >> j == 0b10 for v in a.fz)
         assert all(v >> j == 0b11 for v in a.fy)
         assert np.array_equal(a.fy, a.fx ^ a.fz)
-        assert a.f_x(1) == 0b01 << j
-        assert a.f_x(n) == (0b01 << j) | (n - 1)
+        assert a.fx[0] == 0b01 << j
+        assert a.fx[n - 1] == (0b01 << j) | (n - 1)
 
 
 def test_assign_numbers_distinct_j4_to_j10():

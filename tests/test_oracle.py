@@ -242,7 +242,7 @@ def test_verify_code_matches_per_image_reference(group, t):
 def test_dense_images_are_real_with_integer_gram_spectrum(group, t):
     # what verify_code's real arithmetic and eigenvalue rank rely on
     try:
-        seeds = tuple(codewords.seed_generators(group))
+        seeds = codewords.seed_generators(group)
     except codewords.MinusSignPureZError:
         assume(False)
     k = group.n - group.a
