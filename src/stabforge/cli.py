@@ -17,7 +17,7 @@ import warnings
 
 from . import bounds, codewords, ecc_sim, family, oracle, pauli, stabilizer
 
-MAX_TEXT_QUBITS = 64  # generator listings above this go to --out / --json only
+MAX_TEXT_QUBITS = 64  # generator listings above this go to --out / --json only; verify names errors sparsely
 MAX_GRID_QUBITS = 32  # same for the per-qubit syndrome grid
 
 # work caps, each checked before the loop it bounds
@@ -164,9 +164,10 @@ def cmd_verify(args) -> int:
             )
         else:
             first, second = report.collision
+            name = str if code.n <= MAX_TEXT_QUBITS else _sparse_error
             lines.append(
                 f"correctability t={args.t}: FAIL "
-                f"({first} and {second} share syndrome {stabilizer.syndrome(group, first)})"
+                f"({name(first)} and {name(second)} share syndrome {stabilizer.syndrome(group, first)})"
             )
             failures.append("correctability")
 

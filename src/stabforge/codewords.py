@@ -159,10 +159,7 @@ def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
     problem, after the count check.
     """
     n = _require_seeds(group, seeds)
-    problems = []
-    k = n - group.a
-    if len(seeds) != k:
-        problems.append(f"expected {k} seed generators, got {len(seeds)}")
+    problems = _count_problems(group, seeds)
     try:
         cls = classify_generators(group)
     except MinusSignPureZError as exc:
@@ -192,6 +189,22 @@ def _require_seeds(group: StabilizerGroup, seeds) -> int:
     return n
 
 
+def _count_problems(group: StabilizerGroup, seeds: PureXList) -> list[str]:
+    """check_seeds' count problem, if the list does not hold k = n - a seeds."""
+    k = group.n - group.a
+    return [] if len(seeds) == k else [f"expected {k} seed generators, got {len(seeds)}"]
+
+
+def _require_k_seeds(group: StabilizerGroup, seeds) -> int:
+    """k = n - a, once seeds is checked to be one PureXList on n qubits (else
+    TypeError) of k seeds (else ValueError, with check_seeds' wording)."""
+    _require_seeds(group, seeds)
+    problems = _count_problems(group, seeds)
+    if problems:
+        raise ValueError(problems[0])
+    return group.n - group.a
+
+
 def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For each seed, whether it anticommutes with some type-2 generator,
     and its leading bit (its highest qubit minus one; -1 for the identity)."""
@@ -200,7 +213,7 @@ def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.nda
     bits = seeds.qubits - 1
     # prefix XORs of the type-2 Z bits along the concatenated supports: a
     # support's parities are the XOR of the prefixes at its two ends
-    zbits = np.array([gf2.bits(g.z_bits, n) for g in type2], dtype=np.uint8).reshape(len(type2), n)
+    zbits = gf2.bits([g.z_bits for g in type2], n)
     prefix = np.zeros((len(type2), len(bits) + 1), dtype=np.uint8)
     np.bitwise_xor.accumulate(zbits[:, bits], axis=1, out=prefix[:, 1:])
     odd = (prefix[:, ends] ^ prefix[:, starts]).any(axis=0)
@@ -241,21 +254,20 @@ def codeword(group: StabilizerGroup, seed, _cls: GeneratorClassification | None 
 def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
     """Encode a k-bit logical word c_1..c_k (k = n - a) as a code word.
 
-    The seeds are one PureXList on n qubits (anything else raises
-    TypeError).  The seed label is N_1^{c_1}..N_k^{c_k}|0..0>; the result is
-    the unnormalized orbit sum (the 2^{b/2} normalization is left to callers).
+    The seeds are one PureXList of k seeds on n qubits (anything else raises
+    TypeError, a wrong count ValueError).  The seed label is
+    N_1^{c_1}..N_k^{c_k}|0..0>; the result is the unnormalized orbit sum
+    (the 2^{b/2} normalization is left to callers).
     """
-    _require_seeds(group, seeds)
+    k = _require_k_seeds(group, seeds)
     if isinstance(logical, str):
         if set(logical) - {"0", "1"}:
             raise ValueError(f"bad logical word {logical!r}")
         bits = [int(ch) for ch in logical]
     else:
         bits = [int(b) for b in logical]
-    if len(bits) != len(seeds) or len(seeds) != group.n - group.a:
-        raise ValueError(
-            f"logical word length {len(bits)} does not match k = {group.n - group.a}"
-        )
+    if len(bits) != k:
+        raise ValueError(f"logical word length {len(bits)} does not match k = {k}")
     label = 0
     for bit, gen in zip(bits, seeds):
         if bit:
@@ -265,9 +277,9 @@ def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
 
 def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
     """All 2^{n-a} encodings, logical word index i with c_1 as its low bit;
-    the seeds are one PureXList on n qubits (anything else raises TypeError)."""
-    _require_seeds(group, seeds)
-    k = group.n - group.a
+    the seeds are one PureXList of k = n - a seeds on n qubits (anything else
+    raises TypeError, a wrong count ValueError)."""
+    k = _require_k_seeds(group, seeds)
     xs = [s.x_bits for s in seeds]
     cls = classify_generators(group)
     out = []

@@ -79,13 +79,14 @@ def derive_generators(assignment: NumberAssignment) -> list[PauliOperator]:
     of f(Z_i) / f(X_i).  All signs +1."""
     n = assignment.n
     width = assignment.bit_width
+    # the numbers in the narrowest unsigned type that holds width bits: less to read per generator
+    dtype = np.min_scalar_type((1 << width) - 1)
+    fz, fx = assignment.fz.astype(dtype), assignment.fx.astype(dtype)
     gens = []
     for r in range(1, width + 1):
-        shift = width - r
-        xcol = ((assignment.fz >> shift) & 1).astype(np.uint8)
-        zcol = ((assignment.fx >> shift) & 1).astype(np.uint8)
-        x_bits = int.from_bytes(np.packbits(xcol, bitorder="little").tobytes(), "little")
-        z_bits = int.from_bytes(np.packbits(zcol, bitorder="little").tobytes(), "little")
+        bit = dtype.type(1 << (width - r))
+        x_bits = int.from_bytes(np.packbits((fz & bit) != 0, bitorder="little").tobytes(), "little")
+        z_bits = int.from_bytes(np.packbits((fx & bit) != 0, bitorder="little").tobytes(), "little")
         gens.append(PauliOperator(n, x_bits, z_bits, 1))
     return gens
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def bits(v: int, n: int) -> np.ndarray:
-    """The low n bits of v as a uint8 array, bit k at index k."""
-    raw = np.frombuffer(v.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=n)
+def bits(values, n: int) -> np.ndarray:
+    """The low n bits of each int in values (or of values, one int) as the
+    rows of a uint8 array, bit k of row r at [r, k]."""
+    values = (values,) if isinstance(values, int) else values
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), width), axis=1, count=n, bitorder="little")
 
 
 def nullspace_rref(constraints, n_cols: int, skip=()) -> tuple[np.ndarray, np.ndarray]:
@@ -21,8 +24,10 @@ def nullspace_rref(constraints, n_cols: int, skip=()) -> tuple[np.ndarray, np.nd
     highest free column among them.  Returns, in ascending c and without
     the free columns in skip, each v_c's support numbered from 1 (the
     pivots whose reduced row has a 1 in column c, then c) as the arrays
-    (ends, qubits) of a pauli.PureXList, from one np.nonzero over the
-    pivot-row bits of the kept columns and a row of ones for c itself.
+    (ends, qubits) of a pauli.PureXList.  Each support's size is its
+    column's count of pivot-row bits plus one, so ``ends`` is their running
+    sum, and one scatter per pivot row, lowest first, then one for the
+    columns themselves, fill the supports in ascending qubit order.
     """
     pivot_rows: dict[int, int] = {}
     for row in constraints:
@@ -39,15 +44,19 @@ def nullspace_rref(constraints, n_cols: int, skip=()) -> tuple[np.ndarray, np.nd
         for other in pivot_rows:
             if other != low and (pivot_rows[other] >> low) & 1:
                 pivot_rows[other] ^= pivot_rows[low]
-    lows = np.array(sorted(pivot_rows), dtype=np.int64)
+    lows = sorted(pivot_rows)
     kept = np.ones(n_cols, dtype=bool)
-    kept[lows] = False
+    kept[np.array(lows, dtype=np.int64)] = False
     kept[np.array(skip, dtype=np.int64)] = False
     cols = np.flatnonzero(kept)
-    # row r holds the r-th lowest pivot row's bits on the kept columns; the last, each column itself
-    rows = np.ones((len(lows) + 1, len(cols)), dtype=np.uint8)
-    for r, low in enumerate(lows.tolist()):
-        rows[r] = bits(pivot_rows[low], n_cols)[cols]
-    col, row = np.nonzero(rows.T)  # by column, then by row: ascending qubits
-    qubits = np.where(row < len(lows), np.append(lows, 0)[row], cols[col]) + 1
-    return np.cumsum(np.bincount(col, minlength=len(cols))), qubits
+    # row r: the r-th lowest pivot row's bits on the kept columns
+    rows = bits([pivot_rows[low] for low in lows], n_cols)[:, cols]
+    sizes = rows.sum(axis=0, dtype=np.int64) + 1
+    ends = np.cumsum(sizes)
+    qubits = np.empty(ends[-1] if ends.size else 0, dtype=np.int64)
+    at = ends - sizes  # where each support's next qubit goes
+    for low, row in zip(lows, rows):
+        qubits[at[row.view(bool)]] = low + 1
+        at += row
+    qubits[at] = cols + 1
+    return ends, qubits

@@ -190,21 +190,27 @@ class PureXList(Sequence):
 
 def pure_xs(n: int, supports) -> PureXList:
     """PureXList of PureX(n, s) for s in supports, which must hold integers
-    (not bools); a TypeError's ``support_index`` names the bad support."""
-    supports = list(map(tuple, supports))
-    if set(map(type, itertools.chain.from_iterable(supports))) - {int}:  # numpy integers, or bad input
-        for index, s in enumerate(supports):
+    (not bools); a TypeError's ``support_index`` names the bad support.
+
+    One pass over the supports flattens them and records where each ends;
+    only when some qubit is not a Python int (numpy integers, or bad input)
+    are the qubits checked and converted support by support."""
+    flat, ends = [], []
+    extend, end = flat.extend, ends.append
+    for support in supports:
+        extend(support)
+        end(len(flat))
+    if set(map(type, flat)) - {int}:
+        for index, (start, stop) in enumerate(zip([0, *ends], ends)):
             try:
-                supports[index] = tuple(map(_qubit, s))
+                flat[start:stop] = map(_qubit, flat[start:stop])
             except TypeError as exc:
                 exc.support_index = index + 1
                 raise
-    ends = np.cumsum(np.fromiter(map(len, supports), dtype=np.int64, count=len(supports)))
-    flat = itertools.chain.from_iterable
     try:
-        qubits = np.fromiter(flat(supports), dtype=np.int64, count=ends[-1] if len(ends) else 0)
+        qubits = np.array(flat, dtype=np.int64)
     except OverflowError:  # out of range, so kept as Python ints for the check to name
-        qubits = np.fromiter(flat(supports), dtype=object)
+        qubits = np.array(flat, dtype=object)
     return PureXList(n, ends, qubits)
 
 
@@ -264,7 +270,7 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff PQ = QP; signs are irrelevant."""
     if p.n != q.n:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
-    return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2 == 0
+    return ((p.x_bits & q.z_bits) ^ (p.z_bits & q.x_bits)).bit_count() % 2 == 0
 
 
 def weight(p: PauliOperator) -> int:
@@ -307,7 +313,7 @@ def parse(s: str) -> PauliOperator:
 
 def format(p: PauliOperator) -> str:
     """Canonical text form: explicit sign, then one letter per qubit."""
-    codes = bits(p.x_bits, p.n)
+    codes = bits(p.x_bits, p.n)[0]
     if p.z_bits:  # seeds are pure X
-        codes |= bits(p.z_bits, p.n) << 1
+        codes |= bits(p.z_bits, p.n)[0] << 1
     return ("+" if p.sign == 1 else "-") + _CODE_LETTERS[codes].tobytes().decode("ascii")

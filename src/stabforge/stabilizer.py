@@ -213,14 +213,34 @@ def weight_one_syndromes(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray
     Returns arrays (sx, sy, sz) indexed by i-1, M_1 as the high bit: int64
     when a <= 62, else object arrays of Python ints, so any a works.
     """
-    n, a = group.n, group.a
-    dtype = np.int64 if a <= 62 else object
-    sx, sz = np.zeros((2, n), dtype=dtype)
-    for r, g in enumerate(group.generators):
-        w = 1 << (a - 1 - r)
-        sx += gf2.bits(g.z_bits, n).astype(dtype) * w
-        sz += gf2.bits(g.x_bits, n).astype(dtype) * w
+    n, gens = group.n, group.generators
+    sx = _column_values(gf2.bits([g.z_bits for g in gens], n))
+    sz = _column_values(gf2.bits([g.x_bits for g in gens], n))
     return sx, sx ^ sz, sz
+
+
+# float32 sums of distinct powers of two are exact below 2^24
+_EXACT_ROWS = 24
+# columns per float32 product, so no (a, n) float array is made
+_CHUNK_COLUMNS = 4096
+
+
+def _column_values(rows: np.ndarray) -> np.ndarray:
+    """Each column of an (a, n) 0/1 array as an a-bit number, row 0 the high
+    bit: int64 when a <= 62, else Python ints in an object array.  Groups of
+    up to 24 rows are read by an exact float32 product and shifted in."""
+    a, n = rows.shape
+    dtype = np.int64 if a <= 62 else object
+    out = np.zeros(n, dtype=dtype)
+    for start in range(0, n, _CHUNK_COLUMNS):
+        chunk = rows[:, start : start + _CHUNK_COLUMNS]
+        value = out[start : start + _CHUNK_COLUMNS]
+        for top in range(0, a, _EXACT_ROWS):
+            group = chunk[top : top + _EXACT_ROWS]
+            weights = np.ldexp(np.float32(1), np.arange(len(group) - 1, -1, -1, dtype=np.int32))
+            value = value << len(group) | (weights @ group.astype(np.float32)).astype(np.int64)
+        out[start : start + _CHUNK_COLUMNS] = value
+    return out
 
 
 def materialize(n: int, desc) -> PauliOperator:
@@ -237,7 +257,9 @@ def _light_syndromes(group: StabilizerGroup, t: int) -> np.ndarray:
     if t < 1:
         return np.zeros(1, dtype=np.int64)
     sx, sy, sz = weight_one_syndromes(group)
-    return np.concatenate((np.zeros(1, dtype=sx.dtype), np.column_stack((sx, sy, sz)).ravel()))
+    light = np.zeros(1 + 3 * group.n, dtype=sx.dtype)
+    light[1::3], light[2::3], light[3::3] = sx, sy, sz
+    return light
 
 
 def _light_descriptor(m: int) -> tuple:
@@ -290,13 +312,14 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     n = group.n
     light = _light_syndromes(group, t)
     size = len(light)
-    walk = np.arange(size)
+    # walk indices and the table in the narrowest type that holds size: the largest arrays here
+    walk = np.arange(size, dtype=np.min_scalar_type(size))
     if light.dtype == object or (1 << group.a) > 8 * size:
         _, first_index, inverse = np.unique(light, return_index=True, return_inverse=True)
         first_of = first_index[inverse.ravel()]
         table = None
     else:
-        table = np.full(1 << group.a, size)  # size: no error of weight <= 1 has this value
+        table = np.full(1 << group.a, size, dtype=walk.dtype)  # size: no error of weight <= 1 has this value
         np.minimum.at(table, light, walk)
         first_of = table[light]
     repeats = np.flatnonzero(first_of != walk)

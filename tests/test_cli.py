@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import table_data
-from stabforge import cli, pauli
+from stabforge import cli, family, pauli, stabilizer
 from stabforge.stabilizer import materialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,6 +134,24 @@ def test_verify_json_names_the_text_witness(capsys, code_path):
         desc = () if sparse == "I" else tuple((int(q), L) for L, q in (s.split("_") for s in sparse.split()))
         named.append(pauli.format(materialize(8, desc)))
     assert tuple(named) == witness
+
+
+@pytest.mark.parametrize("j", [6, 7])
+def test_verify_text_names_the_witness_sparsely_above_64_qubits(capsys, tmp_path, j):
+    # n = 64 = cli.MAX_TEXT_QUBITS keeps the full Pauli strings; n = 128 names the --json pair
+    n, path = 1 << j, tmp_path / f"code{j}.json"
+    assert run_cli(capsys, "family", "--j", str(j), "--out", str(path))[0] == 0
+    code, text, _ = run_cli(capsys, "verify", str(path), "--t", "2")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "verify", str(path), "--t", "2", "--json")
+    assert code == 1
+    pair = json.loads(out)["correctability"]["collision"]
+    assert pair == ["Z_4", "X_1 Y_2"]
+    if n <= cli.MAX_TEXT_QUBITS:
+        pair = [pauli.format(materialize(n, desc)) for desc in (((4, "Z"),), ((1, "X"), (2, "Y")))]
+    syndrome = stabilizer.syndrome(family.CodeSpec.load(path).group(), materialize(n, ((4, "Z"),)))
+    assert f"\ncorrectability t=2: FAIL ({pair[0]} and {pair[1]} share syndrome {syndrome})\n" in text
+    assert (max(map(len, text.splitlines())) < 100) == (n > cli.MAX_TEXT_QUBITS)
 
 
 def test_verify_tampered_spec(capsys, code_path, tmp_path):

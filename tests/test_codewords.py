@@ -156,6 +156,18 @@ def test_encode_and_basis_take_only_a_pure_x_list_on_n(group8, code8):
             basis(group8, other)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_encode_and_basis_check_the_seed_count(group8, code8, count):
+    # too few seeds used to raise a bare IndexError, too many were cut to k
+    seeds = pure_xs(8, (code8.seed_generators.supports() + [[1, 5]])[:count])
+    message = f"expected 3 seed generators, got {count}"
+    assert check_seeds(group8, seeds)[0] == message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        encode(group8, seeds, "100")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        basis(group8, seeds)
+
+
 def test_codeword_group_size_guard():
     from stabforge.pauli import single
     from stabforge.stabilizer import GroupTooLargeError, StabilizerGroup

@@ -7,7 +7,9 @@ of ``classify_generators``, and the unsigned echelon (here ``IntEchelon``)
 behind the seed pivots and the ``check_seeds`` span.  ``nullspace_rref`` is
 the int-yielding nullspace from before the seeds were held as ``PureX``
 supports (``reference_supports`` puts it in the library's return form),
-and ``reference_check_seeds`` reduces every seed one at a time, as
+``reference_nullspace_columns`` builds the library's arrays by one
+np.nonzero, as ``gf2.nullspace_rref`` did before it scattered each pivot
+row, and ``reference_check_seeds`` reduces every seed one at a time, as
 ``check_seeds`` did before it took the leading bits of all seeds at once.
 They are frozen here so that any change in kept generators, dropped
 positions, rejections, classification, seeds or seed problems shows up.
@@ -138,6 +140,44 @@ def reference_supports(constraints, n_cols, skip=()):
         for c, vec in nullspace_rref(constraints, n_cols)
         if c not in skip
     ]
+
+
+def reference_nullspace_columns(constraints, n_cols, skip=()):
+    """gf2.nullspace_rref's (ends, qubits) as one np.nonzero over the
+    transposed pivot-row bits of the kept columns built them, with a row of
+    ones for each column itself, before the per-pivot scatter."""
+    pivot_rows = {}
+    for row in constraints:
+        r = row
+        while r:
+            low = (r & -r).bit_length() - 1
+            if low in pivot_rows:
+                r ^= pivot_rows[low]
+            else:
+                pivot_rows[low] = r
+                break
+    for low in sorted(pivot_rows):
+        for other in pivot_rows:
+            if other != low and (pivot_rows[other] >> low) & 1:
+                pivot_rows[other] ^= pivot_rows[low]
+    lows = np.array(sorted(pivot_rows), dtype=np.int64)
+    kept = np.ones(n_cols, dtype=bool)
+    kept[lows] = False
+    kept[np.array(skip, dtype=np.int64)] = False
+    cols = np.flatnonzero(kept)
+    rows = np.ones((len(lows) + 1, len(cols)), dtype=np.uint8)
+    for r, low in enumerate(lows.tolist()):
+        rows[r] = gf2.bits(pivot_rows[low], n_cols)[0][cols]
+    col, row = np.nonzero(rows.T)
+    qubits = np.where(row < len(lows), np.append(lows, 0)[row], cols[col]) + 1
+    return np.cumsum(np.bincount(col, minlength=len(cols))), qubits
+
+
+def assert_same_nullspace_columns(constraints, n_cols, skip):
+    ends, qubits = gf2.nullspace_rref(constraints, n_cols, skip=skip)
+    want_ends, want_qubits = reference_nullspace_columns(constraints, n_cols, skip)
+    assert (ends.dtype, qubits.dtype) == (want_ends.dtype, want_qubits.dtype)
+    assert ends.tolist() == want_ends.tolist() and qubits.tolist() == want_qubits.tolist()
 
 
 def split(columns):
@@ -422,3 +462,29 @@ def test_nullspace_matches_reference_past_64_pivot_rows(seed):
     constraints = [rng.getrandbits(n) for _ in range(80)]
     skip = rng.sample(range(n), 10)
     assert split(gf2.nullspace_rref(constraints, n, skip=skip)) == reference_supports(constraints, n, skip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nullspace_arrays_match_the_nonzero_construction(data):
+    """Any constraints, and any skip list: unsorted, repeated, pivots among them."""
+    n = data.draw(st.integers(1, 150))
+    constraints = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    skip = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    assert_same_nullspace_columns(constraints, n, skip)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nullspace_arrays_match_the_nonzero_construction_on_wide_sparse_rows(seed):
+    # many pivot rows of a few bits each, so supports differ in size
+    rng = random.Random(seed)
+    n = 1000 + seed
+    constraints = [sum(1 << q for q in rng.sample(range(n), rng.randint(1, 6))) for _ in range(120)]
+    assert_same_nullspace_columns(constraints, n, rng.sample(range(n), 200))
+
+
+@pytest.mark.parametrize("j", [3, 8, 12, 16])
+def test_nullspace_arrays_match_the_nonzero_construction_on_the_family(j):
+    cls = classify_generators(family.build_code(j).group())
+    pivots = [g.x_bits.bit_length() - 1 for g in cls.type1]
+    assert_same_nullspace_columns([g.z_bits for g in cls.type2], 1 << j, pivots)

@@ -56,6 +56,17 @@ def test_derive_generators_golden():
     assert [pauli.format(g) for g in gens] == table_data.GENERATORS
 
 
+@pytest.mark.parametrize("j", range(3, 17))
+def test_derive_generators_match_the_int64_bit_planes(j):
+    # M_r's X / Z bits are bit (width - r) of f(Z_i) / f(X_i), read here from the int64 numbers
+    a = assign_numbers(j)
+    want = []
+    for shift in range(a.bit_width - 1, -1, -1):
+        x, z = (np.packbits(((f >> shift) & 1).astype(np.uint8), bitorder="little") for f in (a.fz, a.fx))
+        want.append(PauliOperator(a.n, int.from_bytes(x.tobytes(), "little"), int.from_bytes(z.tobytes(), "little")))
+    assert derive_generators(a) == want
+
+
 def test_build_code_j3_golden(code8):
     assert (code8.n, code8.k, code8.j) == (8, 3, 3)
     assert [pauli.format(g) for g in code8.generators] == table_data.GENERATORS

@@ -172,6 +172,16 @@ def test_commutation_bilinearity_bulk(rng):
         assert lhs == rhs
 
 
+@given(st.integers(1, 300).filter(lambda n: n % 8), st.data())
+def test_commutes_matches_the_two_count_form(n, data):
+    # one count of (x1 & z2) ^ (z1 & x2) has the parity of the two counts summed;
+    # n is no multiple of 8 or 64, so the top word is partial
+    bits = st.integers(0, (1 << n) - 1)
+    p, q = (PauliOperator(n, data.draw(bits), data.draw(bits)) for _ in range(2))
+    two_counts = ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2 == 0
+    assert commutes(p, q) == commutes(q, p) == two_counts
+
+
 def test_matrix_oracle_equivalence(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 4))

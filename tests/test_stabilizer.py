@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import table_data
 from strategies import valid_groups
-from stabforge import codewords, family, oracle, stabilizer
+from stabforge import codewords, family, gf2, oracle, stabilizer
 from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import (
     CorrectabilityReport,
@@ -12,6 +14,7 @@ from stabforge.stabilizer import (
     MinusIdentityError,
     NotAbelianError,
     SquaresToMinusOneError,
+    StabilizerGroup,
     Syndrome,
     check_correctability,
     enumerate_elements,
@@ -230,6 +233,48 @@ def test_weight_one_fast_path_matches_syndrome_above_62_generators():
         assert sx[i - 1] == syndrome(group, single(group.n, i, "X")).value
         assert sy[i - 1] == syndrome(group, single(group.n, i, "Y")).value
         assert sz[i - 1] == syndrome(group, single(group.n, i, "Z")).value
+
+
+def reference_weight_one_syndromes(group):
+    """The per-generator form: each generator's bit row times its weight, summed."""
+    n, a = group.n, group.a
+    dtype = np.int64 if a <= 62 else object
+    sx, sz = np.zeros((2, n), dtype=dtype)
+    for r, g in enumerate(group.generators):
+        w = 1 << (a - 1 - r)
+        sx += gf2.bits(g.z_bits, n)[0].astype(dtype) * w
+        sz += gf2.bits(g.x_bits, n)[0].astype(dtype) * w
+    return sx, sx ^ sz, sz
+
+
+def assert_same_weight_one_syndromes(group):
+    got, want = weight_one_syndromes(group), reference_weight_one_syndromes(group)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tolist() == w.tolist()
+
+
+@given(valid_groups())
+def test_weight_one_syndromes_match_the_per_generator_sum(group):
+    assert_same_weight_one_syndromes(group)
+
+
+@pytest.mark.parametrize("a, copies, logical_zs", [(24, 6, 0), (25, 6, 1), (33, 7, 5), (48, 12, 0), (62, 13, 10), (63, 13, 11)])
+def test_weight_one_syndromes_match_the_per_generator_sum_at_row_group_edges(a, copies, logical_zs):
+    # 24 rows are read per exact float32 product; int64 holds a <= 62
+    group = five_qubit_copies(copies, logical_zs)
+    assert group.a == a
+    assert_same_weight_one_syndromes(group)
+
+
+@pytest.mark.parametrize("a", [1, 24, 25, 63])
+def test_weight_one_syndromes_match_the_per_generator_sum_across_column_chunks(a):
+    # n = 2 * 8192 + 77: two full column chunks and a partial one; the rows
+    # need not form a valid group for the bit columns to be read
+    rng = random.Random(a)
+    n = 2 * 8192 + 77
+    gens = tuple(PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(a))
+    assert_same_weight_one_syndromes(StabilizerGroup(n, gens))
 
 
 @given(valid_groups(), st.integers(0, 3))
