@@ -10,6 +10,15 @@ each of which the table then corrects.
 Randomness contract: every trial uses a numpy Generator derived from
 (master seed, trial index), so campaigns are reproducible and the trials
 are order-independent.
+
+Kernel: a block of trials is one (rows, 2^n) complex array, worked on
+through its float64 view.  Pauli coefficients are real, so each Pauli is a
+gather and a real +-1 sign; the squared norms of all rows come from one
+np.vecdot, one BLAS dot per row over its real parts plus one over its
+imaginary parts, as np.linalg.norm reduces them; a division by a real is a
+product with its reciprocal, as numpy divides a complex by a real.  No
+float of a row depends on the other rows, so the output of a campaign does
+not depend on how its trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -20,13 +29,13 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import codewords
-from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
+from .oracle import _PARITY_SIGNS, StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
 from .pauli import PauliOperator, parse as parse_pauli
 from .stabilizer import (
     StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome, validate,
@@ -150,28 +159,37 @@ def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
 
 @functools.lru_cache(maxsize=8)
 def _generator_actions(group: StabilizerGroup) -> tuple:
-    """Each generator's gather form, read-only, cached so that measure_syndrome
-    (given only the group) reuses the actions its Simulator holds."""
-    actions = tuple(pauli_action(group.n, g.x_bits, g.z_bits, g.sign) for g in group.generators)
-    for perm, coef in actions:
-        perm.flags.writeable = coef.flags.writeable = False
-    return actions
+    """Each generator as a real gather and a +-1 sign on the float64 view,
+    read-only and cached, so that measure_syndrome reuses a Simulator's."""
+    actions = []
+    for g in group.generators:
+        perm, coef = pauli_action(group.n, g.x_bits, g.z_bits, g.sign)
+        actions.append(((2 * perm[:, None] + (0, 1)).ravel(), np.repeat(coef.real, 2)))
+        actions[-1][0].flags.writeable = actions[-1][1].flags.writeable = False
+    return tuple(actions)
 
 
-def _sqnorm(row: np.ndarray) -> float:
-    """np.linalg.norm(row) ** 2 before its square root, reduced the same way."""
-    re, im = row.real, row.imag
-    return float(re.dot(re)) + float(im.dot(im))
+def _row_sqnorms(f: np.ndarray) -> list[float]:
+    """np.linalg.norm(row) ** 2 of each complex row of the float64 view f, summed
+    the same way: a BLAS dot of its strided real parts plus one of its imaginary."""
+    parts = f.reshape(f.shape[0], f.shape[1] // 2, 2).transpose(2, 0, 1)
+    re, im = np.vecdot(parts, parts).tolist()
+    return [a + b for a, b in zip(re, im)]
 
 
-def _outcome_plus(p_plus: float, rng: np.random.Generator) -> bool:
-    """Probabilities within _PROB_EPS of 0 or 1 are exact, so eigenstates
-    measure deterministically regardless of roundoff."""
-    if p_plus >= 1.0 - _PROB_EPS:
-        return True
-    if p_plus <= _PROB_EPS:
-        return False
-    return rng.random() < p_plus
+def _apply_paulis(amps: np.ndarray, paulis) -> np.ndarray:
+    """Row r of amps under paulis[r] = (x_bits, z_bits, sign), in the gather
+    form of pauli_action; a single Pauli acts on every row.  The identity
+    returns amps itself, equal up to the sign of a zero."""
+    if set(paulis) == {(0, 0, 1)}:  # the identity moves no amplitude
+        return amps
+    rows, size = amps.shape
+    x, z, sign = np.array(paulis).T[:, :, None]
+    # flat index of label j ^ x in row r: x < size leaves the row bits alone
+    idx = np.arange(rows * size).reshape(rows, size) ^ x
+    out = amps.take(idx)
+    out *= _PARITY_SIGNS[idx & z] * sign
+    return out
 
 
 def _measure_rows(amps, norms, actions, rngs) -> tuple[list[int], np.ndarray]:
@@ -181,32 +199,33 @@ def _measure_rows(amps, norms, actions, rngs) -> tuple[list[int], np.ndarray]:
     arithmetic is element-wise or per row, so each row gets the floats it
     would get alone.  Returns the syndrome values and the collapsed rows.
     """
-    amps = amps / norms[:, None]
+    # numpy divides a complex by a real c as the product of both parts with
+    # 1.0 / c, so scaling the float64 view gives the same floats up to the
+    # sign of a zero, which no output can see
+    f = amps.view(np.float64) * np.array([[1.0 / nrm] for nrm in norms])
     values = [0] * len(rngs)
-    for perm, coef in actions:
-        # in place where a temporary can be reused: a campaign's peak memory
-        # is mostly these (rows, 2^n) arrays
-        moved = amps.take(perm, axis=1)
-        moved *= coef
-        plus = amps + moved
-        plus /= 2.0
-        keep_plus, kept = [], []
-        for r, rng in enumerate(rngs):
-            # math.sqrt and ** are the correctly rounded sqrt and the libm
-            # pow that np.linalg.norm(plus) ** 2 uses
-            p_plus = math.sqrt(_sqnorm(plus[r])) ** 2
-            up = _outcome_plus(p_plus, rng)
+    for perm, sign in actions:
+        moved = f.take(perm, axis=1)  # in place below: peak memory is these arrays
+        moved *= sign
+        plus = f + moved
+        plus *= 0.5
+        keep_plus, scales = [], []
+        for r, (sq, rng) in enumerate(zip(_row_sqnorms(plus), rngs)):
+            # the correctly rounded sqrt and libm pow of np.linalg.norm(plus) ** 2;
+            # within _PROB_EPS of 0 or 1 is exact, so eigenstates measure
+            # deterministically regardless of roundoff
+            p_plus = math.sqrt(sq) ** 2
+            up = p_plus >= 1.0 - _PROB_EPS or (p_plus > _PROB_EPS and rng.random() < p_plus)
             keep_plus.append(up)
-            kept.append(p_plus if up else 1.0 - p_plus)
+            scales.append([1.0 / math.sqrt(p_plus if up else 1.0 - p_plus)])
             values[r] = (values[r] << 1) | (not up)
-        if all(keep_plus):
-            amps = plus
-        else:
-            amps -= moved
-            amps /= 2.0  # the minus projection
-            amps = np.where(np.array(keep_plus)[:, None], plus, amps)
-        amps /= np.sqrt(kept)[:, None]
-    return values, amps
+        if not all(keep_plus):
+            f -= moved
+            f *= 0.5  # the minus projection
+            np.copyto(plus, f, where=~np.array(keep_plus)[:, None])
+        plus *= np.array(scales)
+        f = plus
+    return values, f.view(np.complex128)
 
 
 def measure_syndrome(
@@ -224,7 +243,7 @@ def measure_syndrome(
     nrm = v.norm()
     if nrm < _ZERO_NORM:
         raise ValueError("cannot measure the zero state")
-    values, amps = _measure_rows(v.amplitudes[None, :], np.array([nrm]), _generator_actions(group), [rng])
+    values, amps = _measure_rows(v.amplitudes[None, :], [nrm], _generator_actions(group), [rng])
     return Syndrome(values[0], group.a), StateVector(v.n, amps[0])
 
 
@@ -261,65 +280,74 @@ class Simulator:
         self.k = code.n - self.group.a
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
         self._generator_actions = _generator_actions(self.group)
-        # syndrome value -> (syndrome, correction, its gather form), so that
-        # a trial looks its correction's action up instead of rebuilding it
-        self._corrections = {
-            syn.value: (syn, corr, pauli_action(corr.n, corr.x_bits, corr.z_bits, corr.sign))
-            for syn, corr in self.table.entries.items()
-        }
-
-    def _encode(self, coeffs) -> np.ndarray:
-        return np.asarray(coeffs, dtype=np.complex128) @ self._basis_matrix
+        self._corrections = {syn.value: (syn, corr) for syn, corr in self.table.entries.items()}
 
     def random_logical(self, rng: np.random.Generator) -> StateVector:
-        return StateVector(self.code.n, self._random_amplitudes(rng))
+        return StateVector(self.code.n, self._logical_amplitudes([rng], [None])[0])
 
-    def _random_amplitudes(self, rng: np.random.Generator) -> np.ndarray:
-        c = rng.standard_normal(1 << self.k) + 1j * rng.standard_normal(1 << self.k)
-        return self._encode(c / math.sqrt(_sqnorm(c)))  # np.linalg.norm(c), inlined
-
-    def _input_amplitudes(self, logical, rng) -> np.ndarray:
-        if logical is None:
-            return self._random_amplitudes(rng)
-        if isinstance(logical, (int, np.integer)):
-            return self._basis_matrix[int(logical)]
-        return self._encode(logical)
-
-    def _depolarizing_action(self, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
-        # one draw per qubit, then a letter for each hit; the qubits are
-        # distinct, so the product of the single-qubit letters has sign +1
-        x = z = 0
-        for bit in range(self.code.n):
-            if rng.random() < p:
-                letter = rng.integers(3)  # X, Y, Z
-                x |= (letter != 2) << bit
-                z |= (letter != 0) << bit
-        return pauli_action(self.code.n, x, z)
+    def _logical_amplitudes(self, rngs, logicals) -> np.ndarray:
+        """Row r encodes basis word logicals[r], the unit amplitudes
+        logicals[r] over the words, or for None a random superposition whose
+        real parts, then imaginary parts, are drawn from rngs[r]."""
+        size = 1 << self.k
+        parts = np.zeros((len(rngs), 2, size))
+        words = {}
+        for r, (logical, rng) in enumerate(zip(logicals, rngs)):
+            if logical is None:
+                rng.standard_normal(out=parts[r])
+            elif isinstance(logical, (int, np.integer)):
+                if isinstance(logical, bool) or not 0 <= logical < size:
+                    raise ValueError(f"logical word must be an integer in 0..{size - 1}, got {logical!r}")
+                words[r] = int(logical)
+            else:
+                vec = np.asarray(logical, dtype=np.complex128)
+                norm = float(np.linalg.norm(vec))
+                if vec.shape != (size,) or not abs(norm - 1.0) <= FIDELITY_TOL:
+                    raise ValueError(
+                        f"logical amplitudes need length {size}, got shape {vec.shape}" if vec.shape != (size,)
+                        else f"logical amplitudes need 2-norm 1 within {FIDELITY_TOL}, got {norm}"
+                    )
+                parts[r] = vec.real, vec.imag
+        coeffs = parts[:, 0] + 1j * parts[:, 1]
+        f = coeffs.view(np.float64)
+        f *= np.array([[1.0 / math.sqrt(sq) if lg is None else 1.0] for sq, lg in zip(_row_sqnorms(f), logicals)])
+        psi = np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
+        for r, word in words.items():
+            psi[r] = self._basis_matrix[word]
+        return psi
 
     def _damage(self, error: ErrorSpec, psi: np.ndarray, rngs) -> np.ndarray:
         if isinstance(error, PauliError):
             op = error.op
-            perm, coef = pauli_action(op.n, op.x_bits, op.z_bits, op.sign)
-            damaged = psi.take(perm, axis=1)
-            damaged *= coef
-            return damaged
+            if op.n != self.code.n:
+                raise ValueError(f"error acts on {op.n} qubits, code has {self.code.n}")
+            return _apply_paulis(psi, [(op.x_bits, op.z_bits, op.sign)])
         if isinstance(error, MatrixError):
+            if not 1 <= error.qubit <= self.code.n:
+                raise ValueError(f"qubit {error.qubit} out of range 1..{self.code.n}")
             return single_qubit_product(_unit_scaled(error.matrix), error.qubit, psi)
         if isinstance(error, DepolarizingError):
-            damaged = np.empty_like(psi)
-            for r, rng in enumerate(rngs):
-                perm, coef = self._depolarizing_action(error.p, rng)
-                damaged[r] = coef * psi[r, perm]
-            return damaged
+            # one draw per qubit, then a letter for each hit; the qubits are
+            # distinct, so the product of the single-qubit letters has sign +1
+            paulis = []
+            for rng in rngs:
+                x = z = 0
+                for bit in range(self.code.n):
+                    if rng.random() < error.p:
+                        letter = rng.integers(3)  # X, Y, Z
+                        x |= int(letter != 2) << bit
+                        z |= int(letter != 0) << bit
+                paulis.append((x, z, 1))
+            return _apply_paulis(psi, paulis)
         raise TypeError(f"unsupported error spec {error!r}")
 
     def trial(self, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
         """One encode / corrupt / measure / correct round.
 
-        ``logical`` is a basis-word index, an amplitude vector over the
-        logical words, or None for a random superposition.  An error that
-        annihilates the state or a syndrome outside the table is reported,
-        not raised.
+        ``logical`` is a basis-word index, a unit amplitude vector over the
+        logical words, or None for a random superposition; anything else
+        raises ValueError.  An error that annihilates the state or a
+        syndrome outside the table is reported, not raised.
         """
         return self._trial_block(error, [rng], [logical])[0]
 
@@ -329,24 +357,21 @@ class Simulator:
         Row r draws only from rngs[r], in the order of a lone trial: the
         logical amplitudes, then the error, then the measurement.
         """
-        psi = np.stack([self._input_amplitudes(lg, rng) for lg, rng in zip(logicals, rngs)])
+        psi = self._logical_amplitudes(rngs, logicals)
         damaged = self._damage(error, psi, rngs)
-        norms = np.sqrt([_sqnorm(row) for row in damaged])
-        live = np.flatnonzero(norms >= _ZERO_NORM)
+        norms = [math.sqrt(sq) for sq in _row_sqnorms(damaged.view(np.float64))]
+        live = [r for r, nrm in enumerate(norms) if nrm >= _ZERO_NORM]
         reports = [RecoveryReport(None, None, 0.0, False)] * len(rngs)
-        values, out = _measure_rows(
-            damaged[live], norms[live], self._generator_actions, [rngs[r] for r in live]
-        )
-        for i, r in enumerate(live):
-            hit = self._corrections.get(values[i])
-            if hit is None:
-                syn, corr = Syndrome(values[i], self.group.a), None
-            else:
-                syn, corr, (perm, coef) = hit
-                out[i] = coef * out[i, perm]
-            fidelity = float(abs(np.vdot(psi[r], out[i])))
-            success = corr is not None and fidelity >= 1.0 - FIDELITY_TOL
-            reports[r] = RecoveryReport(syn, corr, fidelity, success)
+        if not live:
+            return reports
+        if len(live) < len(rngs):
+            psi, damaged, norms = psi[live], damaged[live], [norms[r] for r in live]
+        values, out = _measure_rows(damaged, norms, self._generator_actions, [rngs[r] for r in live])
+        found = [self._corrections.get(v) or (Syndrome(v, self.group.a), None) for v in values]
+        out = _apply_paulis(out, [(c.x_bits, c.z_bits, c.sign) if c else (0, 0, 1) for _, c in found])
+        for r, (syn, corr), overlap in zip(live, found, np.vecdot(psi, out).tolist()):
+            fidelity = abs(overlap)
+            reports[r] = RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - FIDELITY_TOL)
         return reports
 
 
@@ -366,15 +391,8 @@ class CampaignStats:
     syndrome_histogram: dict[str, int]
 
     def to_json(self) -> str:
-        data = {
-            "model": self.model,
-            "seed": self.seed,
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "min_fidelity": self.min_fidelity,
-            "syndrome_histogram": dict(sorted(self.syndrome_histogram.items())),
-        }
+        data = asdict(self)  # the fields in order
+        data["syndrome_histogram"] = dict(sorted(self.syndrome_histogram.items()))
         return json.dumps(data, indent=2)
 
 
@@ -395,13 +413,10 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     sim = Simulator(code)
     reports = []
     if model == "exhaustive":
-        index = 0
         for op in itertools.islice(iter_errors(code.n, 1), 1, None):  # the identity comes first
-            err = PauliError(op)
-            for words in _blocks(range(1 << sim.k)):
-                rngs = [trial_rng(seed, index + j) for j in range(len(words))]
-                reports += sim._trial_block(err, rngs, list(words))
-                index += len(words)
+            for words in _blocks(range(1 << sim.k)):  # trial index = reports so far
+                rngs = [trial_rng(seed, len(reports) + j) for j in range(len(words))]
+                reports += sim._trial_block(PauliError(op), rngs, list(words))
     else:
         spec = parse_error_spec(model, code.n)
         for block in _blocks(range(trials)):

@@ -545,3 +545,113 @@ def test_measure_syndrome_rejects_a_state_on_other_qubits(group8):
     state = StateVector(4, np.eye(16)[0])
     with pytest.raises(ValueError, match="^state and group qubit counts differ$"):
         measure_syndrome(state, group8, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "logical, message",
+    [
+        (-1, r"^logical word must be an integer in 0\.\.7, got -1$"),
+        (8, r"^logical word must be an integer in 0\.\.7, got 8$"),
+        (np.int64(8), r"^logical word must be an integer in 0\.\.7, got np\.int64\(8\)$"),
+        (True, r"^logical word must be an integer in 0\.\.7, got True$"),
+        ([1] * 8, r"^logical amplitudes need 2-norm 1 within 1e-10, got 2\.828427"),
+        ([float("nan")] * 8, r"^logical amplitudes need 2-norm 1 within 1e-10, got nan$"),
+        (np.ones(7) / np.sqrt(7), r"^logical amplitudes need length 8, got shape \(7,\)$"),
+        ([np.eye(8)[0]], r"^logical amplitudes need length 8, got shape \(1, 8\)$"),
+    ],
+)
+def test_trial_rejects_bad_logical_input(sim, logical, message):
+    # these used to wrap round, run as word 1, report fidelity 2.83 as a
+    # success, or raise a bare IndexError or a matmul error
+    with pytest.raises(ValueError, match=message):
+        sim.trial(PauliError(single(8, 2, "X")), trial_rng(0, 0), logical=logical)
+    with pytest.raises(ValueError, match=message):  # wherever the row sits in a block
+        sim._trial_block(PauliError(single(8, 2, "X")), [trial_rng(0, i) for i in range(3)], [None, 0, logical])
+
+
+def test_trial_accepts_logical_input_within_the_tolerance(sim):
+    err = PauliError(single(8, 2, "X"))
+    assert sim.trial(err, trial_rng(0, 0), logical=np.int64(7)).success
+    nearly_unit = np.eye(8)[3] * (1 + 0.5e-10)
+    assert sim.trial(err, trial_rng(0, 0), logical=nearly_unit).success
+
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (PauliError(single(4, 2, "X")), r"^error acts on 4 qubits, code has 8$"),
+        (PauliError(single(9, 9, "X")), r"^error acts on 9 qubits, code has 8$"),
+        (MatrixError(np.eye(2), 9), r"^qubit 9 out of range 1\.\.8$"),
+        (MatrixError(np.eye(2), 0), r"^qubit 0 out of range 1\.\.8$"),
+    ],
+)
+def test_trial_rejects_an_error_on_other_qubits(sim, error, message):
+    # a gather on the flat block would otherwise read a Pauli on 4 qubits as
+    # one on 8, and a two-row block would mix its rows under qubit 9
+    for rows in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            sim._trial_block(error, [trial_rng(0, i) for i in range(rows)], [None] * rows)
+
+def _float_rule_blocks(count=200, seed=19):
+    """Random complex blocks of 1 to 300 rows and 2 to 4096 columns, both
+    log-uniform so that small blocks are common; most widths are not a
+    multiple of 8."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, width = int(2 ** gen.uniform(0, math.log2(301))), int(2 ** gen.uniform(1, 12))
+        a = gen.standard_normal((rows, width)) + 1j * gen.standard_normal((rows, width))
+        b = gen.standard_normal((rows, width)) + 1j * gen.standard_normal((rows, width))
+        yield gen, a, b
+
+
+def test_block_kernel_float_identities():
+    """The rules that make the block kernel's floats equal those of the
+    per-row forms of the per-trial reference, each counted on its own so
+    that a numpy or BLAS upgrade that breaks one fails here by name.
+
+    These forms look equivalent but change bits (numpy 2.4 with OpenBLAS
+    0.3.31 on x86-64, counted over the same 200 blocks of 9,004 rows), and
+    must not be used in the kernel:
+    - a plain ``c @ B`` for the block (one gemm): 3,981,084 amplitudes
+      differ from the per-row ``c[r] @ B`` (gemv);
+    - ``np.einsum('ij,ij->i')`` for the row sums of squares: 5,422 rows;
+    - ``np.abs`` on the array of complex overlaps instead of scalar
+      ``abs``: 3,077 rows;
+    - a numpy square of ``np.sqrt(s)`` instead of ``math.sqrt(s) ** 2``:
+      5 rows.
+    """
+    mismatches = dict.fromkeys(["vecdot_sqnorm", "row_sqnorms", "vecdot_overlap", "abs", "matmul", "scaling"], 0)
+    for gen, a, b in _float_rule_blocks():
+        rows, width = a.shape
+        sq = [float(r.real.dot(r.real)) + float(r.imag.dot(r.imag)) for r in a]
+        got = np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag)
+        mismatches["vecdot_sqnorm"] += sum(x != y for x, y in zip(got.tolist(), sq))
+        mismatches["row_sqnorms"] += sum(x != y for x, y in zip(ecc_sim._row_sqnorms(a.view(np.float64)), sq))
+
+        overlaps = np.vecdot(a, b).tolist()
+        mismatches["vecdot_overlap"] += sum(complex(np.vdot(a[r], b[r])) != overlaps[r] for r in range(rows))
+        mismatches["abs"] += sum(float(abs(np.vdot(a[r], b[r]))) != abs(overlaps[r]) for r in range(rows))
+
+        k = int(gen.integers(1, 17))
+        c = gen.standard_normal((rows, k)) + 1j * gen.standard_normal((rows, k))
+        basis = gen.standard_normal((k, width)) + 1j * gen.standard_normal((k, width))
+        stacked = np.matmul(c[:, None, :], basis)[:, 0]
+        mismatches["matmul"] += sum(not np.array_equal(stacked[r], c[r] @ basis) for r in range(rows))
+
+        # complex / real and the float view times the reciprocal agree up to
+        # the sign of a zero, which no output of the kernel can see
+        scaled = a.view(np.float64) * (1.0 / np.sqrt(sq))[:, None]
+        divided = np.stack([a[r] / math.sqrt(sq[r]) for r in range(rows)]).view(np.float64)
+        mismatches["scaling"] += int(np.count_nonzero(np.abs(scaled) != np.abs(divided)))
+    assert mismatches == dict.fromkeys(mismatches, 0)
+
+
+@pytest.mark.parametrize("model", CAMPAIGN_MODELS + ["exhaustive"])
+def test_campaign_output_does_not_depend_on_the_block_split(code8, model, monkeypatch):
+    trial_counts = [0] if model == "exhaustive" else [0, 1, 130]
+    expected = {trials: run_campaign(code8, model, trials, 5).to_json() for trials in trial_counts}
+    for rows in (1, 3, 8, 64):
+        monkeypatch.setattr(ecc_sim, "TRIAL_BLOCK_ROWS", rows)
+        for trials in trial_counts:
+            assert run_campaign(code8, model, trials, 5).to_json() == expected[trials], (rows, trials)
