@@ -179,8 +179,10 @@ def cmd_verify(args) -> int:
             lines.append("seed generators: ok")
 
     oracle_report = None
-    if args.oracle and group is not None and not failures:
-        if code.n > oracle.MAX_QUBITS:
+    if args.oracle:
+        if failures:
+            lines.append("oracle: skipped (an earlier check failed)")
+        elif code.n > oracle.MAX_QUBITS:
             lines.append(f"oracle: skipped (n={code.n} exceeds cap {oracle.MAX_QUBITS})")
         else:
             oracle_report = oracle.verify_code(code, args.t)

@@ -6,8 +6,11 @@ code claims are checked with Gram matrices and numerical rank.  Amplitude
 index = basis label as an int (qubit i at bit i-1).
 
 verify_code works in real arithmetic (the code basis and every Pauli are
-real under Y = XZ) and takes the rank as the count of eigenvalues
-sigma^2 > ATOL of the smaller real Gram matrix, v v^T or v^T v.
+real under Y = XZ).  Its errors are one int64 (x, z) table in iter_errors
+order, with syndromes taken as parities against the generators, and their
+images fill v by one gather per about GRAM_BLOCK_ROWS rows.  The rank is
+the count of eigenvalues sigma^2 > ATOL of the smaller real Gram matrix,
+v v^T or v^T v.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .codewords import FormalState, basis as codeword_basis
 from .pauli import PauliOperator, letter
-from .stabilizer import iter_errors, syndrome, validate
+from .stabilizer import _descriptors, materialize, validate
 
 MAX_QUBITS = 12
 ATOL = 1e-10
@@ -184,35 +187,47 @@ def verify_code(code, t: int) -> VerificationReport:
     numerical rank.
 
     The arithmetic is real: Y = XZ is a real matrix, Pauli signs are +-1 and
-    formal-state terms are integers, so the basis amplitudes and the
-    pauli_action coefficients have zero imaginary parts and are held as
-    float64.  The rank is the count of eigenvalues sigma^2 > ATOL of the
+    formal-state terms are integers, so the basis amplitudes and the +-1
+    signs of each gather (pauli_action's, with no PauliOperator per error)
+    are float64.  The rank is the count of eigenvalues sigma^2 > ATOL of the
     smaller of the two Gram matrices v v^T and v^T v of the image matrix v.
     For a valid code v^T v is the sum over syndromes s of m_s P_s, with P_s
     the projector onto the syndrome-s space and m_s the number of errors
     with syndrome s, so every eigenvalue is a nonnegative integer.
     """
-    _check_n(code.n)
-    group = validate(code.n, code.generators)
+    n = code.n
+    _check_n(n)
+    group = validate(n, code.generators)
     states = np.stack(
         [dense_from_formal(s).amplitudes.real for s in codeword_basis(group, code.seed_generators)]
     )
     count = len(states)
 
-    def images(op: PauliOperator) -> np.ndarray:
-        """op applied to every basis state: one gather over the stacked rows."""
-        perm, coef = pauli_action(code.n, op.x_bits, op.z_bits, op.sign)
-        return coef.real * states[:, perm]
+    def images(x: np.ndarray, z: np.ndarray):
+        """(first, block): +1 Paulis (x, z)[first:] on each basis state, about GRAM_BLOCK_ROWS rows."""
+        per = max(1, GRAM_BLOCK_ROWS // count)
+        for first in range(0, len(x), per):
+            perm = np.arange(1 << n, dtype=np.int64) ^ x[first : first + per, None]
+            coef = _PARITY_SIGNS[perm & z[first : first + per, None]]
+            yield first, (np.take(states, perm, axis=1) * coef).swapaxes(0, 1)
 
-    stab_ok = all(np.allclose(images(g), states, atol=ATOL) for g in group.generators)
+    gens = group.generators
+    gx, gz, gsign = np.array([(g.x_bits, g.z_bits, g.sign) for g in gens], dtype=np.int64).reshape(-1, 3).T
+    stab_ok = all(np.allclose(b, gsign[i : i + len(b), None, None] * states, atol=ATOL) for i, b in images(gx, gz))
 
-    # rows error-major, then basis state: row r is errors[r // count] on psi_(r % count)
-    errors = list(iter_errors(code.n, t))
-    v = np.empty((len(errors) * count, 1 << code.n))
-    for idx, e in enumerate(errors):
-        v[idx * count : (idx + 1) * count] = images(e)
-    svals = np.repeat([syndrome(group, e).value for e in errors], count)
-    lidx = np.tile(np.arange(count), len(errors))
+    # the error table, in iter_errors order; each error is +1, as its letters sit on distinct qubits
+    descs = list(_descriptors(n, 0, max(t, 0)))
+    ex = np.array([sum(1 << (i - 1) for i, L in d if L in "XY") for d in descs], dtype=np.int64)
+    ez = np.array([sum(1 << (i - 1) for i, L in d if L in "YZ") for d in descs], dtype=np.int64)
+    # syndrome bit r is set iff the error anticommutes with M_r; M_1 is the high bit
+    anti = np.bitwise_count((ex & gz[:, None]) ^ (ez & gx[:, None])).astype(np.int64) & 1
+    svals = np.repeat((anti << np.arange(len(gens) - 1, -1, -1)[:, None]).sum(axis=0), count)
+    # rows error-major, then basis state: row r is error r // count on psi_(r % count)
+    v = np.empty((len(descs), count, 1 << n))
+    for first, block in images(ex, ez):
+        v[first : first + len(block)] = block
+    v = v.reshape(-1, 1 << n)
+    lidx = np.tile(np.arange(count), len(descs))
 
     num = len(v)
     # Gram matrix in row blocks, so peak memory stays O(block * num); the
@@ -226,7 +241,7 @@ def verify_code(code, t: int) -> VerificationReport:
         if violations.any():
             row, col = map(int, np.argwhere(violations)[0])
             (e_r, i_r), (e_c, i_c) = divmod(start + row, count), divmod(col, count)
-            witness = (str(errors[e_r]), i_r, str(errors[e_c]), i_c)
+            witness = (str(materialize(n, descs[e_r])), i_r, str(materialize(n, descs[e_c])), i_c)
             break
     orth_ok = witness is None
 
@@ -238,7 +253,7 @@ def verify_code(code, t: int) -> VerificationReport:
         ok=stab_ok and orth_ok and rank_ok,
         num_vectors=num,
         rank=rank,
-        dimension=1 << code.n,
+        dimension=1 << n,
         stabilization_ok=stab_ok,
         orthogonality_ok=orth_ok,
         rank_ok=rank_ok,

@@ -112,6 +112,16 @@ def test_verify_t2_fails(capsys, code_path):
     assert "result: FAIL" in out
 
 
+def test_verify_oracle_skipped_after_a_failed_check(capsys, code_path):
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--t", "2", "--oracle")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["oracle: skipped (an earlier check failed)", "result: FAIL"]
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--t", "2", "--oracle", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["failures"] == ["correctability"] and "oracle" not in data
+
+
 def test_verify_json(capsys, code_path):
     code, out, _ = run_cli(capsys, "verify", str(code_path), "--json")
     assert code == 0

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from strategies import valid_groups
-from stabforge import bounds, codewords, oracle
+from stabforge import bounds, codewords, oracle, stabilizer
 from stabforge.family import CodeSpec
 from stabforge.codewords import FormalState, basis
 from stabforge.oracle import (
@@ -18,7 +20,7 @@ from stabforge.oracle import (
     verify_code,
 )
 from stabforge.pauli import PauliOperator, parse, single
-from stabforge.stabilizer import iter_errors, syndrome, validate
+from stabforge.stabilizer import iter_errors, materialize, syndrome, validate
 
 
 def random_op(rng, n):
@@ -156,6 +158,41 @@ def test_verify_code_t2_report_is_pinned(code8):
     )
 
 
+def test_verify_code_t3_report_is_pinned(code8):
+    # past weight 2 the error table must still follow iter_errors order
+    report = verify_code(code8, 3)
+    assert (report.rank, report.num_vectors) == (256, 14312)
+    assert str(report).splitlines()[-2:] == [
+        "  rank: 256/14312 in dimension 256 (FAIL)",
+        "  witness: <+IIIIIIII psi_0 | +YXZIIIII psi_1> != 0",
+    ]
+
+
+def test_verify_code_t2_memory_peak(code8):
+    verify_code(code8, 2)  # first-call allocations are not the oracle's
+    tracemalloc.start()
+    try:
+        verify_code(code8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # v alone is 2216 x 256 float64, 4.33 MiB; the gathers add one block at a time
+    assert peak <= 7.5 * 2**20
+
+
+def test_verify_code_materializes_only_the_witness(code8, monkeypatch):
+    calls = []
+
+    def counting(n, desc):
+        calls.append(desc)
+        return materialize(n, desc)
+
+    monkeypatch.setattr(oracle, "materialize", counting)
+    monkeypatch.setattr(stabilizer, "materialize", counting)
+    assert verify_code(code8, 2).witness is not None
+    assert len(calls) <= 2
+
+
 def reference_verify_code(code, t):
     """verify_code as it was before the images were batched and made real:
     one complex apply_pauli per (error, basis state) and the SVD rank of the
@@ -220,6 +257,15 @@ def test_verify_code_matches_per_image_reference_on_family(code8, t):
     report = verify_code(Z4_CODE, t)
     assert report == reference_verify_code(Z4_CODE, t)
     assert (report.rank, report.num_vectors) == Z4_RANKS[t]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8, 64, 4096])
+def test_verify_code_gather_split_matches_shipped(code8, monkeypatch, rows):
+    # GRAM_BLOCK_ROWS // 2^k errors per gather; at 1 or 3 rows each gather still takes one whole error
+    cases = [(code, t) for code in (code8, Z4_CODE) for t in (0, 1, 2)]
+    shipped = [verify_code(code, t) for code, t in cases]
+    monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", rows)
+    assert [verify_code(code, t) for code, t in cases] == shipped
 
 
 @settings(max_examples=40, deadline=None)
