@@ -321,29 +321,11 @@ def cmd_simulate(args) -> int:
 BOUND_TABLE_MAX_N = 13
 
 
-def _tables_text() -> str:
+def cmd_tables(args) -> int:
     assignment = family.assign_numbers(3)
     code = family.build_code(3)
-    lines = []
-    lines.append("single-qubit error syndromes f(X_i), f(Z_i), f(Y_i) for n=8:")
-    lines.append(_syndrome_grid(assignment))
-    lines.append("")
-    lines.append("generators and seed generators for n=8:")
-    lines.append(_operator_rows("M", code.generators))
-    lines.append(_operator_rows("N", code.seed_generators))
-    lines.append("")
-    lines.append("maximum k allowed by the quantum Hamming bound (t=1):")
-    lines.append(" n  k")
-    for n, k in bounds.qhb_table(BOUND_TABLE_MAX_N, 1):
-        if n >= 5:
-            lines.append(f"{n:>2}  {k}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_tables(args) -> int:
+    rows = [(n, k) for n, k in bounds.qhb_table(BOUND_TABLE_MAX_N, 1) if n >= 5]
     if args.json:
-        assignment = family.assign_numbers(3)
-        code = family.build_code(3)
         payload = {
             "syndromes": {
                 name: [assignment.as_string(int(v)) for v in values]
@@ -353,13 +335,21 @@ def cmd_tables(args) -> int:
                 "generators": [pauli.format(g) for g in code.generators],
                 "seed_generators": [pauli.format(g) for g in code.seed_generators],
             },
-            "bound": [
-                {"n": n, "max_k": k} for n, k in bounds.qhb_table(BOUND_TABLE_MAX_N, 1) if n >= 5
-            ],
+            "bound": [{"n": n, "max_k": k} for n, k in rows],
         }
         print(json.dumps(payload, indent=2))
     else:
-        sys.stdout.write(_tables_text())
+        print("single-qubit error syndromes f(X_i), f(Z_i), f(Y_i) for n=8:")
+        print(_syndrome_grid(assignment))
+        print()
+        print("generators and seed generators for n=8:")
+        print(_operator_rows("M", code.generators))
+        print(_operator_rows("N", code.seed_generators))
+        print()
+        print("maximum k allowed by the quantum Hamming bound (t=1):")
+        print(" n  k")
+        for n, k in rows:
+            print(f"{n:>2}  {k}")
     return 0
 
 

@@ -48,12 +48,6 @@ class FormalState:
     n: int
     terms: dict[int, int] = field(default_factory=dict)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.terms)
-
     def canonical(self) -> "FormalState":
         """Flip the global sign so the lexicographically smallest label has +1."""
         if not self.terms:
@@ -73,23 +67,6 @@ class FormalState:
 
 def label_to_string(label: int, n: int) -> str:
     return "".join("1" if (label >> b) & 1 else "0" for b in range(n))
-
-
-def string_to_label(s: str) -> int:
-    if not s or set(s) - {"0", "1"}:
-        raise ValueError(f"bad basis label {s!r}")
-    return sum(1 << b for b, ch in enumerate(s) if ch == "1")
-
-
-def apply_pauli(op: PauliOperator, state: FormalState) -> FormalState:
-    """Exact action of a Pauli on a formal state (label permutation with signs)."""
-    if op.n != state.n:
-        raise ValueError("qubit count mismatch")
-    out: dict[int, int] = {}
-    for label, coeff in state.terms.items():
-        phase = -1 if (op.z_bits & label).bit_count() % 2 else 1
-        out[label ^ op.x_bits] = coeff * op.sign * phase
-    return FormalState(state.n, out)
 
 
 def classify_generators(group: StabilizerGroup) -> GeneratorClassification:
@@ -224,15 +201,23 @@ def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.nda
 
 
 def _as_label(seed, n: int) -> int:
-    if isinstance(seed, str):
-        seed = string_to_label(seed)
-    if not 0 <= seed < (1 << n):
-        raise ValueError(f"seed label out of range for {n} qubits")
-    return seed
+    """seed as a basis label: an integer, not a bool, in 0..2^n - 1 (else ValueError)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << n:
+        raise ValueError(f"seed label must be an integer in 0..2^{n} - 1, got {seed!r}")
+    return int(seed)
+
+
+def _seed_label(xs, bits) -> int:
+    """The XOR of the seed X-parts xs that the logical bits select."""
+    label = 0
+    for x, bit in zip(xs, bits):
+        if bit:
+            label ^= x
+    return label
 
 
 def codeword(group: StabilizerGroup, seed, _cls: GeneratorClassification | None = None) -> FormalState:
-    """Orbit sum of a seed label under the group, canonically signed.
+    """Orbit sum of an integer seed label under the group, canonically signed.
 
     Returns the zero state iff some type-2 generator has eigenvalue -1 on
     the seed; otherwise exactly 2^b terms with coefficients +/-1.
@@ -257,22 +242,16 @@ def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
     The seeds are one PureXList of k seeds on n qubits (anything else raises
     TypeError, a wrong count ValueError).  The seed label is
     N_1^{c_1}..N_k^{c_k}|0..0>; the result is the unnormalized orbit sum
-    (the 2^{b/2} normalization is left to callers).
+    (the 2^{b/2} normalization is left to callers).  The word is a string
+    of "0"/"1" or a sequence of integers 0 or 1, not bools (else ValueError).
     """
     k = _require_k_seeds(group, seeds)
-    if isinstance(logical, str):
-        if set(logical) - {"0", "1"}:
-            raise ValueError(f"bad logical word {logical!r}")
-        bits = [int(ch) for ch in logical]
-    else:
-        bits = [int(b) for b in logical]
+    bits = [int(ch) if ch in "01" else None for ch in logical] if isinstance(logical, str) else list(logical)
+    if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and b in (0, 1) for b in bits):
+        raise ValueError(f"bad logical word {logical!r}")
     if len(bits) != k:
         raise ValueError(f"logical word length {len(bits)} does not match k = {k}")
-    label = 0
-    for bit, gen in zip(bits, seeds):
-        if bit:
-            label ^= gen.x_bits
-    return codeword(group, label)
+    return codeword(group, _seed_label([s.x_bits for s in seeds], bits))
 
 
 def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
@@ -282,11 +261,4 @@ def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
     k = _require_k_seeds(group, seeds)
     xs = [s.x_bits for s in seeds]
     cls = classify_generators(group)
-    out = []
-    for i in range(1 << k):
-        label = 0
-        for r in range(k):
-            if (i >> r) & 1:
-                label ^= xs[r]
-        out.append(codeword(group, label, _cls=cls))
-    return out
+    return [codeword(group, _seed_label(xs, ((i >> r) & 1 for r in range(k))), _cls=cls) for i in range(1 << k)]

@@ -21,19 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .codewords import FormalState, basis as codeword_basis
-from .pauli import PauliOperator, letter
+from .pauli import PauliOperator
 from .stabilizer import _descriptors, materialize, validate
 
 MAX_QUBITS = 12
 ATOL = 1e-10
 GRAM_BLOCK_ROWS = 64
-
-# the real single-qubit basis matrices; Y = X @ Z
-MAT_I = np.array([[1.0, 0.0], [0.0, 1.0]])
-MAT_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-MAT_Y = np.array([[0.0, -1.0], [1.0, 0.0]])
-MAT_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-LETTER_MATRICES = {"I": MAT_I, "X": MAT_X, "Y": MAT_Y, "Z": MAT_Z}
 
 
 class TooManyQubitsError(ValueError):
@@ -63,13 +56,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-def basis_state(n: int, label: int) -> StateVector:
-    _check_n(n)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[label] = 1.0
-    return StateVector(n, amps)
 
 
 def dense_from_formal(state: FormalState) -> StateVector:
@@ -130,15 +116,6 @@ def single_qubit_product(m: np.ndarray, i: int, amps: np.ndarray) -> np.ndarray:
     """The 2x2 complex matrix m on qubit i of every row of amps (..., 2^n)."""
     cube = amps.reshape(-1, 2, 1 << (i - 1))
     return np.einsum("ab,xbz->xaz", m, cube).reshape(amps.shape)
-
-
-def pauli_matrix(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of op (Kronecker product, qubit n first)."""
-    _check_n(op.n)
-    m = np.array([[1.0]])
-    for i in range(op.n, 0, -1):
-        m = np.kron(m, LETTER_MATRICES[letter(op, i)])
-    return op.sign * m
 
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:

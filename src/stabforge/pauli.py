@@ -65,9 +65,6 @@ class PauliOperator:
         if self.z_bits < 0 or self.z_bits >> self.n:
             raise ValueError("z_bits out of range for n qubits")
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return format(self)
 

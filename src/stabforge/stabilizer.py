@@ -75,15 +75,6 @@ class Syndrome:
             return ""
         return format(self.value, f"0{self.length}b")
 
-    def __xor__(self, other: "Syndrome") -> "Syndrome":
-        if self.length != other.length:
-            raise ValueError("syndrome length mismatch")
-        return Syndrome(self.value ^ other.value, self.length)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Syndrome":
-        return cls(int(s, 2) if s else 0, len(s))
-
 
 class SignedEchelon:
     """Signed GF(2) echelon form of Pauli operators.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import table_data
-from stabforge import cli, family, pauli, stabilizer
+from stabforge import cli, family, oracle, pauli, stabilizer
 from stabforge.stabilizer import materialize
 
 GOLDEN = Path(__file__).parent / "golden"
+# sha256 of the whole `tables --json` output, trailing newline included
+TABLES_JSON_SHA256 = "0c1c1d9e8d29a9b75a5833f53d5db80443ee749d013ea6fba002db437bdfb69a"
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +85,7 @@ def test_tables_json(capsys):
     assert data["syndromes"]["fx"] == table_data.FX
     assert data["code"]["generators"] == table_data.GENERATORS
     assert [row["max_k"] for row in data["bound"]] == [1, 1, 2, 3, 4, 5, 5, 6, 7]
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_JSON_SHA256
 
 
 @pytest.fixture()
@@ -120,6 +124,23 @@ def test_verify_oracle_skipped_after_a_failed_check(capsys, code_path):
     assert code == 1
     data = json.loads(out)
     assert data["failures"] == ["correctability"] and "oracle" not in data
+
+
+def test_verify_reports_a_failing_oracle(capsys, code_path, monkeypatch):
+    failing = oracle.VerificationReport(
+        ok=False, num_vectors=200, rank=199, dimension=256,
+        stabilization_ok=True, orthogonality_ok=True, rank_ok=False,
+    )
+    monkeypatch.setattr(oracle, "verify_code", lambda code, t: failing)
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--oracle")
+    assert code == 1
+    assert "oracle verification: FAIL" in out.splitlines()
+    assert out.splitlines()[-1] == "result: FAIL"
+    code, out, _ = run_cli(capsys, "verify", str(code_path), "--oracle", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["failures"] == ["oracle"]
+    assert data["oracle"] == {"rank": 199, "num_vectors": 200, "dimension": 256}
 
 
 def test_verify_json(capsys, code_path):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import table_data
+from reference import apply_pauli_formal
 from strategies import IntEchelon, rank, valid_groups
 from stabforge import codewords, pauli
 from stabforge.codewords import (
     FormalState,
     MinusSignPureZError,
-    apply_pauli,
     basis,
     check_seeds,
     classify_generators,
@@ -20,17 +20,14 @@ from stabforge.codewords import (
     encode,
     label_to_string,
     seed_generators,
-    string_to_label,
 )
 from stabforge.pauli import PauliOperator, multiply, parse, pure_xs, x_parts
 from stabforge.stabilizer import enumerate_elements, validate
 
 
-def test_labels_round_trip():
-    assert label_to_string(string_to_label("11000000"), 8) == "11000000"
-    assert string_to_label("10") == 1
-    with pytest.raises(ValueError):
-        string_to_label("102")
+def test_label_text_puts_qubit_1_leftmost():
+    assert label_to_string(0b11, 8) == "11000000"
+    assert label_to_string(1, 2) == "10"
 
 
 def test_classify_family(group8, code8):
@@ -179,12 +176,12 @@ def test_codeword_group_size_guard():
 
 def test_codeword_killed_seed():
     group = validate(2, [parse("ZZ")])
-    assert codeword(group, "01").is_zero()
-    assert codeword(group, "00").terms == {string_to_label("00"): 1}
+    assert not codeword(group, 0b10).terms  # "01": qubit 2 set, so ZZ has eigenvalue -1
+    assert codeword(group, 0).terms == {0: 1}
 
 
 def test_codeword_psi0_golden(group8):
-    state = codeword(group8, "00000000")
+    state = codeword(group8, 0)
     expected = table_data.canonical_word(table_data.CODE_WORDS[0])
     assert {label_to_string(l, 8): c for l, c in state.terms.items()} == expected
 
@@ -205,6 +202,37 @@ def test_encode_all_zeros_is_codeword(group8, code8):
 def test_encode_rejects_wrong_length(group8, code8):
     with pytest.raises(ValueError):
         encode(group8, code8.seed_generators, "0000")
+
+
+@pytest.mark.parametrize(
+    "word", [[2, 0, 0], [0.7, 0, 0], [-1, 0, 0], [True, False, False], [1.0, 0, 0], "0a1", ["0", "1", "1"]]
+)
+def test_encode_refuses_entries_that_are_not_integer_bits(group8, code8, word):
+    # int() or truthiness would misread each of these as a bit
+    with pytest.raises(ValueError, match=r"^bad logical word "):
+        encode(group8, code8.seed_generators, word)
+
+
+def test_encode_takes_text_lists_and_arrays_alike(group8, code8):
+    import numpy as np
+
+    want = encode(group8, code8.seed_generators, "011")
+    assert want == codeword(group8, code8.seed_generators[1].x_bits ^ code8.seed_generators[2].x_bits)
+    assert encode(group8, code8.seed_generators, [0, 1, 1]) == want
+    assert encode(group8, code8.seed_generators, np.array([0, 1, 1])) == want
+
+
+@pytest.mark.parametrize("label", [True, 1.5, "01", -1, 2**8])
+def test_codeword_takes_only_integer_labels_in_range(group8, label):
+    # a bool is not a label, and a float would fail inside & with a bare TypeError
+    with pytest.raises(ValueError, match=r"^seed label must be an integer in 0\.\.2\^8 - 1, got .+$"):
+        codeword(group8, label)
+
+
+def test_codeword_takes_numpy_integer_labels(group8):
+    import numpy as np
+
+    assert codeword(group8, np.int64(255)) == codeword(group8, 255)
 
 
 def test_basis_matches_golden_words(group8, code8):
@@ -231,7 +259,7 @@ def test_stabilization_exact(group8, code8):
     states = basis(group8, code8.seed_generators)
     for m in enumerate_elements(group8):
         for s in states:
-            assert apply_pauli(m, s).terms == s.terms
+            assert apply_pauli_formal(m, s).terms == s.terms
 
 
 def test_term_counts_and_coeffs(group8, code8):
@@ -244,7 +272,7 @@ def test_term_counts_and_coeffs(group8, code8):
 def test_support_partition(group8, code8):
     cls = classify_generators(group8)
     states = basis(group8, code8.seed_generators)
-    supports = [s.support() for s in states]
+    supports = [frozenset(s.terms) for s in states]
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
             assert not supports[i] & supports[j]
@@ -262,17 +290,17 @@ def test_seed_equivalence(group8):
 
 
 def test_apply_pauli_formal_signs():
-    state = FormalState(2, {string_to_label("01"): 1})
-    flipped = apply_pauli(parse("IZ"), state)  # Z on qubit 2, which is set
-    assert flipped.terms == {string_to_label("01"): -1}
-    untouched = apply_pauli(parse("ZI"), state)  # Z on qubit 1, which is 0
-    assert untouched.terms == {string_to_label("01"): 1}
-    moved = apply_pauli(parse("XI"), state)
-    assert moved.terms == {string_to_label("11"): 1}
+    state = FormalState(2, {0b10: 1})  # "01"
+    flipped = apply_pauli_formal(parse("IZ"), state)  # Z on qubit 2, which is set
+    assert flipped.terms == {0b10: -1}
+    untouched = apply_pauli_formal(parse("ZI"), state)  # Z on qubit 1, which is 0
+    assert untouched.terms == {0b10: 1}
+    moved = apply_pauli_formal(parse("XI"), state)
+    assert moved.terms == {0b11: 1}  # "11"
 
 
 def test_to_rows_sorted():
-    state = FormalState(2, {string_to_label("10"): -1, string_to_label("01"): 1})
+    state = FormalState(2, {0b01: -1, 0b10: 1})  # "10" and "01"
     rows = state.to_rows()
     assert [r["label"] for r in rows] == ["01", "10"]
 
@@ -294,7 +322,7 @@ def test_negative_sign_type1_generator():
     states = basis(group, seed_generators(group))
     assert len(states) == 1
     assert states[0].terms == {0: 1, 1: -1}
-    assert apply_pauli(parse("-X"), states[0]).terms == states[0].terms
+    assert apply_pauli_formal(parse("-X"), states[0]).terms == states[0].terms
 
 
 def _random_valid_group(rng, n, a):
@@ -340,12 +368,12 @@ def test_random_groups_full_construction(rng):
         assert check_seeds(group, seeds) == []
         states = basis(group, seeds)
         assert len(states) == 1 << (n - group.a)
-        supports = [s.support() for s in states]
+        supports = [frozenset(s.terms) for s in states]
         for s in states:
             assert len(s.terms) == 1 << cls.b
             assert set(s.terms.values()) <= {1, -1}
             for m in enumerate_elements(group):
-                assert apply_pauli(m, s).terms == s.terms
+                assert apply_pauli_formal(m, s).terms == s.terms
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
                 assert not supports[i] & supports[j]

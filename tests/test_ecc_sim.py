@@ -40,9 +40,9 @@ def sim(code8):
 def test_table_size_and_entries(code8, group8):
     table = build_syndrome_table(code8, 1)
     assert len(table.entries) == 25
-    assert str(table.correction(Syndrome.from_string("00000"))) == "+IIIIIIII"
-    assert str(table.correction(Syndrome.from_string("11100"))) == "+IIYIIIII"  # Y_3
-    assert table.correction(Syndrome.from_string("00111")) is None  # 00... is never a weight-1 syndrome
+    assert str(table.correction(Syndrome(0b00000, 5))) == "+IIIIIIII"
+    assert str(table.correction(Syndrome(0b11100, 5))) == "+IIYIIIII"  # Y_3
+    assert table.correction(Syndrome(0b00111, 5)) is None  # 00... is never a weight-1 syndrome
 
 
 def test_table_rejects_t2(code8):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import LETTER_MATRICES, pauli_matrix
 from strategies import valid_groups
 from stabforge import bounds, codewords, oracle, stabilizer
 from stabforge.family import CodeSpec
@@ -13,10 +14,8 @@ from stabforge.oracle import (
     TooManyQubitsError,
     apply_pauli,
     apply_single_qubit,
-    basis_state,
     dense_from_formal,
     gram,
-    pauli_matrix,
     verify_code,
 )
 from stabforge.pauli import PauliOperator, parse, single
@@ -44,7 +43,7 @@ def test_dense_from_formal_table3(code8, group8, dense_basis):
 
 def test_dense_from_formal_simple():
     e0 = dense_from_formal(FormalState(2, {0: 1}))
-    assert np.array_equal(e0.amplitudes, basis_state(2, 0).amplitudes)
+    assert np.array_equal(e0.amplitudes, np.eye(4)[0])
     zero = dense_from_formal(FormalState(2, {}))
     assert zero.norm() == 0.0
 
@@ -56,10 +55,11 @@ def test_dense_cap():
 
 def test_apply_single_qubit_y_column():
     # Y|0> = |1> for the real Y matrix
-    out = apply_single_qubit([[0, -1], [1, 0]], 1, basis_state(1, 0))
-    assert np.allclose(out.amplitudes, basis_state(1, 1).amplitudes)
-    out = apply_single_qubit([[0, -1], [1, 0]], 1, basis_state(1, 1))
-    assert np.allclose(out.amplitudes, -basis_state(1, 0).amplitudes)
+    ket0, ket1 = (StateVector(1, np.eye(2)[label]) for label in (0, 1))
+    out = apply_single_qubit([[0, -1], [1, 0]], 1, ket0)
+    assert np.allclose(out.amplitudes, ket1.amplitudes)
+    out = apply_single_qubit([[0, -1], [1, 0]], 1, ket1)
+    assert np.allclose(out.amplitudes, -ket0.amplitudes)
 
 
 def test_apply_single_qubit_projector_idempotent(rng):
@@ -81,7 +81,6 @@ def test_apply_pauli_matches_matrix(rng):
 
 
 def test_apply_pauli_matches_single_qubit_composition(rng):
-    from stabforge.oracle import LETTER_MATRICES
     from stabforge.pauli import letter
 
     for _ in range(100):

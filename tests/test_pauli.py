@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import MAT_X, MAT_Y, MAT_Z, pauli_matrix
 from stabforge import codewords, family, gf2, pauli
 from stabforge.pauli import (
     PauliOperator,
@@ -17,23 +18,6 @@ from stabforge.pauli import (
     square_sign,
     weight,
 )
-
-# independent dense oracle: the four real basis matrices, qubit n first in
-# the Kronecker product so that amplitude index bit i-1 belongs to qubit i
-MATS = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Y": np.array([[0.0, -1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-
-
-def op_matrix(p):
-    m = np.array([[1.0]])
-    for i in range(p.n, 0, -1):
-        m = np.kron(m, MATS[letter(p, i)])
-    return p.sign * m
-
 
 def random_op(rng, n):
     return PauliOperator(
@@ -92,9 +76,9 @@ def test_multiply_squares():
 
 def test_multiply_zx_matches_matrix_arithmetic():
     # oracle: Z @ X = [[0,1],[-1,0]] = -Y under the printed basis
-    assert np.array_equal(MATS["Z"] @ MATS["X"], -MATS["Y"])
+    assert np.array_equal(MAT_Z @ MAT_X, -MAT_Y)
     assert pauli.format(multiply(parse("+Z"), parse("+X"))) == "-Y"
-    assert np.array_equal(MATS["X"] @ MATS["Z"], MATS["Y"])
+    assert np.array_equal(MAT_X @ MAT_Z, MAT_Y)
     assert pauli.format(multiply(parse("+X"), parse("+Z"))) == "+Y"
 
 
@@ -186,8 +170,8 @@ def test_matrix_oracle_equivalence(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         p, q = random_op(rng, n), random_op(rng, n)
-        mp, mq = op_matrix(p), op_matrix(q)
-        assert np.array_equal(op_matrix(multiply(p, q)), mp @ mq)
+        mp, mq = pauli_matrix(p), pauli_matrix(q)
+        assert np.array_equal(pauli_matrix(multiply(p, q)), mp @ mq)
         assert commutes(p, q) == np.array_equal(mp @ mq, mq @ mp)
         assert np.array_equal(mp @ mp, square_sign(p) * np.eye(1 << n))
 
