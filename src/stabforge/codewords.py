@@ -243,10 +243,14 @@ def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
     TypeError, a wrong count ValueError).  The seed label is
     N_1^{c_1}..N_k^{c_k}|0..0>; the result is the unnormalized orbit sum
     (the 2^{b/2} normalization is left to callers).  The word is a string
-    of "0"/"1" or a sequence of integers 0 or 1, not bools (else ValueError).
+    of "0"/"1" or a sequence of integers 0 or 1, not bools; anything else,
+    a bare integer or None included, raises ValueError.
     """
     k = _require_k_seeds(group, seeds)
-    bits = [int(ch) if ch in "01" else None for ch in logical] if isinstance(logical, str) else list(logical)
+    try:
+        bits = [int(ch) if ch in "01" else None for ch in logical] if isinstance(logical, str) else list(logical)
+    except TypeError:  # not a sequence, such as 5 or None
+        bits = [None]
     if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) and b in (0, 1) for b in bits):
         raise ValueError(f"bad logical word {logical!r}")
     if len(bits) != k:

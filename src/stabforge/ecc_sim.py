@@ -18,7 +18,11 @@ np.vecdot, one BLAS dot per row over its real parts plus one over its
 imaginary parts, as np.linalg.norm reduces them; a division by a real is a
 product with its reciprocal, as numpy divides a complex by a real.  No
 float of a row depends on the other rows, so the output of a campaign does
-not depend on how its trials are split into blocks.
+not depend on how its trials are split into blocks.  A Pauli-damaged row
+is an exact joint eigenstate: the basis rows are exact +1 eigenvectors with
+disjoint supports and one magnitude, a gemv adds only exact zeros to
+c_w B[w, x], gathers are exact and rounding is symmetric in sign, so each
+projection gives the row or zero and _measure_rows keeps only the rescales.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from .stabilizer import (
 )
 
 FIDELITY_TOL = 1e-10
-# trials simulated together as rows of one (rows, 2^n) array; bounds the
-# extra memory of a campaign to a few such arrays
-TRIAL_BLOCK_ROWS = 8
+# trials simulated together as rows of one (rows, 2^n) complex array, 2 MiB
+# at n = 12; the extra memory of a campaign is a few such arrays
+TRIAL_BLOCK_ROWS = 32
 _PROB_EPS = 1e-12
 _ZERO_NORM = 1e-15
 
@@ -158,15 +162,15 @@ def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
 
 
 @functools.lru_cache(maxsize=8)
-def _generator_actions(group: StabilizerGroup) -> tuple:
-    """Each generator as a real gather and a +-1 sign on the float64 view,
-    read-only and cached, so that measure_syndrome reuses a Simulator's."""
-    actions = []
-    for g in group.generators:
-        perm, coef = pauli_action(group.n, g.x_bits, g.z_bits, g.sign)
-        actions.append(((2 * perm[:, None] + (0, 1)).ravel(), np.repeat(coef.real, 2)))
-        actions[-1][0].flags.writeable = actions[-1][1].flags.writeable = False
-    return tuple(actions)
+def _generator_actions(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The generators as real gathers and +-1 signs on the float64 view, one
+    (a, 2^(n+1)) array each, read-only and cached for measure_syndrome."""
+    perms, signs = np.empty((group.a, 2 << group.n), np.int64), np.empty((group.a, 2 << group.n))
+    for g, perm, sign in zip(group.generators, perms, signs):
+        p, coef = pauli_action(group.n, g.x_bits, g.z_bits, g.sign)
+        perm[:], sign[:] = (2 * p[:, None] + (0, 1)).ravel(), np.repeat(coef.real, 2)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
 
 
 def _row_sqnorms(f: np.ndarray) -> list[float]:
@@ -192,19 +196,45 @@ def _apply_paulis(amps: np.ndarray, paulis) -> np.ndarray:
     return out
 
 
-def _measure_rows(amps, norms, actions, rngs) -> tuple[list[int], np.ndarray]:
+def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
+    """The eigenstate step of _measure_rows on the scaled rows f, or None."""
+    rows, i0 = np.arange(len(f)), np.abs(f).argmax(axis=1)
+    f0, moved = f[rows, i0], signs[:, i0] * f[rows, perms[:, i0]]
+    minus = moved == -f0
+    if not (minus ^ (moved == f0)).all():  # a zero f0 matches both signs, a nan neither
+        return None
+    values, out, pending = [0] * len(f), f.copy(), set(range(len(f)))  # pending: next rescale may not be 1.0
+    for bits in minus.tolist():
+        values = [(v << 1) | b for v, b in zip(values, bits)]  # -1: (f + f) / 2, rescaled by 1.0
+        if todo := {r for r in pending if not bits[r]}:
+            ps = {r: math.sqrt(sq) ** 2 for r, sq in enumerate(_row_sqnorms(out)) if r in todo}
+            if min(ps.values()) < 1.0 - _PROB_EPS:
+                return None  # a projection would draw its outcome
+            scales = [1.0 / math.sqrt(ps[r]) if r in ps else 1.0 for r in range(len(f))]
+            pending -= {r for r in todo if scales[r] == 1.0}
+            out *= np.array(scales)[:, None]
+    return values, out.view(np.complex128)
+
+
+def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], np.ndarray]:
     """Projectively measure each generator in order on every row of amps.
 
-    Row r has norm norms[r] > 0 and draws only from rngs[r].  The
-    arithmetic is element-wise or per row, so each row gets the floats it
-    would get alone.  Returns the syndrome values and the collapsed rows.
+    Row r has norm norms[r] > 0 and draws only from rngs[r].  The arithmetic
+    is element-wise or per row, so each row gets the floats it would get
+    alone.  Returns the syndrome values and the collapsed rows.  With eigen
+    (Pauli-damaged code states, see above), bit j is 1 if generator j maps a
+    row's largest float to exactly minus itself, 0 if to itself; -1 keeps the
+    row, +1 rescales it by 1 / sqrt(p) as its projection does, up to the
+    first 1.0.  A row that matches neither sign projects the whole block.
     """
     # numpy divides a complex by a real c as the product of both parts with
     # 1.0 / c, so scaling the float64 view gives the same floats up to the
     # sign of a zero, which no output can see
     f = amps.view(np.float64) * np.array([[1.0 / nrm] for nrm in norms])
+    if eigen and (measured := _eigen_rows(f, *actions)):
+        return measured
     values = [0] * len(rngs)
-    for perm, sign in actions:
+    for perm, sign in zip(*actions):
         moved = f.take(perm, axis=1)  # in place below: peak memory is these arrays
         moved *= sign
         plus = f + moved
@@ -365,8 +395,8 @@ class Simulator:
         if not live:
             return reports
         if len(live) < len(rngs):
-            psi, damaged, norms = psi[live], damaged[live], [norms[r] for r in live]
-        values, out = _measure_rows(damaged, norms, self._generator_actions, [rngs[r] for r in live])
+            psi, damaged, norms, rngs = psi[live], damaged[live], [norms[r] for r in live], [rngs[r] for r in live]
+        values, out = _measure_rows(damaged, norms, self._generator_actions, rngs, not isinstance(error, MatrixError))
         found = [self._corrections.get(v) or (Syndrome(v, self.group.a), None) for v in values]
         out = _apply_paulis(out, [(c.x_bits, c.z_bits, c.sign) if c else (0, 0, 1) for _, c in found])
         for r, (syn, corr), overlap in zip(live, found, np.vecdot(psi, out).tolist()):

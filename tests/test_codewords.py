@@ -213,6 +213,13 @@ def test_encode_refuses_entries_that_are_not_integer_bits(group8, code8, word):
         encode(group8, code8.seed_generators, word)
 
 
+@pytest.mark.parametrize("word", [5, None, 1.5])
+def test_encode_refuses_a_word_that_is_not_a_sequence(group8, code8, word):
+    # list(word) used to escape as a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(ValueError, match=rf"^bad logical word {word!r}$"):
+        encode(group8, code8.seed_generators, word)
+
+
 def test_encode_takes_text_lists_and_arrays_alike(group8, code8):
     import numpy as np
 

@@ -26,8 +26,8 @@ from stabforge.ecc_sim import (
     run_campaign,
     trial_rng,
 )
-from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit
-from stabforge.pauli import identity, multiply, parse, single
+from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, single_qubit_product
+from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome, validate
 from strategies import valid_groups
 
@@ -447,25 +447,32 @@ def test_measure_syndrome_reuses_the_simulator_actions(code8, group8):
     sim = Simulator(code8)
     actions = ecc_sim._generator_actions(StabilizerGroup(8, group8.generators))
     assert actions is sim._generator_actions
-    assert len(actions) == group8.a
-    for perm, coef in actions:
+    perms, signs = actions
+    assert perms.shape == signs.shape == (group8.a, 2 << 8)
+    for array in actions:
         with pytest.raises(ValueError):
-            coef[0] = 0
+            array[0, 0] = 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
-def test_random_groups_match_per_trial_reference(group, seed, p):
-    # signed generators and codes of every shape on n <= 7 qubits
+def _simulator_for(group: StabilizerGroup) -> Simulator:
+    """A t = 1 Simulator on the group, t = 0 if its syndromes collide; a
+    group whose seeds fall to MinusSignPureZError is skipped."""
     try:
         seeds = codewords.seed_generators(group)
     except codewords.MinusSignPureZError:
         assume(False)
     code = SimpleNamespace(n=group.n, generators=group.generators, seed_generators=seeds)
     try:
-        sim = Simulator(code, t=1)
+        return Simulator(code, t=1)
     except DegenerateSyndromesError:
-        sim = Simulator(code, t=0)
+        return Simulator(code, t=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
+def test_random_groups_match_per_trial_reference(group, seed, p):
+    # signed generators and codes of every shape on n <= 7 qubits
+    sim = _simulator_for(group)
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     for error in (DepolarizingError(p), MatrixError(m, int(rng.integers(1, group.n + 1)))):
@@ -651,7 +658,111 @@ def test_block_kernel_float_identities():
 def test_campaign_output_does_not_depend_on_the_block_split(code8, model, monkeypatch):
     trial_counts = [0] if model == "exhaustive" else [0, 1, 130]
     expected = {trials: run_campaign(code8, model, trials, 5).to_json() for trials in trial_counts}
-    for rows in (1, 3, 8, 64):
+    for rows in (1, 3, 8, 32, 64):
         monkeypatch.setattr(ecc_sim, "TRIAL_BLOCK_ROWS", rows)
         for trials in trial_counts:
             assert run_campaign(code8, model, trials, 5).to_json() == expected[trials], (rows, trials)
+
+
+# ---------------------------------------------------------------------------
+# The eigenstate step: a row damaged by a Pauli is read at one label and only
+# rescaled, with no projection gathers.  Its reports must still equal the
+# frozen per-trial reference bit for bit, fidelities compared with ==.
+
+
+def _logical_inputs(k: int, seed: int, words: int) -> list:
+    """None, the first `words` basis words and two unit amplitude vectors."""
+    gen = np.random.default_rng(seed)
+    vecs = [gen.standard_normal(1 << k) + 1j * gen.standard_normal(1 << k) for _ in range(2)]
+    return [None, *range(min(words, 1 << k)), *(v / np.linalg.norm(v) for v in vecs)]
+
+
+EIGEN_ERRORS = (
+    [PauliError(single(8, i, letter)) for i in range(1, 9) for letter in "XYZ"]
+    + [PauliError(parse(text)) for text in ("-XIIIIIII", "-IIIIYIII", "-IIIIIIIZ", "-IIIIIIII", "+XXIIIIII", "-YZXIIIYX")]
+    + [DepolarizingError(p) for p in (0.0, 0.05, 0.3, 1.0)]
+)
+
+
+@pytest.mark.parametrize("error", EIGEN_ERRORS, ids=lambda e: str(e.op) if isinstance(e, PauliError) else str(e.p))
+def test_eigen_step_matches_reference_on_code8(sim, error):
+    logicals = _logical_inputs(sim.k, 7, words=8)
+    block = sim._trial_block(error, [trial_rng(21, i) for i in range(len(logicals))], logicals)
+    assert block == [_ref_trial(sim, error, trial_rng(21, i), logical=lg) for i, lg in enumerate(logicals)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_eigen_step_matches_reference_on_random_groups(group, seed, data):
+    sim = _simulator_for(group)
+    n, bits = group.n, st.integers(0, (1 << group.n) - 1)
+    op = PauliOperator(n, data.draw(bits), data.draw(bits), data.draw(st.sampled_from([1, -1])))
+    logicals = _logical_inputs(sim.k, seed, words=4)
+    for error in (PauliError(op), DepolarizingError(data.draw(st.sampled_from([0.0, 0.2, 1.0])))):
+        block = sim._trial_block(error, [trial_rng(seed, i) for i in range(len(logicals))], logicals)
+        assert block == [_ref_trial(sim, error, trial_rng(seed, i), logical=lg) for i, lg in enumerate(logicals)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_eigen_step_on_the_empty_group(n):
+    # a = 0: no generator, every row has syndrome 0 and is rescaled by nothing
+    sim = _simulator_for(validate(n, []))
+    assert sim.group.a == 0 and sim._generator_actions[0].shape == (0, 2 << n)
+    logicals = _logical_inputs(sim.k, 3, words=4)
+    for error in (PauliError(PauliOperator(n, 1, 1, -1)), DepolarizingError(0.5)):
+        block = sim._trial_block(error, [trial_rng(6, i) for i in range(len(logicals))], logicals)
+        assert block == [_ref_trial(sim, error, trial_rng(6, i), logical=lg) for i, lg in enumerate(logicals)]
+
+
+def test_pauli_rows_skip_the_projections_and_matrix_rows_take_them(code8, monkeypatch):
+    steps = []
+    eigen_rows = ecc_sim._eigen_rows
+
+    def spy(f, perms, signs):
+        measured = eigen_rows(f, perms, signs)
+        steps.append(measured is not None)
+        return measured
+
+    monkeypatch.setattr(ecc_sim, "_eigen_rows", spy)
+    for model in ("exhaustive", "depolarizing:0.05", "depolarizing:1", "pauli:-ZIIIIIIX", "pauli:+XXIIIIII"):
+        run_campaign(code8, model, 3 * B + 1, 2)
+    assert len(steps) > 30 and all(steps)  # no Pauli block fell back
+    steps.clear()
+    for model in ("matrix:0,1,1,0@3", "matrix:0.5,0.1j,1,0@3", "matrix:1,0,0,0@4"):
+        run_campaign(code8, model, 3 * B + 1, 2)
+    assert steps == []  # matrix rows go straight to the projections
+
+
+def test_a_row_off_the_premise_sends_its_block_through_the_projections(sim):
+    """A matrix-damaged row is no eigenstate, and rows scaled by twice their
+    norm would draw their outcomes: either way the eigenstate step gives up
+    and the whole block is projected, with the same floats and draws."""
+    psi = sim._logical_amplitudes([trial_rng(4, i) for i in range(3)], [None, 2, None])
+    mixed = psi.copy()
+    mixed[1] = single_qubit_product(np.array([[0.6, 0.2j], [0.1, 1.0]]), 3, psi[1:2])[0]
+    true_norms = [math.sqrt(sq) for sq in ecc_sim._row_sqnorms(psi.view(np.float64))]
+    mixed_norms = [math.sqrt(sq) for sq in ecc_sim._row_sqnorms(mixed.view(np.float64))]
+    for amps, norms in ((mixed, mixed_norms), (psi, [2.0 * nrm for nrm in true_norms])):
+        f = amps.view(np.float64) * np.array([[1.0 / nrm] for nrm in norms])
+        assert ecc_sim._eigen_rows(f, *sim._generator_actions) is None
+        eigen_rngs, projected_rngs = ([trial_rng(5, i) for i in range(3)] for _ in range(2))
+        values, out = ecc_sim._measure_rows(amps, norms, sim._generator_actions, eigen_rngs, True)
+        want_values, want = ecc_sim._measure_rows(amps, norms, sim._generator_actions, projected_rngs)
+        assert values == want_values and np.array_equal(out.view(np.float64), want.view(np.float64))
+        assert [r.random() for r in eigen_rngs] == [r.random() for r in projected_rngs]
+    # the code states themselves, scaled by their own norms, take the eigenstate step
+    f = psi.view(np.float64) * np.array([[1.0 / nrm] for nrm in true_norms])
+    assert ecc_sim._eigen_rows(f, *sim._generator_actions) is not None
+
+
+@pytest.mark.parametrize(
+    "matrix, pauli",
+    [("matrix:0,1,1,0@3", "pauli:+IIXIIIII"), ("matrix:0,-1j,1j,0@5", "pauli:+IIIIYIII"), ("matrix:1,0,0,-1@8", "pauli:+IIIIIIIZ")],
+)
+def test_matrix_and_pauli_forms_of_one_error_give_one_campaign(code8, matrix, pauli):
+    # the matrix rows take the projections and the Pauli rows the eigenstate
+    # step, so this checks one branch against the other
+    def without_model(model):
+        return [line for line in run_campaign(code8, model, 1000, 0).to_json().splitlines() if '"model"' not in line]
+
+    assert without_model(matrix) == without_model(pauli)
