@@ -135,8 +135,8 @@ def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
     A group outside the seed construction (MinusSignPureZError) is one more
     problem, after the count check.
     """
-    n = _require_seeds(group, seeds)
-    problems = _count_problems(group, seeds)
+    n = group.n
+    problems = _require_seeds(seeds, n, n - group.a)
     try:
         cls = classify_generators(group)
     except MinusSignPureZError as exc:
@@ -155,31 +155,16 @@ def check_seeds(group: StabilizerGroup, seeds: PureXList) -> list[str]:
     return problems + [found[idx] for idx in sorted(found)]
 
 
-def _require_seeds(group: StabilizerGroup, seeds) -> int:
-    """group.n, once seeds is checked to be one PureXList on it (else TypeError)."""
-    n = group.n
+def _require_seeds(seeds, n: int, k: int | None = None) -> list[str]:
+    """The one seed rule, for CodeSpec, check_seeds, encode and basis: seeds
+    must be one PureXList on n qubits (else TypeError).  Given k, the result
+    is check_seeds' count problem if seeds does not hold k seeds."""
     if not (isinstance(seeds, PureXList) and seeds.n == n):
         raise TypeError(
             f"seeds must be a PureXList on {n} qubits: a CodeSpec's seed_generators, "
-            "or pauli.pure_xs / pauli.x_parts of +1 pure-X operators"
+            "or pauli.pure_xs of their qubit supports"
         )
-    return n
-
-
-def _count_problems(group: StabilizerGroup, seeds: PureXList) -> list[str]:
-    """check_seeds' count problem, if the list does not hold k = n - a seeds."""
-    k = group.n - group.a
-    return [] if len(seeds) == k else [f"expected {k} seed generators, got {len(seeds)}"]
-
-
-def _require_k_seeds(group: StabilizerGroup, seeds) -> int:
-    """k = n - a, once seeds is checked to be one PureXList on n qubits (else
-    TypeError) of k seeds (else ValueError, with check_seeds' wording)."""
-    _require_seeds(group, seeds)
-    problems = _count_problems(group, seeds)
-    if problems:
-        raise ValueError(problems[0])
-    return group.n - group.a
+    return [] if k is None or len(seeds) == k else [f"expected {k} seed generators, got {len(seeds)}"]
 
 
 def _support_checks(seeds: PureXList, type2, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +231,9 @@ def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
     of "0"/"1" or a sequence of integers 0 or 1, not bools; anything else,
     a bare integer or None included, raises ValueError.
     """
-    k = _require_k_seeds(group, seeds)
+    k = group.n - group.a
+    if problems := _require_seeds(seeds, group.n, k):
+        raise ValueError(problems[0])
     try:
         bits = [int(ch) if ch in "01" else None for ch in logical] if isinstance(logical, str) else list(logical)
     except TypeError:  # not a sequence, such as 5 or None
@@ -262,7 +249,9 @@ def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
     """All 2^{n-a} encodings, logical word index i with c_1 as its low bit;
     the seeds are one PureXList of k = n - a seeds on n qubits (anything else
     raises TypeError, a wrong count ValueError)."""
-    k = _require_k_seeds(group, seeds)
+    k = group.n - group.a
+    if problems := _require_seeds(seeds, group.n, k):
+        raise ValueError(problems[0])
     xs = [s.x_bits for s in seeds]
     cls = classify_generators(group)
     return [codeword(group, _seed_label(xs, ((i >> r) & 1 for r in range(k))), _cls=cls) for i in range(1 << k)]

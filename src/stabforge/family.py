@@ -95,11 +95,11 @@ def derive_generators(assignment: NumberAssignment) -> list[PauliOperator]:
 class CodeSpec:
     """Persistent description of a code: parameters, generators, seeds.
 
-    The seeds are one PureXList on n qubits, made from any +1 pure-X
-    operators on n qubits given; another seed raises ValueError.  Files are
-    written in version 2 only; version 1 files still load.  Each generator
-    is written as a Pauli string; version 2 writes each seed as its qubit
-    support, e.g. [1, 3] for X_1 X_3, and version 1 as a Pauli string.
+    The seeds must be one PureXList on n qubits; anything else raises
+    TypeError.  Files are written in version 2 only; version 1 files still
+    load.  Each generator is written as a Pauli string; version 2 writes
+    each seed as its qubit support, e.g. [1, 3] for X_1 X_3, and version 1
+    as a Pauli string, which the loader converts.
     """
 
     n: int
@@ -110,13 +110,7 @@ class CodeSpec:
     construction: str = CONSTRUCTION_NAME
 
     def __post_init__(self):
-        seeds, n = self.seed_generators, self.n
-        if not (isinstance(seeds, PureXList) and seeds.n == n):
-            seeds = list(seeds)
-            for idx, seed in enumerate(seeds, 1):
-                if not pauli.is_pure_x(seed, n):
-                    raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
-            object.__setattr__(self, "seed_generators", pauli.x_parts(n, seeds))
+        codewords._require_seeds(self.seed_generators, self.n)
 
     def group(self) -> StabilizerGroup:
         return validate(self.n, self.generators)
@@ -181,6 +175,8 @@ class CodeSpec:
             for idx, op in enumerate(generators, 1):
                 if op.n != n:
                     raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
+            if version == 1:
+                seeds = _pure_x_list(n, seeds)
             return cls(n, k, j, generators, seeds, construction)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed code spec: {exc}") from exc
@@ -208,6 +204,19 @@ def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:
     if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
         raise TypeError(f"{key} must be a list of Pauli strings")
     return tuple(pauli.parse(s) for s in texts)
+
+
+def _pure_x_list(n: int, ops) -> PureXList:
+    """Version 1 seeds, +1 pure-X operators on n qubits (else ValueError), as
+    one PureXList, their qubits from one numpy pass over their 64-bit words."""
+    for idx, op in enumerate(ops, 1):
+        if op.n != n or op.z_bits or op.sign != 1:
+            raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
+    words = (n + 63) // 64
+    raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in ops), dtype="<u8")
+    row, word = np.nonzero(raw.reshape(len(ops), words))
+    which, bit = np.nonzero(np.unpackbits(raw[row * words + word].view(np.uint8).reshape(-1, 8), 1, bitorder="little"))
+    return PureXList(n, np.cumsum(np.bincount(row[which], minlength=len(ops))), word[which] * 64 + bit + 1)
 
 
 def _json_supports(data: dict, key: str, n: int) -> PureXList:

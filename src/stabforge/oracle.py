@@ -172,6 +172,8 @@ def verify_code(code, t: int) -> VerificationReport:
     the projector onto the syndrome-s space and m_s the number of errors
     with syndrome s, so every eigenvalue is a nonnegative integer.
     """
+    if t < 0:
+        raise ValueError("t must be non-negative")
     n = code.n
     _check_n(n)
     group = validate(n, code.generators)
@@ -193,7 +195,7 @@ def verify_code(code, t: int) -> VerificationReport:
     stab_ok = all(np.allclose(b, gsign[i : i + len(b), None, None] * states, atol=ATOL) for i, b in images(gx, gz))
 
     # the error table, in iter_errors order; each error is +1, as its letters sit on distinct qubits
-    descs = list(_descriptors(n, 0, max(t, 0)))
+    descs = list(_descriptors(n, 0, t))
     ex = np.array([sum(1 << (i - 1) for i, L in d if L in "XY") for d in descs], dtype=np.int64)
     ez = np.array([sum(1 << (i - 1) for i, L in d if L in "YZ") for d in descs], dtype=np.int64)
     # syndrome bit r is set iff the error anticommutes with M_r; M_1 is the high bit

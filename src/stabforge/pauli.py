@@ -116,11 +116,12 @@ class PureXList(Sequence):
     a tuple of them).  It equals only another PureXList with the same n and
     arrays, and hashes like the tuple of its items.
 
-    The constructor is the one check of supports: 1 <= n < 2^63, ``ends``
-    non-decreasing from 0 to the qubit count, and each support strictly
-    ascending in 1..n, a range error anywhere before an order error, whose
-    ``support_index`` is the bad support's 1-based position.  Only then are
-    qubits narrowed (int32 if n < 2^31).
+    The constructor is the one check of supports: 1 <= n < 2^63, integer
+    entries only (a float or bool raises TypeError), ``ends`` non-decreasing
+    from 0 to the qubit count, and each support strictly ascending in 1..n,
+    a range error anywhere before an order error, whose ``support_index`` is
+    the bad support's 1-based position.  Only then are qubits narrowed
+    (int32 if n < 2^31).
     """
 
     __slots__ = ("_n", "_ends", "_qubits")
@@ -128,7 +129,11 @@ class PureXList(Sequence):
     def __init__(self, n: int, ends, qubits):
         if not 1 <= n < 1 << 63:
             raise ValueError(f"qubit count must lie in 1..2^63 - 1, got {n}")
-        ends, qubits = np.array(ends, dtype=np.int64), np.asarray(qubits)
+        ends, qubits = np.asarray(ends), np.asarray(qubits)
+        for name, a in (("ends", ends), ("qubits", qubits)):  # an object array holds pure_xs' out-of-range ints
+            if a.size and a.dtype.kind not in "iu" and not (a.dtype == object and set(map(type, a.flat)) <= {int}):
+                raise TypeError(f"{name} must hold integers, got {a.dtype} entries")
+        ends = np.array(ends, dtype=np.int64)
         if (np.diff(ends, prepend=0) < 0).any() or (ends[-1] if ends.size else 0) != qubits.size:
             raise ValueError(f"ends must rise from 0 to {qubits.size}, the qubit count")
         rising = np.diff(qubits) > 0
@@ -209,23 +214,6 @@ def pure_xs(n: int, supports) -> PureXList:
     except OverflowError:  # out of range, so kept as Python ints for the check to name
         qubits = np.array(flat, dtype=object)
     return PureXList(n, ends, qubits)
-
-
-def is_pure_x(op, n: int) -> bool:
-    """Whether op is a +1 pure-X operator on n qubits: the rule for a seed."""
-    return op.n == n and not op.z_bits and op.sign == 1
-
-
-def x_parts(n: int, ops) -> PureXList:
-    """The X-parts of ops, operators on n qubits, as one PureXList; those of
-    the ops that are not PureX come from one numpy pass over their words."""
-    dense, words = [op for op in ops if not isinstance(op, PureX)], (n + 63) // 64
-    raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in dense), dtype="<u8")
-    row, word = np.nonzero(raw.reshape(len(dense), words))
-    which, bit = np.nonzero(np.unpackbits(raw[row * words + word].view(np.uint8).reshape(-1, 8), 1, bitorder="little"))
-    ends = np.cumsum(np.bincount(row[which], minlength=len(dense)))
-    found = iter(PureXList(n, ends, word[which] * 64 + bit + 1).supports())
-    return pure_xs(n, [op.support if isinstance(op, PureX) else next(found) for op in ops])
 
 
 def _qubit(q) -> int:

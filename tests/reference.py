@@ -1,14 +1,15 @@
 """Reference implementations the tests compare the library against.
 
 They are written for clarity, not speed: a Pauli as its explicit 2^n x 2^n
-Kronecker matrix, and a Pauli acting on a formal state term by term.
+Kronecker matrix, a Pauli acting on a formal state term by term, and
+pure-X operators as a PureXList, read qubit by qubit.
 """
 
 import numpy as np
 
 from stabforge.codewords import FormalState
 from stabforge.oracle import MAX_QUBITS, TooManyQubitsError
-from stabforge.pauli import PauliOperator, letter
+from stabforge.pauli import PauliOperator, PureXList, letter, pure_xs
 
 # the real single-qubit basis matrices; Y = X @ Z
 MAT_I = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -37,3 +38,10 @@ def apply_pauli_formal(op: PauliOperator, state: FormalState) -> FormalState:
         phase = -1 if (op.z_bits & label).bit_count() % 2 else 1
         out[label ^ op.x_bits] = coeff * op.sign * phase
     return FormalState(state.n, out)
+
+
+def seed_list(n: int, ops) -> PureXList:
+    """ops, +1 pure-X operators on n qubits (dense or PureX), as one PureXList."""
+    assert all(op.n == n and not op.z_bits and op.sign == 1 for op in ops), "not +1 pure-X operators on n qubits"
+    # bit q - 1 of x_bits is qubit q, so the reversed binary digits list qubit 1 first
+    return pure_xs(n, [[q for q, bit in enumerate(reversed(f"{op.x_bits:b}"), 1) if bit == "1"] for op in ops])

@@ -1,4 +1,5 @@
-"""Hypothesis strategies and a reference GF(2) echelon shared by the tests."""
+"""Hypothesis strategies, random operators and a reference GF(2) echelon
+shared by the tests."""
 
 from hypothesis import strategies as st
 
@@ -30,6 +31,13 @@ class IntEchelon:
         if r:
             self.pivots[r.bit_length() - 1] = r
         return r
+
+
+def random_op(rng, n):
+    """A uniformly random signed Pauli operator on n qubits, from a numpy Generator."""
+    return PauliOperator(
+        n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.choice([1, -1]))
+    )
 
 
 def rank(rows) -> int:

@@ -1,13 +1,12 @@
 import dataclasses
 import hashlib
-import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 import table_data
-from reference import apply_pauli_formal
+from reference import apply_pauli_formal, seed_list
 from strategies import IntEchelon, rank, valid_groups
 from stabforge import codewords, pauli
 from stabforge.codewords import (
@@ -21,7 +20,7 @@ from stabforge.codewords import (
     label_to_string,
     seed_generators,
 )
-from stabforge.pauli import PauliOperator, multiply, parse, pure_xs, x_parts
+from stabforge.pauli import PauliOperator, multiply, parse, pure_xs
 from stabforge.stabilizer import enumerate_elements, validate
 
 
@@ -121,16 +120,16 @@ def test_check_seeds(group8, code8):
     assert check_seeds(group8, seeds) == []
     # wrong count
     assert check_seeds(group8, pure_xs(8, seeds.supports()[:2])) == ["expected 3 seed generators, got 2"]
-    # not pure X: no PureXList holds it, and a CodeSpec refuses it
+    # not pure X: no PureXList holds it, and a CodeSpec takes nothing else
     bad = [parse("+ZXIIIIII"), *seeds[1:]]
-    with pytest.raises(ValueError, match=re.escape("seed generator 1 is not a +1 pure-X operator on 8 qubits")):
+    with pytest.raises(TypeError, match="seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
         dataclasses.replace(code8, seed_generators=bad)
     # anticommutes with the type-2 generator
     bad[0] = parse("+XIIIIIII")
-    assert any("type-2" in p for p in check_seeds(group8, x_parts(8, bad)))
+    assert any("type-2" in p for p in check_seeds(group8, seed_list(8, bad)))
     # dependent modulo type-1 X-parts
     dep = [*seeds, multiply(seeds[1], seeds[2])]
-    assert any("dependent" in p for p in check_seeds(group8, x_parts(8, dep)))
+    assert any("dependent" in p for p in check_seeds(group8, seed_list(8, dep)))
 
 
 def test_check_seeds_takes_only_a_pure_x_list_on_n(group8, code8):

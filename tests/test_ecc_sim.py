@@ -27,7 +27,7 @@ from stabforge.ecc_sim import (
     trial_rng,
 )
 from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, single_qubit_product
-from stabforge.pauli import PauliOperator, identity, multiply, parse, single
+from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
 from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome, validate
 from strategies import valid_groups
 
@@ -521,7 +521,7 @@ def test_table_matches_reference_random(group, t):
 def _toy_code():
     # <ZZ> on two qubits: logical words |00> and |11>, so a |1><1| projector
     # on qubit 1 annihilates word 0 and keeps word 1
-    return family.CodeSpec(n=2, k=1, j=0, generators=(parse("+ZZ"),), seed_generators=(parse("+XX"),))
+    return family.CodeSpec(n=2, k=1, j=0, generators=(parse("+ZZ"),), seed_generators=pure_xs(2, [[1, 2]]))
 
 
 def test_kernel_raises_no_numpy_warnings(code8):

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import seed_list
 from strategies import IntEchelon
 from stabforge import family, gf2, pauli
 from stabforge.codewords import (
@@ -277,20 +278,30 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
 
 def assert_seed_problems_match_reference(group, claimed):
     """A claimed list of +1 pure-X seeds on n, as one PureXList, has the
-    reference's problems, which are returned.  Any other list is refused:
-    check_seeds raises TypeError, and CodeSpec names the first bad seed."""
+    reference's problems, which are returned, and a version 1 file of it
+    loads to that PureXList.  Any other list is refused: check_seeds and
+    CodeSpec raise TypeError, and the version 1 file names the first bad
+    seed."""
     n = group.n
     claimed = list(claimed)
-    bad = [idx for idx, s in enumerate(claimed, 1) if not pauli.is_pure_x(s, n)]
+    v1 = {
+        "n": n, "k": n - group.a, "j": 0, "generators": [pauli.format(g) for g in group.generators],
+        "seed_generators": [pauli.format(s) for s in claimed], "version": 1,
+    }
+    bad = [idx for idx, s in enumerate(claimed, 1) if s.n != n or s.z_bits or s.sign != 1]
     if not bad:
-        problems = check_seeds(group, pauli.x_parts(n, claimed))
+        seeds = seed_list(n, claimed)
+        assert family.CodeSpec.from_json_dict(v1).seed_generators == seeds
+        problems = check_seeds(group, seeds)
         assert problems == _reference_problems(group, claimed)
         return problems
     with pytest.raises(TypeError, match=f"seeds must be a PureXList on {n} qubits"):
         check_seeds(group, claimed)
-    message = f"seed generator {bad[0]} is not a +1 pure-X operator on {n} qubits"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(TypeError, match=f"seeds must be a PureXList on {n} qubits"):
         family.CodeSpec(n, n - group.a, 0, group.generators, claimed)
+    message = f"malformed code spec: seed generator {bad[0]} is not a +1 pure-X operator on {n} qubits"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        family.CodeSpec.from_json_dict(v1)
     return None
 
 
@@ -381,7 +392,7 @@ def test_seed_problems_keep_their_order():
         PureX(8, ()),  # the identity
         parse("+XIXIIIII"),
     ]
-    problems = check_seeds(group, pauli.x_parts(8, claimed))
+    problems = check_seeds(group, seed_list(8, claimed))
     assert problems == _reference_problems(group, claimed)
     assert problems == [
         "expected 3 seed generators, got 5",

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import table_data
 from stabforge import bounds, codewords, family, pauli, stabilizer
@@ -16,7 +17,7 @@ from stabforge.family import (
     derive_generators,
     letter_census,
 )
-from stabforge.pauli import PauliOperator, PureX, PureXList, commutes, letter, single, square_sign
+from stabforge.pauli import PauliOperator, PureX, PureXList, commutes, letter, pure_xs, single, square_sign
 
 
 def test_assign_numbers_golden():
@@ -283,7 +284,7 @@ def test_codespec_rejects_a_seed_that_is_not_pure_x(code8):
     # neither file version can hold such a seed, and no CodeSpec holds one
     for bad in ("+ZXIIIIII", "-XXIIIIII", "+XX"):
         seeds = (pauli.parse(bad),) + code8.seed_generators[1:]
-        with pytest.raises(ValueError, match="^seed generator 1 is not a \\+1 pure-X operator on 8 qubits$"):
+        with pytest.raises(TypeError, match="^seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
             dataclasses.replace(code8, seed_generators=seeds)
         data = {**code8.to_json_dict(), "seed_generators": [pauli.format(s) for s in seeds], "version": 1}
         with pytest.raises(ValueError) as malformed:
@@ -299,13 +300,78 @@ def test_codespec_seeds_are_one_pure_x_list(code8, tmp_path):
         code8,
         CodeSpec.load(path),
         CodeSpec.from_json_dict(v1),
-        dataclasses.replace(code8, seed_generators=list(code8.seed_generators)),
-        dataclasses.replace(code8, seed_generators=()),
+        dataclasses.replace(code8, seed_generators=pure_xs(8, code8.seed_generators.supports())),
+        dataclasses.replace(code8, seed_generators=pure_xs(8, [])),
     ]
     for spec in specs:
         assert isinstance(spec.seed_generators, PureXList) and spec.seed_generators.n == 8
-    assert specs[1:4] == [code8] * 3 and hash(specs[3]) == hash(code8)
+    assert specs[1:4] == [code8] * 3 and hash(specs[2]) == hash(specs[3]) == hash(code8)
     assert specs[4].to_json_dict()["seed_generators"] == []
+
+
+def test_codespec_takes_only_a_pure_x_list_on_n(code8):
+    seeds = code8.seed_generators
+    # a list, a tuple (a PureXList slice is one), an empty tuple and a PureXList on 9 qubits
+    for other in (list(seeds), seeds[:], (), pure_xs(9, seeds.supports())):
+        with pytest.raises(TypeError, match="^seeds must be a PureXList on 8 qubits: a CodeSpec's seed_generators"):
+            dataclasses.replace(code8, seed_generators=other)
+        with pytest.raises(TypeError, match="^seeds must be a PureXList on 8 qubits"):
+            CodeSpec(8, 3, 3, code8.generators, other)
+
+
+def _version_1(n, texts):
+    """A version 1 spec dict on n qubits, no generators, with these seed strings."""
+    return {"n": n, "k": n, "j": 0, "generators": [], "seed_generators": texts, "version": 1}
+
+
+@st.composite
+def version_1_seeds(draw):
+    """(n, supports, texts): qubit supports on n <= 9 qubits, any number of
+    them, empty ones too, and their version 1 strings, signed or unsigned."""
+    n = draw(st.integers(1, 9))
+    supports = draw(st.lists(st.sets(st.integers(1, n)).map(sorted), max_size=12))
+    signs = draw(st.lists(st.sampled_from(["+", ""]), min_size=len(supports), max_size=len(supports)))
+    texts = [sign + "".join("X" if q in s else "I" for q in range(1, n + 1)) for sign, s in zip(signs, supports)]
+    return n, supports, texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(version_1_seeds())
+def test_version_1_seeds_load_as_their_supports(case):
+    n, supports, texts = case
+    seeds = CodeSpec.from_json_dict(_version_1(n, texts)).seed_generators
+    want = pure_xs(n, supports)
+    assert seeds == want and hash(seeds) == hash(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(version_1_seeds(), st.data())
+def test_version_1_seed_that_is_not_pure_x_on_n_is_malformed(case, data):
+    n, _, texts = case
+    letters = list(data.draw(st.sampled_from(texts)).lstrip("+") if texts else "I" * n)
+    defect = data.draw(st.sampled_from(["Z", "Y", "-", "\u2212", "longer"] + (["shorter"] if n > 1 else [])))
+    if defect in ("Z", "Y"):
+        letters[data.draw(st.integers(0, n - 1))] = defect
+    elif defect == "longer":
+        letters.append(data.draw(st.sampled_from("IX")))
+    elif defect == "shorter":
+        letters.pop()
+    bad = (defect if defect in ("-", "\u2212") else data.draw(st.sampled_from(["+", ""]))) + "".join(letters)
+    idx = data.draw(st.integers(0, len(texts)))
+    texts.insert(idx, bad)
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict(_version_1(n, texts))
+    assert str(malformed.value) == f"malformed code spec: seed generator {idx + 1} is not a +1 pure-X operator on {n} qubits"
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130, 200])
+def test_version_1_seeds_convert_word_by_word(n):
+    # the loader reads the qubits of all the seeds from their 64-bit words at once
+    rng = np.random.default_rng(5)
+    xs = [0, 1, 1 << (n - 1), (1 << n) - 1] + [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(6)]
+    texts = [pauli.format(PauliOperator(n, x, 0, 1)) for x in xs]
+    seeds = CodeSpec.from_json_dict(_version_1(n, texts)).seed_generators
+    assert seeds.supports() == [[q for q in range(1, n + 1) if x >> (q - 1) & 1] for x in xs]
 
 
 def test_codespec_names_a_construction_that_is_not_a_string(code8):

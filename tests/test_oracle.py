@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reference import LETTER_MATRICES, pauli_matrix
-from strategies import valid_groups
+from strategies import random_op, valid_groups
 from stabforge import bounds, codewords, oracle, stabilizer
 from stabforge.family import CodeSpec
 from stabforge.codewords import FormalState, basis
@@ -18,14 +18,8 @@ from stabforge.oracle import (
     gram,
     verify_code,
 )
-from stabforge.pauli import PauliOperator, parse, single
+from stabforge.pauli import parse, pure_xs, single
 from stabforge.stabilizer import iter_errors, materialize, syndrome, validate
-
-
-def random_op(rng, n):
-    return PauliOperator(
-        n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.choice([1, -1]))
-    )
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +239,7 @@ def reference_verify_code(code, t):
 # t = 1 (5 of 13 images in dimension 16) and v^T v at t = 2 (11 of 67)
 Z4_CODE = CodeSpec(
     n=4, k=0, j=0, generators=tuple(parse(s) for s in "+ZIII,+IZII,+IIZI,+IIIZ".split(",")),
-    seed_generators=(),
+    seed_generators=pure_xs(4, []),
 )
 Z4_RANKS = {0: (1, 1), 1: (5, 13), 2: (11, 67)}
 
@@ -271,7 +265,7 @@ def test_verify_code_gather_split_matches_shipped(code8, monkeypatch, rows):
 @given(valid_groups(), st.integers(0, 2))
 def test_verify_code_matches_per_image_reference(group, t):
     try:
-        seeds = tuple(codewords.seed_generators(group))
+        seeds = codewords.seed_generators(group)
     except codewords.MinusSignPureZError:
         assume(False)
     k = group.n - group.a
@@ -307,10 +301,17 @@ def test_dense_images_are_real_with_integer_gram_spectrum(group, t):
 
 
 def test_verify_trivial_code():
-    code = CodeSpec(n=1, k=0, j=0, generators=(parse("Z"),), seed_generators=())
+    code = CodeSpec(n=1, k=0, j=0, generators=(parse("Z"),), seed_generators=pure_xs(1, []))
     report = verify_code(code, 0)
     assert report.ok
     assert report.num_vectors == 1
+
+
+def test_verify_code_refuses_a_negative_t(code8):
+    # the same error as check_correctability's
+    for t in (-1, -5):
+        with pytest.raises(ValueError, match="^t must be non-negative$"):
+            verify_code(code8, t)
 
 
 def test_eigenspace_dimension(group8):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference import MAT_X, MAT_Y, MAT_Z, pauli_matrix
+from strategies import random_op
 from stabforge import codewords, family, gf2, pauli
 from stabforge.pauli import (
     PauliOperator,
@@ -18,14 +19,6 @@ from stabforge.pauli import (
     square_sign,
     weight,
 )
-
-def random_op(rng, n):
-    return PauliOperator(
-        n,
-        int(rng.integers(0, 1 << n)),
-        int(rng.integers(0, 1 << n)),
-        int(rng.choice([1, -1])),
-    )
 
 
 @st.composite
@@ -459,24 +452,21 @@ def test_pure_x_list_checks_its_ends(ends, qubits):
     assert PureXList(8, [0, 3, 3], qubits).supports() == [[], [1, 2, 3], []]
 
 
-def test_x_parts_match_the_x_bits():
-    rng = np.random.default_rng(5)
-    for n in (1, 7, 64, 65, 130, 200):
-        ops = [PureX(n, sorted({1, n})), PauliOperator(n, 0, 1, -1)]
-        ops += [PauliOperator(n, int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n), 0, 1) for _ in range(3)]
-        ops += [parse("".join(rng.choice(list("IXYZ"), size=n))) for _ in range(5)]
-        want = [tuple(q for q in range(1, n + 1) if op.x_bits >> (q - 1) & 1) for op in ops]
-        assert [p.support for p in pauli.x_parts(n, ops)] == want
-    assert pauli.x_parts(8, []) == pure_xs(8, [])
-
-
-def test_is_pure_x_is_the_seed_rule():
-    assert pauli.is_pure_x(parse("+XIXI"), 4) and pauli.is_pure_x(PureX(4, [1, 3]), 4)
-    assert pauli.is_pure_x(parse("+IIII"), 4)
-    assert not pauli.is_pure_x(parse("+XIXI"), 5)  # wrong qubit count
-    assert not pauli.is_pure_x(parse("-XIXI"), 4)
-    assert not pauli.is_pure_x(parse("+XIYI"), 4)
-    assert not pauli.is_pure_x(parse("+ZIII"), 4)
+@pytest.mark.parametrize(
+    "ends, qubits, message",
+    [
+        ([1], [1.5], "^qubits must hold integers, got float64 entries$"),
+        ([1.7], [1], "^ends must hold integers, got float64 entries$"),
+        ([True], [3], "^ends must hold integers, got bool entries$"),
+        ([1], [True], "^qubits must hold integers, got bool entries$"),
+        ([1], ["1"], "^qubits must hold integers"),
+        ([2], [1, 2.0**70], "^qubits must hold integers, got float64 entries$"),
+        ([2], np.array([1, 2.5], dtype=object), "^qubits must hold integers, got object entries$"),
+    ],
+)
+def test_pure_x_list_refuses_entries_that_are_not_integers(ends, qubits, message):
+    with pytest.raises(TypeError, match=message):
+        PureXList(8, ends, qubits)
 
 
 def test_pauli_operator_and_letter_guards():

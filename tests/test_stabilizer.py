@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import table_data
-from strategies import valid_groups
+from strategies import random_op, valid_groups
 from stabforge import codewords, family, gf2, oracle, stabilizer
 from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import (
@@ -25,12 +25,6 @@ from stabforge.stabilizer import (
     validate,
     weight_one_syndromes,
 )
-
-
-def random_op(rng, n):
-    return PauliOperator(
-        n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.choice([1, -1]))
-    )
 
 
 def test_validate_family(code8, group8):
