@@ -12,17 +12,18 @@ Randomness contract: every trial uses a numpy Generator derived from
 are order-independent.
 
 Kernel: a block of trials is one (rows, 2^n) complex array, worked on
-through its float64 view.  Pauli coefficients are real, so each Pauli is a
-gather and a real +-1 sign; the squared norms of all rows come from one
-np.vecdot, one BLAS dot per row over its real parts plus one over its
-imaginary parts, as np.linalg.norm reduces them; a division by a real is a
-product with its reciprocal, as numpy divides a complex by a real.  No
-float of a row depends on the other rows, so the output of a campaign does
-not depend on how its trials are split into blocks.  A Pauli-damaged row
-is an exact joint eigenstate: the basis rows are exact +1 eigenvectors with
-disjoint supports and one magnitude, a gemv adds only exact zeros to
-c_w B[w, x], gathers are exact and rounding is symmetric in sign, so each
-projection gives the row or zero and _measure_rows keeps only the rescales.
+through its float64 view.  The Paulis of all rows are one gather and real
++-1 signs from oracle.pauli_action, which verify_code shares; the squared
+norms of all rows come from one np.vecdot, one BLAS dot per row over its
+real parts plus one over its imaginary parts, as np.linalg.norm reduces
+them; a division by a real is a product with its reciprocal, as numpy
+divides a complex by a real.  No float of a row depends on the other rows,
+so the output of a campaign does not depend on how its trials are split
+into blocks.  A Pauli-damaged row is an exact joint eigenstate: the basis
+rows are exact +1 eigenvectors with disjoint supports and one magnitude, a
+gemv adds only exact zeros to c_w B[w, x], gathers are exact and rounding
+is symmetric in sign, so each projection gives the row or zero and
+_measure_rows keeps only the rescales.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import codewords
-from .oracle import _PARITY_SIGNS, StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
+from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
 from .pauli import PauliOperator, parse as parse_pauli
 from .stabilizer import (
     StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome, validate,
@@ -165,10 +166,9 @@ def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
 def _generator_actions(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
     """The generators as real gathers and +-1 signs on the float64 view, one
     (a, 2^(n+1)) array each, read-only and cached for measure_syndrome."""
-    perms, signs = np.empty((group.a, 2 << group.n), np.int64), np.empty((group.a, 2 << group.n))
-    for g, perm, sign in zip(group.generators, perms, signs):
-        p, coef = pauli_action(group.n, g.x_bits, g.z_bits, g.sign)
-        perm[:], sign[:] = (2 * p[:, None] + (0, 1)).ravel(), np.repeat(coef.real, 2)
+    table = np.array([(g.x_bits, g.z_bits, g.sign) for g in group.generators], np.int64).reshape(-1, 3)
+    perm, coef = pauli_action(group.n, *table.T[:, :, None])
+    perms, signs = (2 * perm[:, :, None] + (0, 1)).reshape(group.a, 2 << group.n), np.repeat(coef, 2, axis=1)
     perms.flags.writeable = signs.flags.writeable = False
     return perms, signs
 
@@ -182,17 +182,15 @@ def _row_sqnorms(f: np.ndarray) -> list[float]:
 
 
 def _apply_paulis(amps: np.ndarray, paulis) -> np.ndarray:
-    """Row r of amps under paulis[r] = (x_bits, z_bits, sign), in the gather
-    form of pauli_action; a single Pauli acts on every row.  The identity
+    """Row r of amps under paulis[r] = (x_bits, z_bits, sign), by one
+    pauli_action gather; a single Pauli acts on every row.  The identity
     returns amps itself, equal up to the sign of a zero."""
     if set(paulis) == {(0, 0, 1)}:  # the identity moves no amplitude
         return amps
     rows, size = amps.shape
-    x, z, sign = np.array(paulis).T[:, :, None]
-    # flat index of label j ^ x in row r: x < size leaves the row bits alone
-    idx = np.arange(rows * size).reshape(rows, size) ^ x
-    out = amps.take(idx)
-    out *= _PARITY_SIGNS[idx & z] * sign
+    perm, coef = pauli_action(size.bit_length() - 1, *np.array(paulis).T[:, :, None])
+    out = amps.take(perm + np.arange(0, rows * size, size)[:, None])  # flat index of label perm in each row
+    out *= coef
     return out
 
 

@@ -156,6 +156,8 @@ class CodeSpec:
         integer qubits, strictly ascending in 1..n.  Any violation raises
         ValueError("malformed code spec: ...")."""
         try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {'null' if data is None else type(data).__name__}")
             n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
             version = _json_int(data, "version", 1)
             if version not in (1, 2):
@@ -179,7 +181,8 @@ class CodeSpec:
                 seeds = _pure_x_list(n, seeds)
             return cls(n, k, j, generators, seeds, construction)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed code spec: {exc}") from exc
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed code spec: {reason}") from exc
 
     @classmethod
     def load(cls, path) -> "CodeSpec":

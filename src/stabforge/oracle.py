@@ -82,16 +82,16 @@ def _parity_signs(n: int) -> np.ndarray:
 _PARITY_SIGNS = _parity_signs(MAX_QUBITS)
 
 
-def pauli_action(n: int, x_bits: int, z_bits: int, sign: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def pauli_action(n: int, x_bits, z_bits, sign=1) -> tuple[np.ndarray, np.ndarray]:
     """Gather form of a Pauli on n qubits: op|v> = coef * v[perm].
 
     Label j receives the amplitude of j ^ x_bits, times sign and -1 for
-    each Z-component on a set bit of j ^ x_bits.
+    each Z-component on a set bit of j ^ x_bits.  Integer arrays of shape
+    (m, 1) in place of ints give m rows; coef is real float64 +-1.
     """
     _check_n(n)
     perm = np.arange(1 << n, dtype=np.int64) ^ x_bits
-    # complex, as the multiply would cast it anyway
-    return perm, (sign * _PARITY_SIGNS[perm & z_bits]).astype(np.complex128)
+    return perm, sign * _PARITY_SIGNS[perm & z_bits]
 
 
 def apply_pauli(op: PauliOperator, v: StateVector) -> StateVector:
@@ -186,8 +186,7 @@ def verify_code(code, t: int) -> VerificationReport:
         """(first, block): +1 Paulis (x, z)[first:] on each basis state, about GRAM_BLOCK_ROWS rows."""
         per = max(1, GRAM_BLOCK_ROWS // count)
         for first in range(0, len(x), per):
-            perm = np.arange(1 << n, dtype=np.int64) ^ x[first : first + per, None]
-            coef = _PARITY_SIGNS[perm & z[first : first + per, None]]
+            perm, coef = pauli_action(n, x[first : first + per, None], z[first : first + per, None])
             yield first, (np.take(states, perm, axis=1) * coef).swapaxes(0, 1)
 
     gens = group.generators

@@ -33,8 +33,6 @@ import numpy as np
 
 from .gf2 import bits
 
-LETTERS = "IXYZ"
-
 # (x_bit, z_bit) per letter
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # letters indexed by the per-qubit code x | z << 1

@@ -1,15 +1,19 @@
 """Reference implementations the tests compare the library against.
 
 They are written for clarity, not speed: a Pauli as its explicit 2^n x 2^n
-Kronecker matrix, a Pauli acting on a formal state term by term, and
-pure-X operators as a PureXList, read qubit by qubit.
+Kronecker matrix, a Pauli acting on a formal state term by term, pure-X
+operators as a PureXList, read qubit by qubit, and the exact success rate
+of table decoding under depolarizing noise from a weight enumerator.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from stabforge.codewords import FormalState
 from stabforge.oracle import MAX_QUBITS, TooManyQubitsError
 from stabforge.pauli import PauliOperator, PureXList, letter, pure_xs
+from stabforge.stabilizer import enumerate_elements
 
 # the real single-qubit basis matrices; Y = X @ Z
 MAT_I = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -45,3 +49,25 @@ def seed_list(n: int, ops) -> PureXList:
     assert all(op.n == n and not op.z_bits and op.sign == 1 for op in ops), "not +1 pure-X operators on n qubits"
     # bit q - 1 of x_bits is qubit q, so the reversed binary digits list qubit 1 first
     return pure_xs(n, [[q for q, bit in enumerate(reversed(f"{op.x_bits:b}"), 1) if bit == "1"] for op in ops])
+
+
+def stabilizer_weights(group) -> dict[int, int]:
+    """The weight enumerator {w: A_w} of the 2^a elements of group."""
+    return dict(sorted(Counter((g.x_bits | g.z_bits).bit_count() for g in enumerate_elements(group)).items()))
+
+
+def depolarizing_success(n: int, weights: dict[int, int], p: float) -> float:
+    """Exact success rate of weight <= 1 table decoding under depolarizing:p.
+
+    Decoding succeeds exactly when the error is C g, up to phase, for the
+    table's correction C and some g in S; distinct corrections have
+    distinct syndromes, so these cosets are disjoint.  For g of weight w,
+    C = I gives weight w, a letter on one of the w qubits of g gives
+    weight w - 1 (the same letter) or w (the two others), and one of the 3
+    letters on one of the n - w others gives weight w + 1.  An error of
+    weight w has probability P_w = (p/3)^w (1 - p)^(n - w).
+    """
+    prob = [(p / 3) ** w * (1 - p) ** (n - w) for w in range(n + 1)] + [0.0]  # prob[-1] = prob[n + 1] = 0
+    return sum(
+        a * (prob[w] + w * (prob[w - 1] + 2 * prob[w]) + 3 * (n - w) * prob[w + 1]) for w, a in weights.items()
+    )

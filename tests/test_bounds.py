@@ -115,6 +115,8 @@ def test_degenerate_never_beats_qhb_sweep():
 def test_degenerate_never_beats_examples():
     assert degenerate_never_beats_qhb(6)[0]
     assert degenerate_never_beats_qhb(13)[0]
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        degenerate_never_beats_qhb(1)
 
 
 def test_hamming_sum_stops_at_weight_n():

@@ -595,6 +595,28 @@ def test_verify_nested_file_exit_2(capsys, tmp_path):
     assert err == "error: malformed code spec: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--model", "exhaustive"]], ids=["verify", "simulate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('"abc"', "expected a JSON object, got str"),
+        ("5", "expected a JSON object, got int"),
+        ("null", "expected a JSON object, got null"),
+        (None, "missing field 'k'"),  # the n = 8 spec without k
+    ],
+)
+def test_spec_that_is_not_a_code_object_exit_2(capsys, code_path, tmp_path, command, text, message):
+    if text is None:
+        data = json.loads(code_path.read_text())
+        del data["k"]
+        text = json.dumps(data)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    err = _refused_quickly(capsys, *command, str(path))
+    assert err == f"error: malformed code spec: {message}\n"
+
+
 def test_verify_huge_n_exit_2(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 10**30, "k": 10**30, "j": 1, "generators": [], "seed_generators": []}))

@@ -322,6 +322,10 @@ def test_canonical_fixes_global_sign(terms):
     assert canon.canonical().terms == canon.terms  # idempotent
 
 
+def test_canonical_of_the_zero_state_is_zero():
+    assert FormalState(4, {}).canonical() == FormalState(4, {})
+
+
 def test_negative_sign_type1_generator():
     # H = {-X} stabilizes (|0> - |1>)/sqrt(2); the sign must survive encoding
     group = validate(1, [parse("-X")])

@@ -28,7 +28,8 @@ from stabforge.ecc_sim import (
 )
 from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, single_qubit_product
 from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
-from stabforge.stabilizer import StabilizerGroup, Syndrome, syndrome, validate
+from stabforge.stabilizer import StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
+from reference import depolarizing_success, stabilizer_weights
 from strategies import valid_groups
 
 
@@ -600,6 +601,12 @@ def test_trial_rejects_an_error_on_other_qubits(sim, error, message):
         with pytest.raises(ValueError, match=message):
             sim._trial_block(error, [trial_rng(0, i) for i in range(rows)], [None] * rows)
 
+
+def test_trial_rejects_an_unsupported_error_spec(sim):
+    with pytest.raises(TypeError, match="^unsupported error spec 'depolarizing:0.1'$"):
+        sim.trial("depolarizing:0.1", trial_rng(0, 0))
+
+
 def _float_rule_blocks(count=200, seed=19):
     """Random complex blocks of 1 to 300 rows and 2 to 4096 columns, both
     log-uniform so that small blocks are common; most widths are not a
@@ -766,3 +773,31 @@ def test_matrix_and_pauli_forms_of_one_error_give_one_campaign(code8, matrix, pa
         return [line for line in run_campaign(code8, model, 1000, 0).to_json().splitlines() if '"model"' not in line]
 
     assert without_model(matrix) == without_model(pauli)
+
+
+@pytest.mark.parametrize("j", range(3, 9))
+def test_family_stabilizers_have_three_weights(j):
+    n = 1 << j
+    assert stabilizer_weights(family.build_code(j).group()) == {0: 1, 3 * n // 4: (1 << (j + 2)) - 4, n: 3}
+
+
+def test_exact_depolarizing_success_is_the_brute_force_sum(code8, group8):
+    table = build_syndrome_table(code8, 1)
+    stabilizers = {(g.x_bits, g.z_bits) for g in enumerate_elements(group8)}
+    decoded = [0] * 9  # of the 4^8 Paulis of each weight, those the table maps into S up to phase
+    for x, z in itertools.product(range(256), repeat=2):
+        correction = table.correction(syndrome(group8, PauliOperator(8, x, z, 1)))
+        if correction is not None and (x ^ correction.x_bits, z ^ correction.z_bits) in stabilizers:
+            decoded[(x | z).bit_count()] += 1
+    weights = stabilizer_weights(group8)
+    for p, want in ((0.05, 0.942755542068), (0.2, 0.503451122890)):
+        brute = sum(count * (p / 3) ** w * (1 - p) ** (8 - w) for w, count in enumerate(decoded))
+        exact = depolarizing_success(8, weights, p)
+        assert abs(exact - brute) <= 1e-12 and abs(exact - want) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_depolarizing_campaign_is_within_4_sigma_of_the_exact_rate(code8, group8, seed):
+    trials, exact = 20_000, depolarizing_success(8, stabilizer_weights(group8), 0.05)
+    stats = run_campaign(code8, "depolarizing:0.05", trials, seed)
+    assert abs(stats.success_rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)

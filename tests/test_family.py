@@ -102,6 +102,8 @@ def test_letter_census(code8):
 def test_commutes_by_disagreement_examples(code8):
     assert commutes_by_disagreement(code8.generators[0], code8.generators[1])
     assert not commutes_by_disagreement(single(1, 1, "X"), single(1, 1, "Z"))
+    with pytest.raises(ValueError, match="^qubit count mismatch: 1 != 2$"):
+        commutes_by_disagreement(single(1, 1, "X"), single(2, 1, "X"))
 
 
 def test_commutes_by_disagreement_matches_symplectic(rng):
@@ -265,6 +267,22 @@ def test_codespec_load_names_the_bad_seed(code8, seeds, message):
     with pytest.raises(ValueError) as bad:
         CodeSpec.from_json_dict(data)
     assert str(bad.value) == f"malformed code spec: {message}"
+
+
+@pytest.mark.parametrize("data, got", [([1, 2], "list"), ("abc", "str"), (5, "int"), (None, "null")])
+def test_codespec_load_wants_a_json_object(data, got):
+    with pytest.raises(ValueError) as bad:
+        CodeSpec.from_json_dict(data)
+    assert str(bad.value) == f"malformed code spec: expected a JSON object, got {got}"
+
+
+@pytest.mark.parametrize("key", ["n", "k", "j", "generators", "seed_generators"])
+def test_codespec_load_names_a_missing_field(code8, key):
+    data = code8.to_json_dict()
+    del data[key]
+    with pytest.raises(ValueError) as bad:
+        CodeSpec.from_json_dict(data)
+    assert str(bad.value) == f"malformed code spec: missing field {key!r}"
 
 
 def test_codespec_load_rejects_short_generator(code8):

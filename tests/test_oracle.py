@@ -74,6 +74,25 @@ def test_apply_pauli_matches_matrix(rng):
         assert np.allclose(direct, via_matrix, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_pauli_action_is_single_calls_and_matrices(rng, n):
+    ops = [random_op(rng, n) for _ in range(24)]
+    assert {op.sign for op in ops} == {1, -1}
+    x, z, sign = np.array([(op.x_bits, op.z_bits, op.sign) for op in ops]).T[:, :, None]
+    perm, coef = oracle.pauli_action(n, x, z, sign)
+    assert perm.shape == coef.shape == (len(ops), 1 << n) and coef.dtype == np.float64
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    for op, row_perm, row_coef in zip(ops, perm, coef):
+        single_perm, single_coef = oracle.pauli_action(n, op.x_bits, op.z_bits, op.sign)
+        assert np.array_equal(row_perm, single_perm) and np.array_equal(row_coef, single_coef)
+        assert np.array_equal(row_coef * v[row_perm], pauli_matrix(op) @ v)
+    empty = np.zeros((0, 1), np.int64)
+    perm, coef = oracle.pauli_action(n, empty, empty, empty)
+    assert perm.shape == coef.shape == (0, 1 << n)
+    with pytest.raises(TooManyQubitsError):
+        oracle.pauli_action(13, x, z, sign)
+
+
 def test_apply_pauli_matches_single_qubit_composition(rng):
     from stabforge.pauli import letter
 
@@ -106,6 +125,25 @@ def test_gram_duplicates_and_negation(dense_basis):
     assert g[0, 1] == pytest.approx(1.0)
     assert g[0, 2] == pytest.approx(-1.0)
     assert np.allclose(g, g.conj().T)
+    assert gram([]).shape == (0, 0)
+
+
+KET0 = StateVector(1, [1, 0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateVector(2, np.zeros(3)), r"^expected 4 amplitudes, got shape \(3,\)$"),
+        (lambda: apply_pauli(parse("+XX"), KET0), "^qubit count mismatch$"),
+        (lambda: apply_single_qubit(np.eye(3), 1, KET0), r"^expected a 2x2 matrix, got shape \(3, 3\)$"),
+        (lambda: apply_single_qubit(np.eye(2), 2, KET0), r"^qubit index 2 out of range 1\.\.1$"),
+        (lambda: gram([KET0, StateVector(2, np.eye(4)[0])]), "^states act on different qubit counts$"),
+    ],
+)
+def test_dense_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_verify_code_t1(code8):
