@@ -9,7 +9,8 @@ each of which the table then corrects.
 
 Randomness contract: every trial uses a numpy Generator derived from
 (master seed, trial index), so campaigns are reproducible and the trials
-are order-independent.
+are order-independent.  Campaigns seed these same streams in bulk, by a
+vectorized port of numpy's seeding, and check their first against trial_rng.
 
 Kernel: a block of trials is one (rows, 2^n) complex array, worked on
 through its float64 view.  The Paulis of all rows are one gather and real
@@ -201,17 +202,20 @@ def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
     minus = moved == -f0
     if not (minus ^ (moved == f0)).all():  # a zero f0 matches both signs, a nan neither
         return None
-    values, out, pending = [0] * len(f), f.copy(), set(range(len(f)))  # pending: next rescale may not be 1.0
-    for bits in minus.tolist():
-        values = [(v << 1) | b for v, b in zip(values, bits)]  # -1: (f + f) / 2, rescaled by 1.0
-        if todo := {r for r in pending if not bits[r]}:
-            ps = {r: math.sqrt(sq) ** 2 for r, sq in enumerate(_row_sqnorms(out)) if r in todo}
-            if min(ps.values()) < 1.0 - _PROB_EPS:
+    out, pending = f.copy(), list(range(len(f)))  # pending: next rescale may not be 1.0
+    for bits in minus.tolist():  # -1: (f + f) / 2, rescaled by 1.0
+        if todo := [r for r in pending if not bits[r]]:
+            # a row copy keeps its strides, so its dot and its floats are those in out
+            sub = out if len(todo) == len(out) else out[todo]
+            ps = [math.sqrt(sq) ** 2 for sq in _row_sqnorms(sub)]
+            if min(ps) < 1.0 - _PROB_EPS:
                 return None  # a projection would draw its outcome
-            scales = [1.0 / math.sqrt(ps[r]) if r in ps else 1.0 for r in range(len(f))]
-            pending -= {r for r in todo if scales[r] == 1.0}
-            out *= np.array(scales)[:, None]
-    return values, out.view(np.complex128)
+            scales = [1.0 / math.sqrt(p) for p in ps]
+            pending = sorted(set(pending) - {r for r, c in zip(todo, scales) if c == 1.0})
+            sub *= np.array(scales)[:, None]
+            if sub is not out:
+                out[todo] = sub
+    return ((1 << np.arange(len(minus))[::-1]) @ minus).tolist(), out.view(np.complex128)
 
 
 def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], np.ndarray]:
@@ -336,8 +340,9 @@ class Simulator:
                         else f"logical amplitudes need 2-norm 1 within {FIDELITY_TOL}, got {norm}"
                     )
                 parts[r] = vec.real, vec.imag
-        coeffs = parts[:, 0] + 1j * parts[:, 1]
-        f = coeffs.view(np.float64)
+        # one interleaving copy: a + 1j * b rounds nothing, and a zero's sign no output sees
+        f = parts.transpose(0, 2, 1).reshape(len(rngs), 2 * size)
+        coeffs = f.view(np.complex128)
         f *= np.array([[1.0 / math.sqrt(sq) if lg is None else 1.0] for sq, lg in zip(_row_sqnorms(f), logicals)])
         psi = np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
         for r, word in words.items():
@@ -408,6 +413,76 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_MASK32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT, _MASK128 = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_SEED_CHUNK = 4096  # trial streams keyed per vectorized pass
+
+
+def _words(value: int) -> list[int]:
+    """value's 32-bit words, lowest first, as SeedSequence splits an int; never loops."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on a 32-bit word or column, its constant running on."""
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _MASK32) & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of trial_rng(seed, i) for i in range(start, stop):
+    numpy's SeedSequence (mix_entropy into 4 words, generate_state(4, uint64))
+    on the words of seed then i, and PCG64's srandom, ported with i's lowest
+    word as a uint64 column masked to 32 bits and the 128-bit step on ints."""
+    if stop > (cut := (start | _MASK32) + 1):  # i's higher words change at multiples of 2^32
+        return _pcg64_seeds(seed, start, cut) + _pcg64_seeds(seed, cut, stop)
+    low = np.arange(max(stop - start, 0), dtype=np.uint64) + (start & _MASK32)
+    words = [*_words(seed), low, *(_words(start >> 32) if start >> 32 else [])]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    seeds = []
+    for a, b, c, d in zip(*((out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2))):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        seeds.append((((a << 64 | b) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return seeds
+
+
+def _trial_streams(seed, count: int):
+    """trial_rng(seed, i) for i in range(count), lazily and in order: the first
+    TRIAL_BLOCK_ROWS from trial_rng (so its refusals stand), then those Generators
+    in turn, each good until TRIAL_BLOCK_ROWS more are drawn, keyed by _pcg64_seeds
+    once it matches stream 0; a seed that is not an integer keeps trial_rng."""
+    pool = [trial_rng(seed, i) for i in range(min(count, TRIAL_BLOCK_ROWS))]
+    if count <= len(pool) or not isinstance(seed, (int, np.integer)):
+        yield from pool
+        yield from (trial_rng(seed, i) for i in range(len(pool), count))
+        return
+    if _pcg64_seeds(int(seed), 0, 1)[0] != tuple(pool[0].bit_generator.state["state"].values()):
+        raise AssertionError("the bulk trial streams differ from trial_rng")
+    yield from pool
+    key = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for start in range(len(pool), count, _SEED_CHUNK):
+        for i, (state, inc) in enumerate(_pcg64_seeds(int(seed), start, min(start + _SEED_CHUNK, count)), start):
+            key["state"] = {"state": state, "inc": inc}
+            pool[i % len(pool)].bit_generator.state = key
+            yield pool[i % len(pool)]
+
+
 @dataclass(frozen=True)
 class CampaignStats:
     model: str
@@ -440,15 +515,15 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
         raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {trials}")
     sim = Simulator(code)
     reports = []
+    streams = _trial_streams(seed, 3 * code.n << sim.k if model == "exhaustive" else trials)  # index = reports so far
     if model == "exhaustive":
         for op in itertools.islice(iter_errors(code.n, 1), 1, None):  # the identity comes first
-            for words in _blocks(range(1 << sim.k)):  # trial index = reports so far
-                rngs = [trial_rng(seed, len(reports) + j) for j in range(len(words))]
-                reports += sim._trial_block(PauliError(op), rngs, list(words))
+            for words in _blocks(range(1 << sim.k)):
+                reports += sim._trial_block(PauliError(op), list(itertools.islice(streams, len(words))), list(words))
     else:
         spec = parse_error_spec(model, code.n)
         for block in _blocks(range(trials)):
-            reports += sim._trial_block(spec, [trial_rng(seed, i) for i in block], [None] * len(block))
+            reports += sim._trial_block(spec, list(itertools.islice(streams, len(block))), [None] * len(block))
 
     histogram: dict[str, int] = {}
     for r in reports:

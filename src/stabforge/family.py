@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codewords, pauli
-from .pauli import PauliOperator, PureXList
+from .pauli import PauliOperator, PureXList, _json_name
 from .stabilizer import StabilizerGroup, validate
 
 CONSTRUCTION_NAME = "gottesman-hamming-saturating"
@@ -161,19 +161,19 @@ class CodeSpec:
             n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
             version = _json_int(data, "version", 1)
             if version not in (1, 2):
-                raise ValueError(f"version must be 1 or 2, got {version}")
+                raise ValueError(f"version must be 1 or 2, got {_json_name(version)}")
             if n < 1:
-                raise ValueError(f"n must be positive, got {n}")
+                raise ValueError(f"n must be positive, got {_json_name(n)}")
             if n > 1 << MAX_J:
-                raise ValueError(f"n must be at most {1 << MAX_J}, got {n}")
+                raise ValueError(f"n must be at most {1 << MAX_J}, got {_json_name(n)}")
             generators = _json_operators(data, "generators")
             key = "seed_generators"
             seeds = _json_operators(data, key) if version == 1 else _json_supports(data, key, n)
             construction = data.get("construction", CONSTRUCTION_NAME)
             if not isinstance(construction, str):
-                raise TypeError(f"construction must be a string, got {construction!r}")
+                raise TypeError(f"construction must be a string, got {_json_name(construction)}")
             if k != n - len(generators):
-                raise ValueError(f"k = {k} but n - len(generators) = {n - len(generators)}")
+                raise ValueError(f"k = {_json_name(k)} but n - len(generators) = {n - len(generators)}")
             for idx, op in enumerate(generators, 1):
                 if op.n != n:
                     raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
@@ -198,7 +198,7 @@ class CodeSpec:
 def _json_int(data: dict, key: str, default: int | None = None) -> int:
     value = data[key] if default is None else data.get(key, default)
     if type(value) is not int:  # rejects floats, strings and booleans
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+        raise TypeError(f"{key} must be an integer, got {_json_name(value)}")
     return value
 
 

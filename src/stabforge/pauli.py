@@ -24,6 +24,7 @@ seed X_1 X_c on 65,536 qubits costs a 2-tuple, not two 8 KB ints;
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import re
 from collections.abc import Sequence
@@ -215,9 +216,24 @@ def pure_xs(n: int, supports) -> PureXList:
 
 
 def _qubit(q) -> int:
-    if isinstance(q, bool):
-        raise TypeError(f"a qubit must be an integer, got {q!r}")
-    return operator.index(q)
+    try:
+        if not isinstance(q, bool):
+            return operator.index(q)
+    except TypeError:
+        pass
+    raise TypeError(f"a qubit must be an integer, got {_json_name(q)}")
+
+
+def _json_name(value) -> str:
+    """A JSON value as one short phrase: null, true, false or the number as
+    written (a long integer by its digit count), else "a string", "an array"
+    or "an object"; any other Python value by its type name."""
+    if value is None or isinstance(value, (bool, int, float)):
+        text = json.dumps(value)
+        if len(text) <= 40:  # only an integer can be longer
+            return text
+        return f"{'a negative' if value < 0 else 'an'} integer of {len(text.lstrip('-'))} digits"
+    return {str: "a string", list: "an array", dict: "an object"}.get(type(value), type(value).__name__)
 
 
 def identity(n: int) -> PauliOperator:

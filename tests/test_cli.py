@@ -617,6 +617,28 @@ def test_spec_that_is_not_a_code_object_exit_2(capsys, code_path, tmp_path, comm
     assert err == f"error: malformed code spec: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--model", "exhaustive"]], ids=["verify", "simulate"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": None}, "n must be an integer, got null"),
+        ({"k": True}, "k must be an integer, got true"),
+        ({"n": list(range(3000))}, "n must be an integer, got an array"),
+        ({"construction": None}, "construction must be a string, got null"),
+        ({"seed_generators": [[1, None]]}, "seed generator 1: a qubit must be an integer, got null"),
+        ({"seed_generators": [[1.5]]}, "seed generator 1: a qubit must be an integer, got 1.5"),
+        ({"seed_generators": [["2"]]}, "seed generator 1: a qubit must be an integer, got a string"),
+        ({"seed_generators": [[True]]}, "seed generator 1: a qubit must be an integer, got true"),
+    ],
+    ids=["n-null", "k-true", "n-array", "construction-null", "seed-null", "seed-float", "seed-string", "seed-true"],
+)
+def test_spec_json_value_named_in_json_words_exit_2(capsys, code_path, tmp_path, command, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**json.loads(code_path.read_text()), **change}))
+    err = _refused_quickly(capsys, *command, str(path))
+    assert err == f"error: malformed code spec: {message}\n" and len(err) < 1024
+
+
 def test_verify_huge_n_exit_2(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 10**30, "k": 10**30, "j": 1, "generators": [], "seed_generators": []}))

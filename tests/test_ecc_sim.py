@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import pickle
 import re
+import resource
+import subprocess
+import sys
 import time
 import warnings
 from types import SimpleNamespace
@@ -315,7 +320,16 @@ def _ref_trial(sim, error, rng, logical=None) -> RecoveryReport:
     return RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - 1e-10)
 
 
+def _lone_trial(sim, error, rng, logical=None) -> RecoveryReport:
+    return sim.trial(error, rng, logical=logical)
+
+
 def _ref_campaign(code, model, trials, seed) -> str:
+    return _ref_stats(code, model, trials, seed).to_json()
+
+
+def _ref_stats(code, model, trials, seed, trial=_ref_trial) -> CampaignStats:
+    """The campaign from one trial(sim, error, trial_rng(seed, index), logical) call per trial."""
     sim = Simulator(code)
     reports = []
     if model == "exhaustive":
@@ -324,12 +338,12 @@ def _ref_campaign(code, model, trials, seed) -> str:
             for letter in "XYZ":
                 err = PauliError(single(code.n, i, letter))
                 for word in range(1 << sim.k):
-                    reports.append(_ref_trial(sim, err, trial_rng(seed, index), logical=word))
+                    reports.append(trial(sim, err, trial_rng(seed, index), logical=word))
                     index += 1
     else:
         spec = parse_error_spec(model, code.n)
         for index in range(trials):
-            reports.append(_ref_trial(sim, spec, trial_rng(seed, index)))
+            reports.append(trial(sim, spec, trial_rng(seed, index)))
     histogram = {}
     for r in reports:
         key = str(r.syndrome) if r.syndrome is not None else "annihilated"
@@ -343,7 +357,7 @@ def _ref_campaign(code, model, trials, seed) -> str:
         success_rate=successes / len(reports) if reports else 0.0,
         min_fidelity=min((r.fidelity for r in reports), default=0.0),
         syndrome_histogram=histogram,
-    ).to_json()
+    )
 
 
 def _matrix_model(m, qubit):
@@ -801,3 +815,85 @@ def test_depolarizing_campaign_is_within_4_sigma_of_the_exact_rate(code8, group8
     trials, exact = 20_000, depolarizing_success(8, stabilizer_weights(group8), 0.05)
     stats = run_campaign(code8, "depolarizing:0.05", trials, seed)
     assert abs(stats.success_rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+
+# ---------------------------------------------------------------------------
+# Bulk-seeded trial streams: run_campaign keys the (seed, index) streams of
+# trial_rng in vectorized chunks, and they must be trial_rng's bit for bit.
+
+BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**200 + 5]
+
+
+def _state(rng):
+    return tuple(rng.bit_generator.state["state"].values())
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+@pytest.mark.parametrize("start, stop", [(0, 70), (2**32 - 40, 2**32 + 30), (2**33 + 5, 2**33 + 45)])
+def test_bulk_stream_states_and_draws_are_trial_rngs(seed, start, stop):
+    keyed = ecc_sim._pcg64_seeds(seed, start, stop)
+    assert keyed == [_state(trial_rng(seed, i)) for i in range(start, stop)]
+    gen = np.random.Generator(np.random.PCG64())
+    for i, (state, inc) in zip(range(start, stop, 7), keyed[::7]):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        want = trial_rng(seed, i)
+        assert np.array_equal(gen.standard_normal(16), want.standard_normal(16))
+        assert gen.random() == want.random() and gen.integers(3) == want.integers(3)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+def test_bulk_streams_are_trial_rngs_in_order_across_a_chunk(seed):
+    count = ecc_sim._SEED_CHUNK + 2 * TRIAL_BLOCK_ROWS + 3
+    for i, rng in enumerate(ecc_sim._trial_streams(seed, count)):
+        assert _state(rng) == _state(trial_rng(seed, i)), i
+    assert i == count - 1
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**64 + 1])
+@pytest.mark.parametrize("model", ["depolarizing:0.3", "matrix:0.5,0.1j,1,0@3", "exhaustive"])
+def test_bulk_seeded_campaign_is_lone_trials_on_trial_rng(code8, model, seed):
+    counts = [0] if model == "exhaustive" else [1, 33, ecc_sim._SEED_CHUNK + TRIAL_BLOCK_ROWS + 5]  # the last crosses a chunk
+    for trials in counts:
+        got = run_campaign(code8, model, trials, seed).to_json()
+        assert got == _ref_stats(code8, model, trials, seed, trial=_lone_trial).to_json(), trials
+
+
+_SEED_CHILD = """
+import pickle, sys
+import numpy as np
+from stabforge import ecc_sim, family
+code, out = family.build_code(3), []
+for trials in map(int, sys.argv[2:]):
+    try:
+        out.append(ecc_sim.run_campaign(code, "depolarizing:0.1", trials, eval(sys.argv[1])))
+    except Exception as exc:
+        out.append(exc)
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "text, seed", [("-1", -1), ("1.5", 1.5), ("None", None), ("True", True), ("np.int64(3)", np.int64(3)), ("'3'", "3")]
+)
+def test_campaign_seed_handling_is_lone_trial_rngs(code8, text, seed):
+    """run_campaign raises or returns what lone trial_rng trials give, for
+    seeds trial_rng refuses and odd ones it takes; run in a child process
+    under a timeout and a memory cap, so a seed conversion that loops fails."""
+    counts = [0, 3, TRIAL_BLOCK_ROWS + 8]
+    src = os.path.dirname(os.path.dirname(ecc_sim.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run(
+        [sys.executable, "-c", _SEED_CHILD, text, *map(str, counts)],
+        capture_output=True, timeout=60, env=env, preexec_fn=_limit_memory, check=True,
+    )
+    for trials, got in zip(counts, pickle.loads(child.stdout), strict=True):
+        try:
+            want = _ref_stats(code8, "depolarizing:0.1", trials, seed, trial=_lone_trial)
+        except (TypeError, ValueError) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc), (trials, got)
+        else:
+            assert got == want and type(got.seed) is type(seed), trials

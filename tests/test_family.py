@@ -259,7 +259,7 @@ def test_codespec_load_is_strict(code8, change):
         ([[1, 2], [1, 3], [1, 9]], "seed generator 3: support out of range 1..8"),
         ([[1, 2], [1, 2**63], [1, 5]], "seed generator 2: support out of range 1..8"),
         ([[1, 2], [3, 1], [0, 5]], "seed generator 3: support out of range 1..8"),
-        ([[1, True], [1, 3], [1, 5]], "seed generator 1: a qubit must be an integer, got True"),
+        ([[1, True], [1, 3], [1, 5]], "seed generator 1: a qubit must be an integer, got true"),
     ],
 )
 def test_codespec_load_names_the_bad_seed(code8, seeds, message):
@@ -393,10 +393,42 @@ def test_version_1_seeds_convert_word_by_word(n):
 
 
 def test_codespec_names_a_construction_that_is_not_a_string(code8):
-    for bad in (None, 5, ["x"]):
+    for bad, got in ((None, "null"), (5, "5"), (["x"], "an array")):
         with pytest.raises(ValueError) as malformed:
             CodeSpec.from_json_dict({**code8.to_json_dict(), "construction": bad})
-        assert str(malformed.value) == f"malformed code spec: construction must be a string, got {bad!r}"
+        assert str(malformed.value) == f"malformed code spec: construction must be a string, got {got}"
+
+
+# a field or seed entry of the wrong JSON type, and the words that name it
+JSON_VALUE_ERRORS = [
+    ({"n": None}, "n must be an integer, got null"),
+    ({"k": True}, "k must be an integer, got true"),
+    ({"j": False}, "j must be an integer, got false"),
+    ({"j": 1.5}, "j must be an integer, got 1.5"),
+    ({"version": "2"}, "version must be an integer, got a string"),
+    ({"n": list(range(3000))}, "n must be an integer, got an array"),
+    ({"k": {"a": 1}}, "k must be an integer, got an object"),
+    ({"construction": None}, "construction must be a string, got null"),
+    ({"construction": 10**300}, "construction must be a string, got an integer of 301 digits"),
+    ({"seed_generators": [[1, None]]}, "seed generator 1: a qubit must be an integer, got null"),
+    ({"seed_generators": [[1, 2], [1.5]]}, "seed generator 2: a qubit must be an integer, got 1.5"),
+    ({"seed_generators": [["2"]]}, "seed generator 1: a qubit must be an integer, got a string"),
+    ({"seed_generators": [[True]]}, "seed generator 1: a qubit must be an integer, got true"),
+    ({"seed_generators": [[1, [2]]]}, "seed generator 1: a qubit must be an integer, got an array"),
+    # integers JSON allows (up to 4,300 digits) that would make a message longer than 1 KB
+    ({"n": 10**4000}, "n must be at most 65536, got an integer of 4001 digits"),
+    ({"n": -(10**500)}, "n must be positive, got a negative integer of 501 digits"),
+    ({"version": 10**999}, "version must be 1 or 2, got an integer of 1000 digits"),
+    ({"k": 10**2000}, "k = an integer of 2001 digits but n - len(generators) = 3"),
+]
+
+
+@pytest.mark.parametrize("change, message", JSON_VALUE_ERRORS)
+def test_codespec_names_a_json_value_in_json_words(code8, change, message):
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict({**code8.to_json_dict(), **change})
+    assert str(malformed.value) == f"malformed code spec: {message}"
+    assert "\n" not in str(malformed.value) and len(str(malformed.value)) < 1024
 
 
 @pytest.mark.parametrize("construction", [None, "", "another name"])
