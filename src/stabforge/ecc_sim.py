@@ -9,8 +9,8 @@ each of which the table then corrects.
 
 Randomness contract: every trial uses a numpy Generator derived from
 (master seed, trial index), so campaigns are reproducible and the trials
-are order-independent.  Campaigns seed these same streams in bulk, by a
-vectorized port of numpy's seeding, and check their first against trial_rng.
+are order-independent.  Every campaign (an int seed >= 0) seeds them in
+bulk, by a vectorized port of numpy's seeding checked against trial_rng.
 
 Kernel: a block of trials is one (rows, 2^n) complex array, worked on
 through its float64 view.  The Paulis of all rows are one gather and real
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import codewords
 from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
-from .pauli import PauliOperator, parse as parse_pauli
+from .pauli import PauliOperator, _integer, _json_name, parse as parse_pauli
 from .stabilizer import (
     StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome, validate,
 )
@@ -323,14 +323,13 @@ class Simulator:
         real parts, then imaginary parts, are drawn from rngs[r]."""
         size = 1 << self.k
         parts = np.zeros((len(rngs), 2, size))
-        words = {}
         for r, (logical, rng) in enumerate(zip(logicals, rngs)):
             if logical is None:
                 rng.standard_normal(out=parts[r])
             elif isinstance(logical, (int, np.integer)):
                 if isinstance(logical, bool) or not 0 <= logical < size:
                     raise ValueError(f"logical word must be an integer in 0..{size - 1}, got {logical!r}")
-                words[r] = int(logical)
+                parts[r, 0, logical] = 1.0  # the gemv adds only exact zeros to its basis row
             else:
                 vec = np.asarray(logical, dtype=np.complex128)
                 norm = float(np.linalg.norm(vec))
@@ -344,10 +343,7 @@ class Simulator:
         f = parts.transpose(0, 2, 1).reshape(len(rngs), 2 * size)
         coeffs = f.view(np.complex128)
         f *= np.array([[1.0 / math.sqrt(sq) if lg is None else 1.0] for sq, lg in zip(_row_sqnorms(f), logicals)])
-        psi = np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
-        for r, word in words.items():
-            psi[r] = self._basis_matrix[word]
-        return psi
+        return np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
 
     def _damage(self, error: ErrorSpec, psi: np.ndarray, rngs) -> np.ndarray:
         if isinstance(error, PauliError):
@@ -462,22 +458,18 @@ def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return seeds
 
 
-def _trial_streams(seed, count: int):
+def _trial_streams(seed: int, count: int):
     """trial_rng(seed, i) for i in range(count), lazily and in order: the first
-    TRIAL_BLOCK_ROWS from trial_rng (so its refusals stand), then those Generators
-    in turn, each good until TRIAL_BLOCK_ROWS more are drawn, keyed by _pcg64_seeds
-    once it matches stream 0; a seed that is not an integer keeps trial_rng."""
+    TRIAL_BLOCK_ROWS from trial_rng, then those Generators in turn, each good
+    until TRIAL_BLOCK_ROWS more are drawn, keyed by _pcg64_seeds, which must
+    match stream 0 before any stream is handed out."""
     pool = [trial_rng(seed, i) for i in range(min(count, TRIAL_BLOCK_ROWS))]
-    if count <= len(pool) or not isinstance(seed, (int, np.integer)):
-        yield from pool
-        yield from (trial_rng(seed, i) for i in range(len(pool), count))
-        return
-    if _pcg64_seeds(int(seed), 0, 1)[0] != tuple(pool[0].bit_generator.state["state"].values()):
+    if pool and _pcg64_seeds(seed, 0, 1)[0] != tuple(pool[0].bit_generator.state["state"].values()):
         raise AssertionError("the bulk trial streams differ from trial_rng")
     yield from pool
     key = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for start in range(len(pool), count, _SEED_CHUNK):
-        for i, (state, inc) in enumerate(_pcg64_seeds(int(seed), start, min(start + _SEED_CHUNK, count)), start):
+        for i, (state, inc) in enumerate(_pcg64_seeds(seed, start, min(start + _SEED_CHUNK, count)), start):
             key["state"] = {"state": state, "inc": inc}
             pool[i % len(pool)].bit_generator.state = key
             yield pool[i % len(pool)]
@@ -509,8 +501,13 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     """Aggregate Simulator.trial over a model; same seed gives identical output.
 
     The "exhaustive" model ignores ``trials`` and runs every single-qubit
-    Pauli error against every logical basis word.
+    Pauli error against every logical basis word.  ``seed`` and ``trials``
+    must be integers, not bools (TypeError), and the seed non-negative
+    (ValueError); a numpy integer is read, and reported, as an int.
     """
+    seed, trials = _integer(seed, "seed"), _integer(trials, "trials")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {_json_name(seed)}")
     if not 0 <= trials <= sys.maxsize:  # a range longer than sys.maxsize has no len()
         raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {trials}")
     sim = Simulator(code)

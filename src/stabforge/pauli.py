@@ -204,7 +204,7 @@ def pure_xs(n: int, supports) -> PureXList:
     if set(map(type, flat)) - {int}:
         for index, (start, stop) in enumerate(zip([0, *ends], ends)):
             try:
-                flat[start:stop] = map(_qubit, flat[start:stop])
+                flat[start:stop] = map(_integer, flat[start:stop])
             except TypeError as exc:
                 exc.support_index = index + 1
                 raise
@@ -215,13 +215,14 @@ def pure_xs(n: int, supports) -> PureXList:
     return PureXList(n, ends, qubits)
 
 
-def _qubit(q) -> int:
+def _integer(value, name: str = "a qubit") -> int:
+    """value as an int (operator.index, bools refused), else a TypeError naming it."""
     try:
-        if not isinstance(q, bool):
-            return operator.index(q)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
         pass
-    raise TypeError(f"a qubit must be an integer, got {_json_name(q)}")
+    raise TypeError(f"{name} must be an integer, got {_json_name(value)}")
 
 
 def _json_name(value) -> str:

@@ -71,3 +71,19 @@ def depolarizing_success(n: int, weights: dict[int, int], p: float) -> float:
     return sum(
         a * (prob[w] + w * (prob[w - 1] + 2 * prob[w]) + 3 * (n - w) * prob[w + 1]) for w, a in weights.items()
     )
+
+
+def depolarizing_syndrome_distribution(group, p: float) -> list[float]:
+    """Exact P(s) of each syndrome value s of group under depolarizing:p.
+
+    Let g_c be the product of the generators whose syndrome bits are set in
+    c.  An error anticommutes with g_c exactly when s.c is odd, and each
+    qubit of g_c's support flips that parity with probability 2p/3, so
+    E[(-1)^(s.c)] = (1 - 4p/3)^wt(g_c), and P(s) is the inverse transform
+    2^-a sum_c (-1)^(s.c) (1 - 4p/3)^wt(g_c).
+    """
+    a, chars = group.a, {}
+    for e, g in enumerate(enumerate_elements(group)):  # bit j of e: generator j, syndrome bit a - 1 - j
+        c = sum(1 << (a - 1 - j) for j in range(a) if e >> j & 1)
+        chars[c] = (1 - 4 * p / 3) ** (g.x_bits | g.z_bits).bit_count()
+    return [sum(-x if (s & c).bit_count() % 2 else x for c, x in chars.items()) / 2**a for s in range(1 << a)]

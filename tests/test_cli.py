@@ -288,6 +288,11 @@ def test_degenerate_bound(capsys):
     assert "never beats quantum Hamming bound: yes" in out
 
 
+def test_degenerate_bound_refuses_n_below_2(capsys):
+    code, out, err = run_cli(capsys, "degenerate-bound", "--n", "1")
+    assert code == 2 and out == "" and err.splitlines() == ["error: --n must be at least 2"]
+
+
 def test_degenerate_bound_json(capsys):
     code, out, _ = run_cli(capsys, "degenerate-bound", "--n", "4", "--json")
     data = json.loads(out)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import pickle
@@ -34,7 +35,7 @@ from stabforge.ecc_sim import (
 from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, single_qubit_product
 from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
 from stabforge.stabilizer import StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
-from reference import depolarizing_success, stabilizer_weights
+from reference import depolarizing_success, depolarizing_syndrome_distribution, stabilizer_weights
 from strategies import valid_groups
 
 
@@ -817,6 +818,34 @@ def test_depolarizing_campaign_is_within_4_sigma_of_the_exact_rate(code8, group8
     assert abs(stats.success_rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
 
+def _syndrome_classes(code):
+    """The zero syndrome, the table's 3n nonzero syndromes and the others."""
+    table = {syn.value for syn in build_syndrome_table(code, 1).entries} - {0}
+    a = len(code.generators)
+    return [{0}, table, set(range(1, 1 << a)) - table]
+
+
+def test_exact_depolarizing_syndrome_distribution_takes_three_values(code8, group8):
+    probs = depolarizing_syndrome_distribution(group8, 0.05)
+    zero, table, others = _syndrome_classes(code8)
+    assert (len(table), len(others)) == (24, 7) and abs(sum(probs) - 1) <= 1e-12
+    # each to the digits given: within half a unit of the last
+    for cls, want, tol in ((zero, 0.663635, 5e-7), (table, 0.0132553, 5e-8), (others, 0.00260540, 5e-9)):
+        assert all(abs(probs[s] - want) <= tol for s in cls), want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_depolarizing_campaign_syndromes_fit_the_exact_distribution(code8, group8, seed):
+    # chi^2 with 2 degrees of freedom over the three syndrome classes; 13.82 is p = 0.001
+    trials, probs = 20_000, depolarizing_syndrome_distribution(group8, 0.05)
+    histogram = run_campaign(code8, "depolarizing:0.05", trials, seed).syndrome_histogram
+    classes = _syndrome_classes(code8)
+    observed = [sum(histogram.get(str(Syndrome(s, group8.a)), 0) for s in cls) for cls in classes]
+    expected = [trials * sum(probs[s] for s in cls) for cls in classes]
+    assert sum(observed) == trials
+    assert sum((o - e) ** 2 / e for o, e in zip(observed, expected)) <= 13.82
+
+
 # ---------------------------------------------------------------------------
 # Bulk-seeded trial streams: run_campaign keys the (seed, index) streams of
 # trial_rng in vectorized chunks, and they must be trial_rng's bit for bit.
@@ -880,9 +909,10 @@ def _limit_memory():
     "text, seed", [("-1", -1), ("1.5", 1.5), ("None", None), ("True", True), ("np.int64(3)", np.int64(3)), ("'3'", "3")]
 )
 def test_campaign_seed_handling_is_lone_trial_rngs(code8, text, seed):
-    """run_campaign raises or returns what lone trial_rng trials give, for
-    seeds trial_rng refuses and odd ones it takes; run in a child process
-    under a timeout and a memory cap, so a seed conversion that loops fails."""
+    """run_campaign reads a numpy integer seed as the int it holds and refuses
+    any other seed that is not a non-negative int, at every trial count; run
+    in a child process under a timeout and a memory cap, so a seed conversion
+    that loops fails."""
     counts = [0, 3, TRIAL_BLOCK_ROWS + 8]
     src = os.path.dirname(os.path.dirname(ecc_sim.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
@@ -890,10 +920,39 @@ def test_campaign_seed_handling_is_lone_trial_rngs(code8, text, seed):
         [sys.executable, "-c", _SEED_CHILD, text, *map(str, counts)],
         capture_output=True, timeout=60, env=env, preexec_fn=_limit_memory, check=True,
     )
+    refusals = {
+        "-1": ValueError("seed must be non-negative, got -1"),
+        "1.5": TypeError("seed must be an integer, got 1.5"),
+        "None": TypeError("seed must be an integer, got null"),
+        "True": TypeError("seed must be an integer, got true"),
+        "'3'": TypeError("seed must be an integer, got a string"),
+    }
     for trials, got in zip(counts, pickle.loads(child.stdout), strict=True):
-        try:
-            want = _ref_stats(code8, "depolarizing:0.1", trials, seed, trial=_lone_trial)
-        except (TypeError, ValueError) as exc:
-            assert type(got) is type(exc) and str(got) == str(exc), (trials, got)
+        if text in refusals:
+            want = refusals[text]
+            assert type(got) is type(want) and str(got) == str(want), (trials, got)
         else:
-            assert got == want and type(got.seed) is type(seed), trials
+            assert got == _ref_stats(code8, "depolarizing:0.1", trials, 3, trial=_lone_trial), trials
+            assert type(got.seed) is int and json.loads(got.to_json())["seed"] == 3, trials
+
+
+@pytest.mark.parametrize(
+    "seed, trials, error, message",
+    [
+        (True, 3, TypeError, "seed must be an integer, got true"),
+        (-1, 0, ValueError, "seed must be non-negative, got -1"),
+        (0, True, TypeError, "trials must be an integer, got true"),
+        (0, 2.0, TypeError, "trials must be an integer, got 2.0"),
+        (0, "3", TypeError, "trials must be an integer, got a string"),
+        (0, -1, ValueError, f"trials must lie in [0, {sys.maxsize}], got -1"),
+    ],
+)
+def test_campaign_refuses_a_bad_seed_or_trial_count_before_building_a_simulator(seed, trials, error, message):
+    # code=None would fail in Simulator, so each refusal comes first
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_campaign(None, "depolarizing:0.1", trials, seed)
+
+
+def test_numpy_integer_trial_count_is_an_int(code8):
+    stats = run_campaign(code8, "depolarizing:0.1", np.int64(5), 0)
+    assert stats == run_campaign(code8, "depolarizing:0.1", 5, 0) and type(stats.trials) is int
