@@ -2,7 +2,8 @@
 diffed against golden files, --json emits the machine form.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or input error.
-Every exit 2 is a UsageError, which main alone prints as one ``error:`` line.
+Every exit 2, with no exception, is a UsageError that main alone prints as
+one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-import warnings
 
 from . import bounds, codewords, ecc_sim, family, oracle, pauli, stabilizer
 
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     try:
         group = stabilizer.validate(code.n, code.generators)
         lines.append("validate: ok")
-    except (stabilizer.StabilizerValidationError, stabilizer.DependentGeneratorsWarning) as exc:
+    except stabilizer.StabilizerValidationError as exc:
         lines.append(f"validate: FAIL ({exc})")
         failures.append("validate")
 
@@ -418,11 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            # a CodeSpec's k counts every generator, so a dependent one is bad input
-            warnings.simplefilter("error", stabilizer.DependentGeneratorsWarning)
-            return args.func(args)
-    except (UsageError, stabilizer.DependentGeneratorsWarning) as exc:
+        return args.func(args)
+    except UsageError as exc:
         print(f"error: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
         return 2
     except SystemExit:  # --help has printed its text

@@ -509,7 +509,7 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {_json_name(seed)}")
     if not 0 <= trials <= sys.maxsize:  # a range longer than sys.maxsize has no len()
-        raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {trials}")
+        raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {_json_name(trials)}")
     sim = Simulator(code)
     reports = []
     streams = _trial_streams(seed, 3 * code.n << sim.k if model == "exhaustive" else trials)  # index = reports so far

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import codewords, pauli
-from .pauli import PauliOperator, PureXList, _json_name
-from .stabilizer import StabilizerGroup, validate
+from .pauli import PauliOperator, PureXList, _integer, _json_name
+from .stabilizer import SignedEchelon, StabilizerGroup, validate
 
 CONSTRUCTION_NAME = "gottesman-hamming-saturating"
 
@@ -147,19 +147,20 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
-        """Load the JSON form strictly: integer fields must be JSON integers,
-        n is at most that of the largest family code, k must equal n minus
-        the generator count, every generator must act on n qubits, the
-        construction (the family's when absent) must be a string, and the
-        version (1 when absent) must be 1 or 2.  Version 1 seeds must be +1
+        """Load the JSON form strictly: integer fields must be integers (not
+        bools or floats), n is at most that of the largest family code, k
+        must equal n minus the generator count, every generator must act on
+        n qubits and be no product of earlier ones, up to sign (so k is n
+        minus their rank), the construction (the family's when absent) must
+        be a string, and the version (1 when absent) must be 1 or 2.  Version 1 seeds must be +1
         pure-X Pauli strings on n qubits; version 2 seeds must be lists of
         integer qubits, strictly ascending in 1..n.  Any violation raises
         ValueError("malformed code spec: ...")."""
         try:
             if not isinstance(data, dict):
                 raise TypeError(f"expected a JSON object, got {'null' if data is None else type(data).__name__}")
-            n, k, j = (_json_int(data, key) for key in ("n", "k", "j"))
-            version = _json_int(data, "version", 1)
+            n, k, j = (_integer(data[key], key) for key in ("n", "k", "j"))
+            version = _integer(data.get("version", 1), "version")
             if version not in (1, 2):
                 raise ValueError(f"version must be 1 or 2, got {_json_name(version)}")
             if n < 1:
@@ -174,9 +175,13 @@ class CodeSpec:
                 raise TypeError(f"construction must be a string, got {_json_name(construction)}")
             if k != n - len(generators):
                 raise ValueError(f"k = {_json_name(k)} but n - len(generators) = {n - len(generators)}")
+            echelon = SignedEchelon()
             for idx, op in enumerate(generators, 1):
                 if op.n != n:
                     raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
+                echelon.insert(op)  # stores a row unless op is a +-product of the rows before it
+                if len(echelon.rows) < idx:
+                    raise ValueError(f"generator {idx} is a product of earlier generators, up to sign")
             if version == 1:
                 seeds = _pure_x_list(n, seeds)
             return cls(n, k, j, generators, seeds, construction)
@@ -188,18 +193,11 @@ class CodeSpec:
     def load(cls, path) -> "CodeSpec":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long for int()
             raise ValueError(f"malformed code spec file: {exc}") from exc
         except RecursionError:
             raise ValueError("malformed code spec: JSON nested too deeply") from None
         return cls.from_json_dict(data)
-
-
-def _json_int(data: dict, key: str, default: int | None = None) -> int:
-    value = data[key] if default is None else data.get(key, default)
-    if type(value) is not int:  # rejects floats, strings and booleans
-        raise TypeError(f"{key} must be an integer, got {_json_name(value)}")
-    return value
 
 
 def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:

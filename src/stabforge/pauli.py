@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import re
 from collections.abc import Sequence
@@ -227,13 +228,16 @@ def _integer(value, name: str = "a qubit") -> int:
 
 def _json_name(value) -> str:
     """A JSON value as one short phrase: null, true, false or the number as
-    written (a long integer by its digit count), else "a string", "an array"
-    or "an object"; any other Python value by its type name."""
+    written (an integer of over 40 characters by its digit count, found
+    without str(), which refuses over 4,300 digits), else "a string", "an
+    array" or "an object"; any other Python value by its type name."""
+    if isinstance(value, int) and not -(10**39) < value < 10**40:
+        digits = max(0, int(abs(value).bit_length() * math.log10(2)) - 1)  # not above the digit count
+        while abs(value) >= 10**digits:
+            digits += 1
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
     if value is None or isinstance(value, (bool, int, float)):
-        text = json.dumps(value)
-        if len(text) <= 40:  # only an integer can be longer
-            return text
-        return f"{'a negative' if value < 0 else 'an'} integer of {len(text.lstrip('-'))} digits"
+        return json.dumps(value)
     return {str: "a string", list: "an array", dict: "an object"}.get(type(value), type(value).__name__)
 
 

@@ -405,9 +405,9 @@ def test_syndrome_invalid_group_exit_2(capsys, code_path, tmp_path):
     assert _one_line_error(err) and "anticommute" in err
 
 
-# a repeated generator: the spec loads (k = n - 2), but the group has rank 1
+# a repeated generator: k = n - 2 counts it, but the rank is 1, so the spec does not load
 DEPENDENT_SPEC = {"n": 2, "k": 0, "j": 1, "generators": ["+ZZ", "+ZZ"], "seed_generators": [], "version": 1}
-DEPENDENT_MESSAGE = "dropped dependent generators at positions [2]"
+DEPENDENT_MESSAGE = "malformed code spec: generator 2 is a product of earlier generators, up to sign"
 
 
 @pytest.fixture
@@ -418,12 +418,10 @@ def dependent_path(tmp_path):
 
 
 def test_verify_dependent_generators_fail_validate(capsys, recwarn, dependent_path):
-    code, out, err = run_cli(capsys, "verify", str(dependent_path))
-    assert code == 1 and err == ""
-    assert out.splitlines() == ["code: n=2, k=0, a=2", f"validate: FAIL ({DEPENDENT_MESSAGE})", "result: FAIL"]
-    code, out, err = run_cli(capsys, "verify", str(dependent_path), "--json")
-    assert code == 1 and err == ""
-    assert json.loads(out) == {"n": 2, "k": 0, "t": 1, "ok": False, "failures": ["validate"]}
+    for argv in (["verify", str(dependent_path)], ["verify", str(dependent_path), "--json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {DEPENDENT_MESSAGE}"]
     assert len(recwarn) == 0
 
 
@@ -441,6 +439,43 @@ def test_dependent_generators_exit_2(capsys, recwarn, dependent_path, argv):
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {DEPENDENT_MESSAGE}"]
     assert len(recwarn) == 0
+
+
+def _long_int_load_line():
+    """The load line of a spec whose n has 5,000 digits: int() refuses that
+    many digits unless the limit is lifted, and then n is too large."""
+    try:
+        int("9" * 5000)
+    except ValueError as exc:
+        return f"malformed code spec file: {exc}"
+    return "malformed code spec: n must be at most 65536, got an integer of 5000 digits"
+
+
+# more files that no command may load, and the one line each is refused with
+REFUSED_AT_LOAD = {
+    "negated": (json.dumps({**DEPENDENT_SPEC, "generators": ["+ZZ", "-ZZ"]}).encode(), DEPENDENT_MESSAGE),
+    "not-utf8": (
+        b'{"n": 2, "construction": "\xff"}',
+        "malformed code spec file: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte",
+    ),
+    "long-n": (b'{"n": ' + b"9" * 5000 + b', "k": 0, "j": 1, "generators": [], "seed_generators": []}', None),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_AT_LOAD)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["verify", "--json"], ["syndrome", "--error", "+XI"], ["simulate", "--model", "exhaustive"]],
+    ids=["verify", "verify-json", "syndrome", "simulate"],
+)
+def test_spec_refused_at_load_exit_2(capsys, recwarn, tmp_path, name, argv):
+    content, message = REFUSED_AT_LOAD[name]
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message or _long_int_load_line()}"]
+    assert len(err) < 1024 and len(recwarn) == 0
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, singl
 from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
 from stabforge.stabilizer import StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
 from reference import depolarizing_success, depolarizing_syndrome_distribution, stabilizer_weights
-from strategies import valid_groups
+from strategies import IntEchelon, valid_groups
 
 
 @pytest.fixture(scope="module")
@@ -790,10 +790,22 @@ def test_matrix_and_pauli_forms_of_one_error_give_one_campaign(code8, matrix, pa
     assert without_model(matrix) == without_model(pauli)
 
 
-@pytest.mark.parametrize("j", range(3, 9))
+@pytest.mark.parametrize("j", range(3, 13))
 def test_family_stabilizers_have_three_weights(j):
     n = 1 << j
     assert stabilizer_weights(family.build_code(j).group()) == {0: 1, 3 * n // 4: (1 << (j + 2)) - 4, n: 3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_groups().filter(lambda group: group.n <= 6))
+def test_stabilizer_weights_count_the_span_by_brute_force(group):
+    n = group.n
+    span = IntEchelon(g.x_bits | g.z_bits << n for g in group.generators)
+    counts = {}
+    for x, z in itertools.product(range(1 << n), repeat=2):
+        if not span.reduce(x | z << n):
+            counts[(x | z).bit_count()] = counts.get((x | z).bit_count(), 0) + 1
+    assert stabilizer_weights(group) == dict(sorted(counts.items()))
 
 
 def test_exact_depolarizing_success_is_the_brute_force_sum(code8, group8):
@@ -951,6 +963,21 @@ def test_campaign_refuses_a_bad_seed_or_trial_count_before_building_a_simulator(
     # code=None would fail in Simulator, so each refusal comes first
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         run_campaign(None, "depolarizing:0.1", trials, seed)
+
+
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        (1, -(10**5000), "seed must be non-negative, got a negative integer of 5001 digits"),
+        (10**5000, 0, f"trials must lie in [0, {sys.maxsize}], got an integer of 5001 digits"),
+    ],
+    ids=["seed", "trials"],
+)
+def test_campaign_names_an_integer_too_long_for_str(code8, trials, seed, message):
+    # str() refuses more than 4,300 digits, so the digit count must come without it
+    with pytest.raises(ValueError) as bad:
+        run_campaign(code8, "depolarizing:0.1", trials, seed)
+    assert str(bad.value) == message
 
 
 def test_numpy_integer_trial_count_is_an_int(code8):

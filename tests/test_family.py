@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import table_data
+from strategies import valid_groups
 from stabforge import bounds, codewords, family, pauli, stabilizer
 from stabforge.family import (
     CodeSpec,
@@ -17,7 +18,18 @@ from stabforge.family import (
     derive_generators,
     letter_census,
 )
-from stabforge.pauli import PauliOperator, PureX, PureXList, commutes, letter, pure_xs, single, square_sign
+from stabforge.pauli import (
+    PauliOperator,
+    PureX,
+    PureXList,
+    commutes,
+    identity,
+    letter,
+    multiply,
+    pure_xs,
+    single,
+    square_sign,
+)
 
 
 def test_assign_numbers_golden():
@@ -441,6 +453,63 @@ def test_codespec_construction_is_a_json_string(code8, construction):
     spec = CodeSpec.from_json_dict(data)
     assert spec.construction == (family.CONSTRUCTION_NAME if construction is None else construction)
     assert spec.to_json_dict()["construction"] == spec.construction
+
+
+def test_codespec_names_an_integer_too_long_for_str(code8):
+    # str() refuses more than 4,300 digits, so the digit count must come without it
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict({**code8.to_json_dict(), "n": 10**5000})
+    assert str(malformed.value) == "malformed code spec: n must be at most 65536, got an integer of 5001 digits"
+
+
+def test_codespec_reads_a_numpy_integer_field_as_an_int(code8):
+    spec = CodeSpec.from_json_dict({**code8.to_json_dict(), "n": np.int64(8), "k": np.uint16(3)})
+    assert spec == code8 and type(spec.n) is int and type(spec.k) is int
+
+
+DEPENDENT_MESSAGE = "malformed code spec: generator {} is a product of earlier generators, up to sign"
+
+
+@pytest.mark.parametrize("second", ["+ZZ", "-ZZ"])
+def test_codespec_refuses_a_generator_that_is_a_product_of_earlier_ones(second):
+    # k = n - len(generators) holds, but the rank is 1, so k would overstate the code
+    data = {"n": 2, "k": 0, "j": 1, "generators": ["+ZZ", second], "seed_generators": []}
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict(data)
+    assert str(malformed.value) == DEPENDENT_MESSAGE.format(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_groups(), st.data())
+def test_codespec_names_an_inserted_product_of_earlier_generators(group, data):
+    gens = list(group.generators)
+    p = data.draw(st.integers(1, len(gens) + 1), label="position")
+    subset = data.draw(st.integers(0, (1 << (p - 1)) - 1), label="subset of the generators before p")
+    product = identity(group.n)
+    for i, g in enumerate(gens[: p - 1]):
+        if subset >> i & 1:
+            product = multiply(product, g)
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    gens.insert(p - 1, PauliOperator(group.n, product.x_bits, product.z_bits, sign * product.sign))
+    spec = {"n": group.n, "k": group.n - len(gens), "j": 0, "generators": list(map(pauli.format, gens)), "seed_generators": []}
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict(spec)
+    assert str(malformed.value) == DEPENDENT_MESSAGE.format(p)
+
+
+def test_codespec_load_names_an_undecodable_file(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"n": \xff}')
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.load(path)
+    assert str(malformed.value) == (
+        "malformed code spec file: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
+    )
+    path.write_text('{"n": ' + "9" * 5000 + "}")
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.load(path)
+    message = str(malformed.value)  # int()'s own words, or the n check where the digit limit is lifted
+    assert message.startswith("malformed code spec") and "\n" not in message and len(message) < 1024
 
 
 # sha256 of the j = 16 file that CodeSpec.save (and so `family --j 16 --out`)
