@@ -511,28 +511,29 @@ def run_campaign(code, model: str, trials: int, seed: int) -> CampaignStats:
     if not 0 <= trials <= sys.maxsize:  # a range longer than sys.maxsize has no len()
         raise ValueError(f"trials must lie in [0, {sys.maxsize}], got {_json_name(trials)}")
     sim = Simulator(code)
-    reports = []
-    streams = _trial_streams(seed, 3 * code.n << sim.k if model == "exhaustive" else trials)  # index = reports so far
+    streams = _trial_streams(seed, 3 * code.n << sim.k if model == "exhaustive" else trials)  # index = trials so far
     if model == "exhaustive":
-        for op in itertools.islice(iter_errors(code.n, 1), 1, None):  # the identity comes first
-            for words in _blocks(range(1 << sim.k)):
-                reports += sim._trial_block(PauliError(op), list(itertools.islice(streams, len(words))), list(words))
+        errors = itertools.islice(iter_errors(code.n, 1), 1, None)  # the identity comes first
+        blocks = ((PauliError(op), list(words)) for op in errors for words in _blocks(range(1 << sim.k)))
     else:
         spec = parse_error_spec(model, code.n)
-        for block in _blocks(range(trials)):
-            reports += sim._trial_block(spec, list(itertools.islice(streams, len(block))), [None] * len(block))
-
-    histogram: dict[str, int] = {}
-    for r in reports:
-        key = str(r.syndrome) if r.syndrome is not None else "annihilated"
-        histogram[key] = histogram.get(key, 0) + 1
-    successes = sum(r.success for r in reports)
+        blocks = ((spec, [None] * len(block)) for block in _blocks(range(trials)))
+    count = successes = 0
+    min_fidelity, histogram = math.inf, {}
+    for error, logicals in blocks:  # folded in as each block finishes, so memory does not grow with the trials
+        reports = sim._trial_block(error, list(itertools.islice(streams, len(logicals))), logicals)
+        count += len(reports)
+        successes += sum(r.success for r in reports)
+        min_fidelity = min(min_fidelity, *(r.fidelity for r in reports))
+        for r in reports:
+            key = str(r.syndrome) if r.syndrome is not None else "annihilated"
+            histogram[key] = histogram.get(key, 0) + 1
     return CampaignStats(
         model=model,
         seed=seed,
-        trials=len(reports),
+        trials=count,
         successes=successes,
-        success_rate=successes / len(reports) if reports else 0.0,
-        min_fidelity=min((r.fidelity for r in reports), default=0.0),
+        success_rate=successes / count if count else 0.0,
+        min_fidelity=min_fidelity if count else 0.0,
         syndrome_histogram=histogram,
     )

@@ -95,11 +95,16 @@ def derive_generators(assignment: NumberAssignment) -> list[PauliOperator]:
 class CodeSpec:
     """Persistent description of a code: parameters, generators, seeds.
 
-    The seeds must be one PureXList on n qubits; anything else raises
-    TypeError.  Files are written in version 2 only; version 1 files still
-    load.  Each generator is written as a Pauli string; version 2 writes
-    each seed as its qubit support, e.g. [1, 3] for X_1 X_3, and version 1
-    as a Pauli string, which the loader converts.
+    The constructor is the one gate for every CodeSpec, built or loaded, so
+    save writes only files that load accepts: n, k and j integers (numpy
+    ones stored as ints, bools refused), n in 1..2^MAX_J, construction a
+    string, k = n - len(generators), each generator a PauliOperator on n
+    qubits and no product of earlier ones, up to sign (so k is n minus the
+    rank; a tuple is stored), and the seeds one PureXList on n qubits.  It
+    raises TypeError or ValueError with load's text after "malformed code
+    spec: ".  Files are written in version 2, each generator as a Pauli
+    string and each seed as its qubit support, e.g. [1, 3] for X_1 X_3;
+    version 1 files, whose seeds are Pauli strings, still load.
     """
 
     n: int
@@ -110,7 +115,25 @@ class CodeSpec:
     construction: str = CONSTRUCTION_NAME
 
     def __post_init__(self):
-        codewords._require_seeds(self.seed_generators, self.n)
+        for name in ("n", "k", "j"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        n, generators = self.n, tuple(self.generators)
+        _require_n(n)
+        if not isinstance(self.construction, str):
+            raise TypeError(f"construction must be a string, got {_json_name(self.construction)}")
+        if self.k != n - len(generators):
+            raise ValueError(f"k = {_json_name(self.k)} but n - len(generators) = {n - len(generators)}")
+        echelon = SignedEchelon()
+        for idx, op in enumerate(generators, 1):
+            if not isinstance(op, PauliOperator):
+                raise TypeError(f"generator {idx} must be a PauliOperator, got {_json_name(op)}")
+            if op.n != n:
+                raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
+            echelon.insert(op)  # stores a row unless op is a +-product of the rows before it
+            if len(echelon.rows) < idx:
+                raise ValueError(f"generator {idx} is a product of earlier generators, up to sign")
+        object.__setattr__(self, "generators", generators)
+        codewords._require_seeds(self.seed_generators, n)
 
     def group(self) -> StabilizerGroup:
         return validate(self.n, self.generators)
@@ -147,15 +170,13 @@ class CodeSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CodeSpec":
-        """Load the JSON form strictly: integer fields must be integers (not
-        bools or floats), n is at most that of the largest family code, k
-        must equal n minus the generator count, every generator must act on
-        n qubits and be no product of earlier ones, up to sign (so k is n
-        minus their rank), the construction (the family's when absent) must
-        be a string, and the version (1 when absent) must be 1 or 2.  Version 1 seeds must be +1
-        pure-X Pauli strings on n qubits; version 2 seeds must be lists of
-        integer qubits, strictly ascending in 1..n.  Any violation raises
-        ValueError("malformed code spec: ...")."""
+        """Decode the JSON form; the constructor checks the fields.  Only
+        the decoding is checked here: a JSON object, n, k and j present and
+        integers, the version (1 when absent) 1 or 2, n in range (it bounds
+        the seeds), the generators a list of Pauli strings, and the seeds:
+        version 1 ones +1 pure-X Pauli strings on n qubits, version 2 ones
+        lists of integer qubits, strictly ascending in 1..n.  Any violation,
+        here or in the constructor, raises ValueError("malformed code spec: ...")."""
         try:
             if not isinstance(data, dict):
                 raise TypeError(f"expected a JSON object, got {'null' if data is None else type(data).__name__}")
@@ -163,28 +184,11 @@ class CodeSpec:
             version = _integer(data.get("version", 1), "version")
             if version not in (1, 2):
                 raise ValueError(f"version must be 1 or 2, got {_json_name(version)}")
-            if n < 1:
-                raise ValueError(f"n must be positive, got {_json_name(n)}")
-            if n > 1 << MAX_J:
-                raise ValueError(f"n must be at most {1 << MAX_J}, got {_json_name(n)}")
+            _require_n(n)
             generators = _json_operators(data, "generators")
             key = "seed_generators"
-            seeds = _json_operators(data, key) if version == 1 else _json_supports(data, key, n)
-            construction = data.get("construction", CONSTRUCTION_NAME)
-            if not isinstance(construction, str):
-                raise TypeError(f"construction must be a string, got {_json_name(construction)}")
-            if k != n - len(generators):
-                raise ValueError(f"k = {_json_name(k)} but n - len(generators) = {n - len(generators)}")
-            echelon = SignedEchelon()
-            for idx, op in enumerate(generators, 1):
-                if op.n != n:
-                    raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
-                echelon.insert(op)  # stores a row unless op is a +-product of the rows before it
-                if len(echelon.rows) < idx:
-                    raise ValueError(f"generator {idx} is a product of earlier generators, up to sign")
-            if version == 1:
-                seeds = _pure_x_list(n, seeds)
-            return cls(n, k, j, generators, seeds, construction)
+            seeds = _pure_x_list(n, _json_operators(data, key)) if version == 1 else _json_supports(data, key, n)
+            return cls(n, k, j, generators, seeds, data.get("construction", CONSTRUCTION_NAME))
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"malformed code spec: {reason}") from exc
@@ -198,6 +202,14 @@ class CodeSpec:
         except RecursionError:
             raise ValueError("malformed code spec: JSON nested too deeply") from None
         return cls.from_json_dict(data)
+
+
+def _require_n(n: int) -> None:
+    """The range of a CodeSpec's n: 1 up to the n of the largest family code."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {_json_name(n)}")
+    if n > 1 << MAX_J:
+        raise ValueError(f"n must be at most {1 << MAX_J}, got {_json_name(n)}")
 
 
 def _json_operators(data: dict, key: str) -> tuple[PauliOperator, ...]:
@@ -237,15 +249,13 @@ def build_code(j: int) -> CodeSpec:
     assignment = assign_numbers(j)
     gens = derive_generators(assignment)
     group = validate(assignment.n, gens)
-    if group.a != j + 2:  # validation must keep every generator
-        raise AssertionError("family generators were not independent")
     seeds = codewords.seed_generators(group)
     n = assignment.n
     return CodeSpec(
         n=n,
         k=n - j - 2,
         j=j,
-        generators=tuple(gens),
+        generators=gens,
         seed_generators=seeds,
     )
 

@@ -11,7 +11,6 @@ distinct over the errors of weight <= t.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -37,6 +36,12 @@ class SquaresToMinusOneError(StabilizerValidationError):
         super().__init__(f"generator {r} squares to -1")
 
 
+class DependentGeneratorError(StabilizerValidationError):
+    def __init__(self, r: int):
+        self.r = r
+        super().__init__(f"generator {r} is a product of earlier generators")
+
+
 class MinusIdentityError(StabilizerValidationError):
     def __init__(self, r: int):
         self.r = r
@@ -45,10 +50,6 @@ class MinusIdentityError(StabilizerValidationError):
 
 class GroupTooLargeError(ValueError):
     pass
-
-
-class DependentGeneratorsWarning(UserWarning):
-    """Redundant (GF(2)-dependent but consistent) generators were dropped."""
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,11 @@ class SignedEchelon:
 def validate(n: int, generators) -> StabilizerGroup:
     """Check the stabilizer conditions and return the validated group.
 
-    Raises NotAbelianError, SquaresToMinusOneError or MinusIdentityError on
-    bad input.  Generators that are GF(2)-dependent on earlier ones but
-    consistent (subset product = +identity) are dropped with a
-    DependentGeneratorsWarning instead of being rejected.
+    Raises NotAbelianError, SquaresToMinusOneError, or, for a generator that
+    is a product of earlier ones, DependentGeneratorError (the product is
+    +identity) or MinusIdentityError (-identity: the code is empty).
     """
-    gens = list(generators)
+    gens = tuple(generators)
     for r, g in enumerate(gens, 1):
         if g.n != n:
             raise ValueError(f"generator {r} acts on {g.n} qubits, expected {n}")
@@ -129,27 +129,14 @@ def validate(n: int, generators) -> StabilizerGroup:
         if not commutes(g, h):
             raise NotAbelianError(r, s)
 
-    # A dependent generator reduces to +identity (redundant) or -identity
-    # (empty code).  The generators commute, so the sign of that product
-    # does not depend on the pivot order.
+    # A dependent generator reduces to +-identity.  The generators commute,
+    # so the sign of that product does not depend on the pivot order.
     echelon = SignedEchelon()
-    kept = []
-    dropped = []
     for r, g in enumerate(gens, 1):
         residue = echelon.insert(g)
-        if residue.x_bits or residue.z_bits:
-            kept.append(g)
-        elif residue.sign == -1:
-            raise MinusIdentityError(r)
-        else:
-            dropped.append(r)
-    if dropped:
-        warnings.warn(
-            f"dropped dependent generators at positions {dropped}",
-            DependentGeneratorsWarning,
-            stacklevel=2,
-        )
-    return StabilizerGroup(n, tuple(kept))
+        if not (residue.x_bits or residue.z_bits):
+            raise (MinusIdentityError if residue.sign == -1 else DependentGeneratorError)(r)
+    return StabilizerGroup(n, gens)
 
 
 def syndrome(group: StabilizerGroup, e: PauliOperator) -> Syndrome:

@@ -11,14 +11,15 @@ supports (``reference_supports`` puts it in the library's return form),
 np.nonzero, as ``gf2.nullspace_rref`` did before it scattered each pivot
 row, and ``reference_check_seeds`` reduces every seed one at a time, as
 ``check_seeds`` did before it took the leading bits of all seeds at once.
-They are frozen here so that any change in kept generators, dropped
-positions, rejections, classification, seeds or seed problems shows up.
+``reference_validate`` refuses a dependent generator, as ``validate`` does
+since it stopped dropping one with a warning.  They are frozen here so
+that any change in kept generators, rejections, classification, seeds or
+seed problems shows up.
 """
 
 import itertools
 import random
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from stabforge.codewords import (
 )
 from stabforge.pauli import PauliOperator, PureX, commutes, multiply, parse, square_sign
 from stabforge.stabilizer import (
-    DependentGeneratorsWarning,
+    DependentGeneratorError,
     MinusIdentityError,
     NotAbelianError,
     SquaresToMinusOneError,
@@ -58,8 +59,6 @@ def reference_validate(n, generators):
             raise NotAbelianError(r, s)
 
     echelon = {}
-    kept = []
-    dropped = []
     for r, g in enumerate(gens, 1):
         v = g.x_bits | (g.z_bits << n)
         prod = g
@@ -71,19 +70,9 @@ def reference_validate(n, generators):
             v ^= row
             prod = multiply(prod, row_prod)
         if v == 0:
-            if prod.sign == -1:
-                raise MinusIdentityError(r)
-            dropped.append(r)
-        else:
-            echelon[v.bit_length() - 1] = (v, prod)
-            kept.append(g)
-    if dropped:
-        warnings.warn(
-            f"dropped dependent generators at positions {dropped}",
-            DependentGeneratorsWarning,
-            stacklevel=2,
-        )
-    return StabilizerGroup(n, tuple(kept))
+            raise (MinusIdentityError if prod.sign == -1 else DependentGeneratorError)(r)
+        echelon[v.bit_length() - 1] = (v, prod)
+    return StabilizerGroup(n, tuple(gens))
 
 
 def reference_classify(group):
@@ -223,19 +212,12 @@ def reference_check_seeds(group, seeds):
 
 
 def _validation(fn, n, gens):
-    """(outcome, group): kept generators and dropped positions, or the rejection."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            group = fn(n, gens)
-        except StabilizerValidationError as exc:
-            return ("rejected", type(exc), exc.r, str(exc)), None
-    dropped = [
-        re.fullmatch(r"dropped dependent generators at positions \[(.*)\]", str(w.message)).group(1)
-        for w in caught
-        if issubclass(w.category, DependentGeneratorsWarning)
-    ]
-    return ("kept", group.generators, dropped), group
+    """(outcome, group): the generators kept, or the rejection."""
+    try:
+        group = fn(n, gens)
+    except StabilizerValidationError as exc:
+        return ("rejected", type(exc), exc.r, str(exc)), None
+    return ("kept", group.generators), group
 
 
 def _classification(fn, group):
@@ -257,13 +239,24 @@ def _reference_problems(group, seeds):
         return count + [str(exc)]
 
 
-def assert_same_as_reference(n, gens, claimed_seeds=()):
+def _same_validation(n, gens):
     outcome, group = _validation(validate, n, gens)
     ref_outcome, ref_group = _validation(reference_validate, n, gens)
-    assert outcome == ref_outcome
+    assert outcome == ref_outcome and group == ref_group
+    return outcome, group
+
+
+def assert_same_as_reference(n, gens, claimed_seeds=()):
+    """The first outcome, and the classification of the independent
+    sublist: a generator refused as dependent (+identity) is dropped and
+    the rest validated again, until they are accepted or refused otherwise."""
+    gens = list(gens)
+    outcome, group = first = _same_validation(n, gens)
+    while outcome[1] is DependentGeneratorError:
+        gens = gens[: outcome[2] - 1] + gens[outcome[2] :]
+        outcome, group = _same_validation(n, gens)
     if group is None:
-        return outcome, None
-    assert group == ref_group
+        return first[0], None
     cls = _classification(classify_generators, group)
     assert cls == _classification(reference_classify, group)
     seed_lists = [list(claimed_seeds)]
@@ -273,7 +266,7 @@ def assert_same_as_reference(n, gens, claimed_seeds=()):
         seed_lists += collision_lists(n, cls, seeds)
     for seeds in seed_lists:
         assert_seed_problems_match_reference(group, seeds)
-    return outcome, cls
+    return first[0], cls
 
 
 def assert_seed_problems_match_reference(group, claimed):
@@ -412,9 +405,9 @@ def test_elimination_matches_reference(case):
 @pytest.mark.parametrize(
     "texts, expected",
     [
-        (["XX", "ZZ", "YY"], ("kept", 2, ["3"])),  # XX * ZZ = +YY, so YY is redundant
+        (["XX", "ZZ", "YY"], ("rejected", DependentGeneratorError, 3, 2)),  # XX * ZZ = +YY, so YY is redundant
         (["XX", "ZZ", "-YY"], ("rejected", MinusIdentityError, 3)),
-        (["ZZI", "IZZ", "ZIZ", "XXX"], ("kept", 3, ["3"])),
+        (["ZZI", "IZZ", "ZIZ", "XXX"], ("rejected", DependentGeneratorError, 3, 3)),
         (["-ZZ"], "generator -ZZ reduces to -ZZ"),
         (["XXX", "-ZZI", "IZZ"], "generator -ZZI reduces to -ZZI"),
         (["XX", "-YY"], "generator -YY reduces to -ZZ"),
@@ -427,8 +420,8 @@ def test_elimination_examples(texts, expected):
     outcome, cls = assert_same_as_reference(gens[0].n, gens)
     if isinstance(expected, str):
         assert cls == expected
-    elif expected[0] == "kept":
-        assert (outcome[0], len(outcome[1]), outcome[2]) == expected
+    elif expected[1] is DependentGeneratorError:  # and the independent rest, of this many generators, classified
+        assert outcome[:3] == expected[:3] and sum(map(len, cls)) == expected[3]
     else:
         assert outcome[:3] == expected
 

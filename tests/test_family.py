@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import table_data
 from strategies import valid_groups
@@ -205,14 +205,16 @@ def test_codespec_load_rejects_garbage(tmp_path):
         CodeSpec.load(path)
 
 
-@pytest.mark.parametrize("j", range(3, 9))
+@pytest.mark.parametrize("j", range(3, 13))
 def test_codespec_family_out_round_trip_byte_identical(j, tmp_path):
     from stabforge import cli
 
     path = tmp_path / "code.json"
     assert cli.main(["family", "--j", str(j), "--out", str(path), "--json"]) == 0
     again = tmp_path / "again.json"
-    CodeSpec.load(path).save(again)
+    loaded = CodeSpec.load(path)
+    assert loaded == build_code(j)
+    loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -495,6 +497,85 @@ def test_codespec_names_an_inserted_product_of_earlier_generators(group, data):
     with pytest.raises(ValueError) as malformed:
         CodeSpec.from_json_dict(spec)
     assert str(malformed.value) == DEPENDENT_MESSAGE.format(p)
+
+
+ZZ = pauli.parse("+ZZ")
+ZZ_SPEC = CodeSpec(2, 1, 1, (ZZ,), pure_xs(2, [[1, 2]]))  # a valid spec to change field by field
+
+PRODUCT_OF_EARLIER = "generator 2 is a product of earlier generators, up to sign"
+
+# field changes that the constructor refuses, each with the text load gives
+# for the same change to the file
+REFUSED_FIELDS = [
+    ("zz", {"k": 0, "generators": (ZZ, ZZ), "seed_generators": pure_xs(2, [])}, PRODUCT_OF_EARLIER),
+    ("zz", {"k": 0, "generators": (ZZ, pauli.parse("-ZZ")), "seed_generators": pure_xs(2, [])}, PRODUCT_OF_EARLIER),
+    ("zz", {"k": 5}, "k = 5 but n - len(generators) = 1"),
+    ("zz", {"generators": (pauli.parse("+ZZZ"),)}, "generator 1 acts on 3 qubits, expected 2"),
+    ("zz", {"n": 70000}, "n must be at most 65536, got 70000"),
+    ("code8", {"k": True}, "k must be an integer, got true"),
+    ("code8", {"j": 3.0}, "j must be an integer, got 3.0"),
+    ("code8", {"construction": None}, "construction must be a string, got null"),
+]
+
+
+def _json_fields(change: dict) -> dict:
+    """A change of CodeSpec fields, in the JSON form."""
+    out = dict(change)
+    if "generators" in change:
+        out["generators"] = [pauli.format(g) for g in change["generators"]]
+    if "seed_generators" in change:
+        out["seed_generators"] = change["seed_generators"].supports()
+    return out
+
+
+@pytest.mark.parametrize("base, change, message", REFUSED_FIELDS)
+def test_codespec_constructor_refuses_what_load_refuses(code8, base, change, message):
+    spec = code8 if base == "code8" else ZZ_SPEC
+    with pytest.raises(ValueError) as malformed:
+        CodeSpec.from_json_dict({**spec.to_json_dict(), **_json_fields(change)})
+    assert str(malformed.value) == f"malformed code spec: {message}"
+    fields = {**{f.name: getattr(spec, f.name) for f in dataclasses.fields(CodeSpec)}, **change}
+    for build in (lambda: CodeSpec(**fields), lambda: dataclasses.replace(spec, **change)):
+        with pytest.raises((TypeError, ValueError)) as refused:
+            build()
+        assert type(refused.value) is type(malformed.value.__cause__) and str(refused.value) == message
+
+
+def test_codespec_stores_numpy_integers_as_ints(code8, tmp_path):
+    spec = dataclasses.replace(code8, n=np.int64(8), k=np.uint16(3), j=np.int8(3))
+    assert spec == code8 and all(type(v) is int for v in (spec.n, spec.k, spec.j))
+    spec.save(tmp_path / "code8.json")
+    assert CodeSpec.load(tmp_path / "code8.json") == code8
+
+
+def test_codespec_stores_its_generators_as_a_tuple(code8, tmp_path):
+    spec = dataclasses.replace(code8, generators=list(code8.generators))
+    assert type(spec.generators) is tuple and spec == code8 and hash(spec) == hash(code8)
+    spec.save(tmp_path / "code8.json")
+    assert CodeSpec.load(tmp_path / "code8.json") == spec
+
+
+def test_codespec_refuses_a_generator_that_is_not_a_pauli_operator(code8):
+    with pytest.raises(TypeError) as refused:
+        dataclasses.replace(code8, generators=tuple(table_data.GENERATORS))
+    assert str(refused.value) == "generator 1 must be a PauliOperator, got a string"
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_groups(), st.integers(-(10**20), 10**20), st.text(max_size=12))
+def test_codespec_round_trips_byte_for_byte(tmp_path_factory, group, j, construction):
+    """load(save(spec)) == spec, and saving it again writes the same bytes."""
+    try:
+        seeds = codewords.seed_generators(group)
+    except codewords.MinusSignPureZError:
+        assume(False)
+    spec = CodeSpec(group.n, group.n - group.a, j, group.generators, seeds, construction)
+    directory = tmp_path_factory.mktemp("spec")
+    spec.save(directory / "first.json")
+    loaded = CodeSpec.load(directory / "first.json")
+    assert loaded == spec
+    loaded.save(directory / "second.json")
+    assert (directory / "second.json").read_bytes() == (directory / "first.json").read_bytes()
 
 
 def test_codespec_load_names_an_undecodable_file(tmp_path):

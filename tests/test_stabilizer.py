@@ -10,7 +10,7 @@ from stabforge import codewords, family, gf2, oracle, stabilizer
 from stabforge.pauli import PauliOperator, identity, multiply, parse, single
 from stabforge.stabilizer import (
     CorrectabilityReport,
-    DependentGeneratorsWarning,
+    DependentGeneratorError,
     MinusIdentityError,
     NotAbelianError,
     SquaresToMinusOneError,
@@ -48,10 +48,10 @@ def test_validate_minus_identity():
         validate(2, [parse("+ZZ"), parse("-ZZ")])
 
 
-def test_validate_drops_redundant_with_warning():
-    with pytest.warns(DependentGeneratorsWarning):
-        group = validate(2, [parse("+ZZ"), parse("+ZZ")])
-    assert group.a == 1
+def test_validate_refuses_a_redundant_generator():
+    with pytest.raises(DependentGeneratorError) as exc:
+        validate(2, [parse("+ZZ"), parse("+ZZ")])
+    assert exc.value.r == 2
 
 
 def test_signed_echelon_tracks_signs_and_x_first_pivots():
