@@ -146,37 +146,29 @@ def cmd_verify(args) -> int:
         )
 
     failures = []
-    lines = [f"code: n={code.n}, k={code.k}, a={a}"]
-    group = report = None
-    try:
-        group = stabilizer.validate(code.n, code.generators)
-        lines.append("validate: ok")
-    except stabilizer.StabilizerValidationError as exc:
-        lines.append(f"validate: FAIL ({exc})")
-        failures.append("validate")
+    lines = [f"code: n={code.n}, k={code.k}, a={a}", "validate: ok"]  # the CodeSpec constructor validated
+    group = code.group()
+    report = stabilizer.check_correctability(group, args.t)
+    if report.ok:
+        lines.append(
+            f"correctability t={args.t}: ok "
+            f"({report.distinct_syndromes} distinct syndromes over {report.total_errors} errors)"
+        )
+    else:
+        first, second = report.collision
+        name = str if code.n <= MAX_TEXT_QUBITS else _sparse_error
+        lines.append(
+            f"correctability t={args.t}: FAIL "
+            f"({name(first)} and {name(second)} share syndrome {stabilizer.syndrome(group, first)})"
+        )
+        failures.append("correctability")
 
-    if group is not None:
-        report = stabilizer.check_correctability(group, args.t)
-        if report.ok:
-            lines.append(
-                f"correctability t={args.t}: ok "
-                f"({report.distinct_syndromes} distinct syndromes over {report.total_errors} errors)"
-            )
-        else:
-            first, second = report.collision
-            name = str if code.n <= MAX_TEXT_QUBITS else _sparse_error
-            lines.append(
-                f"correctability t={args.t}: FAIL "
-                f"({name(first)} and {name(second)} share syndrome {stabilizer.syndrome(group, first)})"
-            )
-            failures.append("correctability")
-
-        seed_problems = codewords.check_seeds(group, code.seed_generators)
-        if seed_problems:
-            lines.append(f"seed generators: FAIL ({'; '.join(seed_problems)})")
-            failures.append("seeds")
-        else:
-            lines.append("seed generators: ok")
+    seed_problems = codewords.check_seeds(group, code.seed_generators)
+    if seed_problems:
+        lines.append(f"seed generators: FAIL ({'; '.join(seed_problems)})")
+        failures.append("seeds")
+    else:
+        lines.append("seed generators: ok")
 
     oracle_report = None
     if args.oracle:
@@ -199,14 +191,13 @@ def cmd_verify(args) -> int:
             "t": args.t,
             "ok": ok,
             "failures": failures,
-        }
-        if report is not None:
-            payload["correctability"] = {
+            "correctability": {
                 "total_errors": report.total_errors,
                 "distinct_syndromes": report.distinct_syndromes,
-            }
-            if not report.ok:
-                payload["correctability"]["collision"] = [_sparse_error(op) for op in report.collision]
+            },
+        }
+        if not report.ok:
+            payload["correctability"]["collision"] = [_sparse_error(op) for op in report.collision]
         if oracle_report is not None:
             payload["oracle"] = {
                 "rank": oracle_report.rank,
@@ -274,12 +265,11 @@ def cmd_syndrome(args) -> int:
     code = _load_spec(args.code)
     try:
         err = pauli.parse(args.error)
-        group = code.group()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if err.n != code.n:
         raise UsageError(f"error acts on {err.n} qubits, code has {code.n}")
-    syn = stabilizer.syndrome(group, err)
+    syn = stabilizer.syndrome(code.group(), err)
     if args.json:
         print(json.dumps({"error": pauli.format(err), "syndrome": str(syn)}, indent=2))
     else:

@@ -85,13 +85,31 @@ class PauliError:
 
 @dataclass(frozen=True, eq=False)
 class MatrixError:
+    """A 2 x 2 matrix of finite complex entries on one qubit, an integer
+    (stored as an int); the qubit's range is checked against the code."""
+
     matrix: np.ndarray
     qubit: int
+
+    def __post_init__(self):
+        try:
+            ok = np.shape(self.matrix) == (2, 2) and np.isfinite(np.asarray(self.matrix, np.complex128)).all()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError("matrix error needs a 2 x 2 matrix of finite complex entries")
+        object.__setattr__(self, "qubit", _integer(self.qubit, "matrix qubit"))
 
 
 @dataclass(frozen=True)
 class DepolarizingError:
+    """Each qubit independently takes X, Y or Z, each with probability p / 3."""
+
     p: float
+
+    def __post_init__(self):
+        if not 0 <= self.p <= 1:  # nan too
+            raise ValueError(f"depolarizing probability must lie in [0, 1], got {self.p}")
 
 
 ErrorSpec = Union[PauliError, MatrixError, DepolarizingError]
@@ -132,8 +150,6 @@ def parse_error_spec(text: str, n: int) -> ErrorSpec:
             p = float(rest)
         except ValueError:
             raise ValueError(f"depolarizing probability must be a number, got {rest!r}") from None
-        if not 0 <= p <= 1:
-            raise ValueError(f"depolarizing probability must lie in [0, 1], got {p}")
         return DepolarizingError(p)
     raise ValueError(f"unknown error model kind {kind!r}")
 
@@ -459,16 +475,15 @@ def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
 
 
 def _trial_streams(seed: int, count: int):
-    """trial_rng(seed, i) for i in range(count), lazily and in order: the first
-    TRIAL_BLOCK_ROWS from trial_rng, then those Generators in turn, each good
-    until TRIAL_BLOCK_ROWS more are drawn, keyed by _pcg64_seeds, which must
-    match stream 0 before any stream is handed out."""
+    """trial_rng(seed, i) for i in range(count), lazily and in order: a pool
+    of TRIAL_BLOCK_ROWS Generators from trial_rng, handed out in turn, each
+    good until TRIAL_BLOCK_ROWS more are drawn and each keyed, from stream 0
+    on, by _pcg64_seeds, which must match trial_rng's stream 0 first."""
     pool = [trial_rng(seed, i) for i in range(min(count, TRIAL_BLOCK_ROWS))]
     if pool and _pcg64_seeds(seed, 0, 1)[0] != tuple(pool[0].bit_generator.state["state"].values()):
         raise AssertionError("the bulk trial streams differ from trial_rng")
-    yield from pool
     key = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for start in range(len(pool), count, _SEED_CHUNK):
+    for start in range(0, count, _SEED_CHUNK):
         for i, (state, inc) in enumerate(_pcg64_seeds(seed, start, min(start + _SEED_CHUNK, count)), start):
             key["state"] = {"state": state, "inc": inc}
             pool[i % len(pool)].bit_generator.state = key

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import codewords, pauli
 from .pauli import PauliOperator, PureXList, _integer, _json_name
-from .stabilizer import SignedEchelon, StabilizerGroup, validate
+from .stabilizer import DependentGeneratorError, MinusIdentityError, StabilizerGroup, validate
 
 CONSTRUCTION_NAME = "gottesman-hamming-saturating"
 
@@ -98,13 +98,15 @@ class CodeSpec:
     The constructor is the one gate for every CodeSpec, built or loaded, so
     save writes only files that load accepts: n, k and j integers (numpy
     ones stored as ints, bools refused), n in 1..2^MAX_J, construction a
-    string, k = n - len(generators), each generator a PauliOperator on n
-    qubits and no product of earlier ones, up to sign (so k is n minus the
-    rank; a tuple is stored), and the seeds one PureXList on n qubits.  It
-    raises TypeError or ValueError with load's text after "malformed code
-    spec: ".  Files are written in version 2, each generator as a Pauli
-    string and each seed as its qubit support, e.g. [1, 3] for X_1 X_3;
-    version 1 files, whose seeds are Pauli strings, still load.
+    string, k = n - len(generators), each generator a PauliOperator, the
+    generators a stabilizer group by stabilizer.validate (on n qubits,
+    squaring to +1, commuting, and none a product of earlier ones, up to
+    sign, so k is n minus the rank; a tuple is stored), and the seeds one
+    PureXList on n qubits.  It raises TypeError or ValueError with load's
+    text after "malformed code spec: ".  Files are written in version 2,
+    each generator as a Pauli string and each seed as its qubit support,
+    e.g. [1, 3] for X_1 X_3; version 1 files, whose seeds are Pauli
+    strings, still load.
     """
 
     n: int
@@ -123,20 +125,19 @@ class CodeSpec:
             raise TypeError(f"construction must be a string, got {_json_name(self.construction)}")
         if self.k != n - len(generators):
             raise ValueError(f"k = {_json_name(self.k)} but n - len(generators) = {n - len(generators)}")
-        echelon = SignedEchelon()
         for idx, op in enumerate(generators, 1):
             if not isinstance(op, PauliOperator):
                 raise TypeError(f"generator {idx} must be a PauliOperator, got {_json_name(op)}")
-            if op.n != n:
-                raise ValueError(f"generator {idx} acts on {op.n} qubits, expected {n}")
-            echelon.insert(op)  # stores a row unless op is a +-product of the rows before it
-            if len(echelon.rows) < idx:
-                raise ValueError(f"generator {idx} is a product of earlier generators, up to sign")
+        try:
+            validate(n, generators)
+        except (DependentGeneratorError, MinusIdentityError) as exc:
+            raise ValueError(f"generator {exc.r} is a product of earlier generators, up to sign") from exc
         object.__setattr__(self, "generators", generators)
         codewords._require_seeds(self.seed_generators, n)
 
     def group(self) -> StabilizerGroup:
-        return validate(self.n, self.generators)
+        """The generators as a StabilizerGroup; the constructor validated them."""
+        return StabilizerGroup(self.n, self.generators)
 
     def to_json_dict(self) -> dict:
         """The version 2 JSON form."""
@@ -243,21 +244,13 @@ def _json_supports(data: dict, key: str, n: int) -> PureXList:
 
 
 def build_code(j: int) -> CodeSpec:
-    """Construct and validate the family code for 3 <= j <= 16."""
+    """The family code for 3 <= j <= 16, validated once, by the CodeSpec constructor."""
     if not MIN_J <= j <= MAX_J:
         raise ValueError(f"j must lie in [{MIN_J}, {MAX_J}], got {j}")
     assignment = assign_numbers(j)
-    gens = derive_generators(assignment)
-    group = validate(assignment.n, gens)
-    seeds = codewords.seed_generators(group)
-    n = assignment.n
-    return CodeSpec(
-        n=n,
-        k=n - j - 2,
-        j=j,
-        generators=gens,
-        seed_generators=seeds,
-    )
+    n, gens = assignment.n, tuple(derive_generators(assignment))
+    seeds = codewords.seed_generators(StabilizerGroup(n, gens))  # the constructor validates gens
+    return CodeSpec(n=n, k=n - j - 2, j=j, generators=gens, seed_generators=seeds)
 
 
 def letter_census(op: PauliOperator) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .codewords import FormalState, basis as codeword_basis
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _integer
 from .stabilizer import _descriptors, materialize, validate
 
 MAX_QUBITS = 12
@@ -172,6 +172,7 @@ def verify_code(code, t: int) -> VerificationReport:
     the projector onto the syndrome-s space and m_s the number of errors
     with syndrome s, so every eigenvalue is a nonnegative integer.
     """
+    t = _integer(t, "t")
     if t < 0:
         raise ValueError("t must be non-negative")
     n = code.n

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import gf2
-from .pauli import PauliOperator, commutes, identity, multiply, single, square_sign
+from .pauli import PauliOperator, _integer, commutes, identity, multiply, single, square_sign
 
 
 class StabilizerValidationError(ValueError):
@@ -285,6 +285,7 @@ def check_correctability(group: StabilizerGroup, t: int) -> CorrectabilityReport
     outnumber the N errors more than 8 to 1, a sort (np.unique) and a dict
     from each light value to its index stand in for the table.
     """
+    t = _integer(t, "t")
     if t < 0:
         raise ValueError("t must be non-negative")
     n = group.n

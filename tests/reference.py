@@ -52,8 +52,16 @@ def seed_list(n: int, ops) -> PureXList:
 
 
 def stabilizer_weights(group) -> dict[int, int]:
-    """The weight enumerator {w: A_w} of the 2^a elements of group."""
-    return dict(sorted(Counter((g.x_bits | g.z_bits).bit_count() for g in enumerate_elements(group)).items()))
+    """The weight enumerator {w: A_w} of the 2^a elements of group, by a
+    Gray-code walk: step m multiplies in the generator at m's lowest set
+    bit, one XOR of its bits, so no element is held but the current one."""
+    x = z = 0
+    counts = Counter([0])  # the identity
+    for m in range(1, 1 << group.a):
+        g = group.generators[(m & -m).bit_length() - 1]
+        x, z = x ^ g.x_bits, z ^ g.z_bits
+        counts[(x | z).bit_count()] += 1
+    return dict(sorted(counts.items()))
 
 
 def depolarizing_success(n: int, weights: dict[int, int], p: float) -> float:

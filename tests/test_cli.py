@@ -191,9 +191,9 @@ def test_verify_tampered_spec(capsys, code_path, tmp_path):
     data["generators"][0] = "+ZXXXXXXX"
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(data))
-    code, out, _ = run_cli(capsys, "verify", str(bad))
-    assert code == 1
-    assert "FAIL" in out
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: malformed code spec: generators 1 and 2 anticommute"]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +454,14 @@ def _long_int_load_line():
 # more files that no command may load, and the one line each is refused with
 REFUSED_AT_LOAD = {
     "negated": (json.dumps({**DEPENDENT_SPEC, "generators": ["+ZZ", "-ZZ"]}).encode(), DEPENDENT_MESSAGE),
+    "anticommuting": (
+        json.dumps({**family.build_code(3).to_json_dict(), "generators": ["+ZXXXXXXX"] + table_data.GENERATORS[1:]}).encode(),
+        "malformed code spec: generators 1 and 2 anticommute",
+    ),
+    "squares-to-minus-one": (
+        b'{"n": 1, "k": 0, "j": 0, "generators": ["+Y"], "seed_generators": []}',
+        "malformed code spec: generator 1 squares to -1",
+    ),
     "not-utf8": (
         b'{"n": 2, "construction": "\xff"}',
         "malformed code spec file: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte",

@@ -618,6 +618,34 @@ def test_trial_rejects_an_error_on_other_qubits(sim, error, message):
             sim._trial_block(error, [trial_rng(0, i) for i in range(rows)], [None] * rows)
 
 
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ((2.0,), ValueError, r"^depolarizing probability must lie in \[0, 1\], got 2\.0$"),
+        ((-0.25,), ValueError, r"^depolarizing probability must lie in \[0, 1\], got -0\.25$"),
+        ((math.nan,), ValueError, r"^depolarizing probability must lie in \[0, 1\], got nan$"),
+        ((np.array([[np.nan, 0], [0, 1]]), 1), ValueError, "^matrix error needs a 2 x 2 matrix of finite complex entries$"),
+        ((np.array([[1, 0], [0, complex(0, math.inf)]]), 1), ValueError, "^matrix error needs a 2 x 2"),
+        ((np.eye(3), 1), ValueError, "^matrix error needs a 2 x 2"),
+        (([1, 0, 0, 1], 1), ValueError, "^matrix error needs a 2 x 2"),
+        ((np.eye(2), 1.5), TypeError, r"^matrix qubit must be an integer, got 1\.5$"),
+        ((np.eye(2), True), TypeError, "^matrix qubit must be an integer, got true$"),
+    ],
+    ids=["p-above-1", "p-below-0", "p-nan", "matrix-nan", "matrix-inf", "matrix-3x3", "matrix-flat", "qubit-float", "qubit-bool"],
+)
+def test_error_models_refuse_bad_fields_when_built(fields, error, message):
+    model = DepolarizingError if len(fields) == 1 else MatrixError
+    with pytest.raises(error, match=message):
+        model(*fields)
+
+
+def test_error_models_keep_good_fields(sim):
+    error = MatrixError([[0, 1], [1, 0]], np.int64(3))  # a nested list reads as the 2 x 2 array it spells
+    assert type(error.qubit) is int and error.qubit == 3
+    assert sim.trial(error, trial_rng(0, 0)) == sim.trial(PauliError(single(8, 3, "X")), trial_rng(0, 0))
+    assert [DepolarizingError(p).p for p in (0, 0.0, 1.0)] == [0, 0.0, 1.0]
+
+
 def test_trial_rejects_an_unsupported_error_spec(sim):
     with pytest.raises(TypeError, match="^unsupported error spec 'depolarizing:0.1'$"):
         sim.trial("depolarizing:0.1", trial_rng(0, 0))
@@ -811,7 +839,7 @@ def test_matrix_and_pauli_forms_of_one_error_give_one_campaign(code8, matrix, pa
     assert without_model(matrix) == without_model(pauli)
 
 
-@pytest.mark.parametrize("j", range(3, 13))
+@pytest.mark.parametrize("j", range(3, 17))
 def test_family_stabilizers_have_three_weights(j):
     n = 1 << j
     assert stabilizer_weights(family.build_code(j).group()) == {0: 1, 3 * n // 4: (1 << (j + 2)) - 4, n: 3}

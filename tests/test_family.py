@@ -95,6 +95,20 @@ def test_build_code_j4():
     assert codewords.check_seeds(group, code.seed_generators) == []
 
 
+def test_build_code_validates_the_generators_once(code8, monkeypatch):
+    calls = []
+
+    def counting_validate(n, generators):
+        calls.append(n)
+        return stabilizer.validate(n, generators)
+
+    monkeypatch.setattr(family, "validate", counting_validate)
+    assert build_code(3) == code8
+    assert calls == [8]
+    dataclasses.replace(code8)  # that one call is the constructor's
+    assert calls == [8, 8]
+
+
 def test_build_code_range():
     with pytest.raises(ValueError):
         build_code(2)
@@ -511,6 +525,8 @@ REFUSED_FIELDS = [
     ("zz", {"k": 0, "generators": (ZZ, pauli.parse("-ZZ")), "seed_generators": pure_xs(2, [])}, PRODUCT_OF_EARLIER),
     ("zz", {"k": 5}, "k = 5 but n - len(generators) = 1"),
     ("zz", {"generators": (pauli.parse("+ZZZ"),)}, "generator 1 acts on 3 qubits, expected 2"),
+    ("zz", {"n": 1, "k": 0, "generators": (pauli.parse("+Y"),), "seed_generators": pure_xs(1, [])}, "generator 1 squares to -1"),
+    ("code8", {"generators": tuple(map(pauli.parse, ["+ZXXXXXXX"] + table_data.GENERATORS[1:]))}, "generators 1 and 2 anticommute"),
     ("zz", {"n": 70000}, "n must be at most 65536, got 70000"),
     ("code8", {"k": True}, "k must be an integer, got true"),
     ("code8", {"j": 3.0}, "j must be an integer, got 3.0"),

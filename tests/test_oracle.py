@@ -352,6 +352,13 @@ def test_verify_code_refuses_a_negative_t(code8):
             verify_code(code8, t)
 
 
+def test_verify_code_refuses_a_t_that_is_not_an_integer(code8):
+    # the same error as check_correctability's, before any basis is built
+    for t, name in ((1.5, "1.5"), (True, "true"), (None, "null")):
+        with pytest.raises(TypeError, match=f"^t must be an integer, got {name}$"):
+            verify_code(code8, t)
+
+
 def test_eigenspace_dimension(group8):
     # the joint +1 eigenspace of the generators has dimension 2^{n-a} = 8
     proj = np.eye(256)

@@ -407,5 +407,10 @@ def test_correctability_agrees_with_dense_oracle_on_hamming_state():
 def test_correctability_and_syndrome_guards(group8):
     with pytest.raises(ValueError, match="^t must be non-negative$"):
         check_correctability(group8, -1)
+    for t, name in ((1.5, "1.5"), (True, "true"), ("1", "a string")):
+        with pytest.raises(TypeError, match=f"^t must be an integer, got {name}$"):
+            check_correctability(group8, t)
+    report = check_correctability(group8, np.int64(1))
+    assert type(report.t) is int and report == check_correctability(group8, 1)
     with pytest.raises(ValueError, match="^error acts on 4 qubits, expected 8$"):
         syndrome(group8, single(4, 1, "X"))
