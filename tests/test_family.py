@@ -525,12 +525,12 @@ REFUSED_FIELDS = [
     ("zz", {"k": 0, "generators": (ZZ, pauli.parse("-ZZ")), "seed_generators": pure_xs(2, [])}, PRODUCT_OF_EARLIER),
     ("zz", {"k": 5}, "k = 5 but n - len(generators) = 1"),
     ("zz", {"generators": (pauli.parse("+ZZZ"),)}, "generator 1 acts on 3 qubits, expected 2"),
-    ("zz", {"n": 1, "k": 0, "generators": (pauli.parse("+Y"),), "seed_generators": pure_xs(1, [])}, "generator 1 squares to -1"),
-    ("code8", {"generators": tuple(map(pauli.parse, ["+ZXXXXXXX"] + table_data.GENERATORS[1:]))}, "generators 1 and 2 anticommute"),
     ("zz", {"n": 70000}, "n must be at most 65536, got 70000"),
     ("code8", {"k": True}, "k must be an integer, got true"),
     ("code8", {"j": 3.0}, "j must be an integer, got 3.0"),
     ("code8", {"construction": None}, "construction must be a string, got null"),
+    ("zz", {"n": 1, "k": 0, "generators": (pauli.parse("+Y"),), "seed_generators": pure_xs(1, [])}, "generator 1 squares to -1"),
+    ("code8", {"generators": tuple(map(pauli.parse, ["+ZXXXXXXX"] + table_data.GENERATORS[1:]))}, "generators 1 and 2 anticommute"),
 ]
 
 
