@@ -14,17 +14,19 @@ bulk, by a vectorized port of numpy's seeding checked against trial_rng.
 
 Kernel: a block of trials is one (rows, 2^n) complex array, worked on
 through its float64 view.  The Paulis of all rows are one gather and real
-+-1 signs from oracle.pauli_action, which verify_code shares; the squared
-norms of all rows come from one np.vecdot, one BLAS dot per row over its
-real parts plus one over its imaginary parts, as np.linalg.norm reduces
-them; a division by a real is a product with its reciprocal, as numpy
-divides a complex by a real.  No float of a row depends on the other rows,
-so the output of a campaign does not depend on how its trials are split
-into blocks.  A Pauli-damaged row is an exact joint eigenstate: the basis
-rows are exact +1 eigenvectors with disjoint supports and one magnitude, a
-gemv adds only exact zeros to c_w B[w, x], gathers are exact and rounding
-is symmetric in sign, so each projection gives the row or zero and
-_measure_rows keeps only the rescales.
++-1 signs from oracle.pauli_action, which verify_code shares; a Simulator
+caches its table's correction gathers, read-only.  The squared norms of all
+rows come from one np.vecdot, one BLAS dot per row over its real parts plus
+one over its imaginary parts, as np.linalg.norm reduces them; a division by
+a real is a product with its reciprocal, as numpy divides a complex by a
+real.  No float of a row depends on the other rows, so the output of a
+campaign does not depend on how its trials are split into blocks.  A
+Pauli-damaged row is an exact joint eigenstate: the basis rows are exact +1
+eigenvectors with disjoint supports and one magnitude, a gemv adds only
+exact zeros to c_w B[w, x], gathers are exact and rounding is symmetric in
+sign.  So one gather at its largest float reads every outcome, and of the
+projections only the rescales by 1 / sqrt(p) stay, one per +1 outcome until
+that factor is 1.0: a row that never settles pays all of them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
@@ -78,6 +81,9 @@ class RecoveryReport:
     success: bool
 
 
+_ANNIHILATED = RecoveryReport(None, None, 0.0, False)
+
+
 @dataclass(frozen=True)
 class PauliError:
     op: PauliOperator
@@ -103,11 +109,13 @@ class MatrixError:
 
 @dataclass(frozen=True)
 class DepolarizingError:
-    """Each qubit independently takes X, Y or Z, each with probability p / 3."""
+    """Each qubit independently takes X, Y or Z, each with probability p / 3 (p real, not a bool)."""
 
     p: float
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise TypeError(f"depolarizing probability must be a real number, got {_json_name(self.p)}")
         if not 0 <= self.p <= 1:  # nan too
             raise ValueError(f"depolarizing probability must lie in [0, 1], got {self.p}")
 
@@ -193,45 +201,58 @@ def _generator_actions(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
 def _row_sqnorms(f: np.ndarray) -> list[float]:
     """np.linalg.norm(row) ** 2 of each complex row of the float64 view f, summed
     the same way: a BLAS dot of its strided real parts plus one of its imaginary."""
-    parts = f.reshape(f.shape[0], f.shape[1] // 2, 2).transpose(2, 0, 1)
-    re, im = np.vecdot(parts, parts).tolist()
-    return [a + b for a, b in zip(re, im)]
+    parts = f.reshape(len(f), -1, 2)
+    return [re + im for re, im in np.vecdot(parts, parts, axis=1).tolist()]
 
 
-def _apply_paulis(amps: np.ndarray, paulis) -> np.ndarray:
-    """Row r of amps under paulis[r] = (x_bits, z_bits, sign), by one
-    pauli_action gather; a single Pauli acts on every row.  The identity
-    returns amps itself, equal up to the sign of a zero."""
-    if set(paulis) == {(0, 0, 1)}:  # the identity moves no amplitude
-        return amps
+def _row_factors(scales: list[float]):
+    """scales as a factor that multiplies row r by scales[r]; a lone row's is a float."""
+    return scales[0] if len(scales) == 1 else np.array(scales)[:, None]
+
+
+def _apply_paulis(amps: np.ndarray, paulis, gathers) -> np.ndarray:
+    """Row r of amps under paulis[r] = (x_bits, z_bits, sign), by one pauli_action gather, or gathers[P]
+    if one Pauli P in it acts on every row; the identity returns amps itself, equal up to the sign of a zero."""
     rows, size = amps.shape
-    perm, coef = pauli_action(size.bit_length() - 1, *np.array(paulis).T[:, :, None])
-    out = amps.take(perm + np.arange(0, rows * size, size)[:, None])  # flat index of label perm in each row
+    if paulis.count(paulis[0]) == len(paulis):
+        if paulis[0] == (0, 0, 1):  # the identity moves no amplitude
+            return amps
+        perm, coef = gathers.get(paulis[0]) or pauli_action(size.bit_length() - 1, *paulis[0])
+        out = amps.take(perm, axis=1)
+    else:
+        perm, coef = pauli_action(size.bit_length() - 1, *np.array(paulis).T[:, :, None])
+        out = amps.take(perm + np.arange(0, rows * size, size)[:, None])  # flat index of label perm in each row
     out *= coef
     return out
 
 
 def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
     """The eigenstate step of _measure_rows on the scaled rows f, or None."""
-    rows, i0 = np.arange(len(f)), np.abs(f).argmax(axis=1)
-    f0, moved = f[rows, i0], signs[:, i0] * f[rows, perms[:, i0]]
-    minus = moved == -f0
-    if not (minus ^ (moved == f0)).all():  # a zero f0 matches both signs, a nan neither
-        return None
-    out, pending = f.copy(), list(range(len(f)))  # pending: next rescale may not be 1.0
-    for bits in minus.tolist():  # -1: (f + f) / 2, rescaled by 1.0
-        if todo := [r for r in pending if not bits[r]]:
-            # a row copy keeps its strides, so its dot and its floats are those in out
-            sub = out if len(todo) == len(out) else out[todo]
-            ps = [math.sqrt(sq) ** 2 for sq in _row_sqnorms(sub)]
-            if min(ps) < 1.0 - _PROB_EPS:
+    i0, base = np.abs(f).argmax(axis=1), np.arange(0, f.size, f.shape[1])
+    moved = f.take(perms.take(i0, axis=1) + base) * signs.take(i0, axis=1)  # [j, r]: (M_j f_r) at label i0[r]
+    values = []
+    for f0, images in zip(f.take(i0 + base).tolist(), moved.T.tolist()):
+        value = 0
+        for m in images:
+            if (m == f0) == (m == -f0):  # a zero f0 matches both signs, a nan neither
+                return None
+            value = value << 1 | (m != f0)
+        values.append(value)
+    # round i rescales by 1 / sqrt(p) each row with at least i +1 outcomes (0 bits) and no factor of 1.0 yet
+    out, pending, i = f.copy(), [r for r, v in enumerate(values) if v.bit_count() < len(perms)], 0
+    while pending:  # a row copy keeps its strides, so its dot and its floats are those in out
+        sub = out if len(pending) == len(f) else out[pending]
+        scales = []
+        for sq in _row_sqnorms(sub):
+            if (p := math.sqrt(sq) ** 2) < 1.0 - _PROB_EPS:
                 return None  # a projection would draw its outcome
-            scales = [1.0 / math.sqrt(p) for p in ps]
-            pending = sorted(set(pending) - {r for r, c in zip(todo, scales) if c == 1.0})
-            sub *= np.array(scales)[:, None]
-            if sub is not out:
-                out[todo] = sub
-    return ((1 << np.arange(len(minus))[::-1]) @ minus).tolist(), out.view(np.complex128)
+            scales.append(1.0 / math.sqrt(p))
+        sub *= _row_factors(scales)
+        if sub is not out:
+            out[pending] = sub
+        i += 1
+        pending = [r for r, c in zip(pending, scales) if c != 1.0 and values[r].bit_count() < len(perms) - i]
+    return values, out.view(np.complex128)
 
 
 def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], np.ndarray]:
@@ -248,7 +269,7 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
     # numpy divides a complex by a real c as the product of both parts with
     # 1.0 / c, so scaling the float64 view gives the same floats up to the
     # sign of a zero, which no output can see
-    f = amps.view(np.float64) * np.array([[1.0 / nrm] for nrm in norms])
+    f = amps.view(np.float64) * _row_factors([1.0 / nrm for nrm in norms])
     if eigen and (measured := _eigen_rows(f, *actions)):
         return measured
     values = [0] * len(rngs)
@@ -265,13 +286,13 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
             p_plus = math.sqrt(sq) ** 2
             up = p_plus >= 1.0 - _PROB_EPS or (p_plus > _PROB_EPS and rng.random() < p_plus)
             keep_plus.append(up)
-            scales.append([1.0 / math.sqrt(p_plus if up else 1.0 - p_plus)])
+            scales.append(1.0 / math.sqrt(p_plus if up else 1.0 - p_plus))
             values[r] = (values[r] << 1) | (not up)
         if not all(keep_plus):
             f -= moved
             f *= 0.5  # the minus projection
             np.copyto(plus, f, where=~np.array(keep_plus)[:, None])
-        plus *= np.array(scales)
+        plus *= _row_factors(scales)
         f = plus
     return values, f.view(np.complex128)
 
@@ -328,7 +349,11 @@ class Simulator:
         self.k = code.n - self.group.a
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
         self._generator_actions = _generator_actions(self.group)
-        self._corrections = {syn.value: (syn, corr) for syn, corr in self.table.entries.items()}
+        keys = [(c.x_bits, c.z_bits, c.sign) for c in self.table.entries.values()]  # each correction as a Pauli
+        perms, coefs = pauli_action(code.n, *np.array(keys).T[:, :, None])  # and its gather, cached read-only
+        perms.flags.writeable = coefs.flags.writeable = False
+        self._gathers = dict(zip(keys, zip(perms, coefs)))
+        self._corrections = {syn.value: (syn, c, key) for (syn, c), key in zip(self.table.entries.items(), keys)}
 
     def random_logical(self, rng: np.random.Generator) -> StateVector:
         return StateVector(self.code.n, self._logical_amplitudes([rng], [None])[0])
@@ -358,7 +383,7 @@ class Simulator:
         # one interleaving copy: a + 1j * b rounds nothing, and a zero's sign no output sees
         f = parts.transpose(0, 2, 1).reshape(len(rngs), 2 * size)
         coeffs = f.view(np.complex128)
-        f *= np.array([[1.0 / math.sqrt(sq) if lg is None else 1.0] for sq, lg in zip(_row_sqnorms(f), logicals)])
+        f *= _row_factors([1.0 / math.sqrt(sq) if lg is None else 1.0 for sq, lg in zip(_row_sqnorms(f), logicals)])
         return np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
 
     def _damage(self, error: ErrorSpec, psi: np.ndarray, rngs) -> np.ndarray:
@@ -366,7 +391,7 @@ class Simulator:
             op = error.op
             if op.n != self.code.n:
                 raise ValueError(f"error acts on {op.n} qubits, code has {self.code.n}")
-            return _apply_paulis(psi, [(op.x_bits, op.z_bits, op.sign)])
+            return _apply_paulis(psi, [(op.x_bits, op.z_bits, op.sign)], self._gathers)
         if isinstance(error, MatrixError):
             if not 1 <= error.qubit <= self.code.n:
                 raise ValueError(f"qubit {error.qubit} out of range 1..{self.code.n}")
@@ -374,16 +399,16 @@ class Simulator:
         if isinstance(error, DepolarizingError):
             # one draw per qubit, then a letter for each hit; the qubits are
             # distinct, so the product of the single-qubit letters has sign +1
-            paulis = []
+            paulis, p = [], error.p
             for rng in rngs:
                 x = z = 0
                 for bit in range(self.code.n):
-                    if rng.random() < error.p:
+                    if rng.random() < p:
                         letter = rng.integers(3)  # X, Y, Z
                         x |= int(letter != 2) << bit
                         z |= int(letter != 0) << bit
                 paulis.append((x, z, 1))
-            return _apply_paulis(psi, paulis)
+            return _apply_paulis(psi, paulis, self._gathers)
         raise TypeError(f"unsupported error spec {error!r}")
 
     def trial(self, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
@@ -406,15 +431,15 @@ class Simulator:
         damaged = self._damage(error, psi, rngs)
         norms = [math.sqrt(sq) for sq in _row_sqnorms(damaged.view(np.float64))]
         live = [r for r, nrm in enumerate(norms) if nrm >= _ZERO_NORM]
-        reports = [RecoveryReport(None, None, 0.0, False)] * len(rngs)
+        reports = [_ANNIHILATED] * len(rngs)
         if not live:
             return reports
         if len(live) < len(rngs):
             psi, damaged, norms, rngs = psi[live], damaged[live], [norms[r] for r in live], [rngs[r] for r in live]
         values, out = _measure_rows(damaged, norms, self._generator_actions, rngs, not isinstance(error, MatrixError))
-        found = [self._corrections.get(v) or (Syndrome(v, self.group.a), None) for v in values]
-        out = _apply_paulis(out, [(c.x_bits, c.z_bits, c.sign) if c else (0, 0, 1) for _, c in found])
-        for r, (syn, corr), overlap in zip(live, found, np.vecdot(psi, out).tolist()):
+        found = [self._corrections.get(v) or (Syndrome(v, self.group.a), None, (0, 0, 1)) for v in values]
+        out = _apply_paulis(out, [key for _, _, key in found], self._gathers)
+        for r, (syn, corr, _), overlap in zip(live, found, np.vecdot(psi, out).tolist()):
             fidelity = abs(overlap)
             reports[r] = RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - FIDELITY_TOL)
         return reports

@@ -33,7 +33,7 @@ from stabforge.ecc_sim import (
     run_campaign,
     trial_rng,
 )
-from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, single_qubit_product
+from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, pauli_action, single_qubit_product
 from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
 from stabforge.stabilizer import StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
 from reference import depolarizing_success, depolarizing_syndrome_distribution, stabilizer_weights
@@ -469,6 +469,14 @@ def test_measure_syndrome_reuses_the_simulator_actions(code8, group8):
     for array in actions:
         with pytest.raises(ValueError):
             array[0, 0] = 0
+    # the table's corrections are gathered once, read-only, as oracle.pauli_action gathers each
+    assert len(sim._gathers) == len(sim.table.entries) == 3 * 8 + 1
+    for corr in sim.table.entries.values():
+        gather = sim._gathers[(corr.x_bits, corr.z_bits, corr.sign)]
+        for got, want in zip(gather, pauli_action(8, corr.x_bits, corr.z_bits, corr.sign)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 0
 
 
 def _simulator_for(group: StabilizerGroup) -> Simulator:
@@ -630,8 +638,15 @@ def test_trial_rejects_an_error_on_other_qubits(sim, error, message):
         (([1, 0, 0, 1], 1), ValueError, "^matrix error needs a 2 x 2"),
         ((np.eye(2), 1.5), TypeError, r"^matrix qubit must be an integer, got 1\.5$"),
         ((np.eye(2), True), TypeError, "^matrix qubit must be an integer, got true$"),
+        (("0.5",), TypeError, "^depolarizing probability must be a real number, got a string$"),
+        ((None,), TypeError, "^depolarizing probability must be a real number, got null$"),
+        ((0.5 + 0j,), TypeError, "^depolarizing probability must be a real number, got complex$"),
+        ((True,), TypeError, "^depolarizing probability must be a real number, got true$"),
     ],
-    ids=["p-above-1", "p-below-0", "p-nan", "matrix-nan", "matrix-inf", "matrix-3x3", "matrix-flat", "qubit-float", "qubit-bool"],
+    ids=[
+        "p-above-1", "p-below-0", "p-nan", "matrix-nan", "matrix-inf", "matrix-3x3", "matrix-flat", "qubit-float", "qubit-bool",
+        "p-string", "p-none", "p-complex", "p-bool",
+    ],
 )
 def test_error_models_refuse_bad_fields_when_built(fields, error, message):
     model = DepolarizingError if len(fields) == 1 else MatrixError
@@ -824,6 +839,35 @@ def test_a_row_off_the_premise_sends_its_block_through_the_projections(sim):
     # the code states themselves, scaled by their own norms, take the eigenstate step
     f = psi.view(np.float64) * np.array([[1.0 / nrm] for nrm in true_norms])
     assert ecc_sim._eigen_rows(f, *sim._generator_actions) is not None
+
+
+@pytest.mark.parametrize("error", [PauliError(parse("+IIIIIIII")), PauliError(parse("+IIXIIIII"))], ids=lambda e: str(e.op))
+def test_rescales_run_until_a_factor_of_one_or_through_every_plus_outcome(sim, error, monkeypatch):
+    """Round i of the eigenstate step rescales a row for its i-th +1 outcome
+    by 1 / sqrt(p), and the row leaves once that factor is 1.0.  Some random
+    code8 states never reach 1.0 and pay one rescale per +1 outcome.  Rows
+    of both kinds must equal the per-trial reference bit for bit."""
+    factors = []
+    row_sqnorms = ecc_sim._row_sqnorms
+
+    def spy(f):
+        sqs = row_sqnorms(f)
+        factors.append(1.0 / math.sqrt(math.sqrt(sqs[0]) ** 2))
+        return sqs
+
+    monkeypatch.setattr(ecc_sim, "_row_sqnorms", spy)
+    plus = sim.group.a - syndrome(sim.group, error.op).value.bit_count()
+    ends = set()
+    for i in range(300):
+        factors.clear()
+        got = sim.trial(error, trial_rng(0, i))
+        rescales = factors[2:]  # the logical coefficients and the damaged norm come first
+        assert 1 <= len(rescales) <= plus and 1.0 not in rescales[:-1]
+        settled = rescales[-1] == 1.0
+        assert settled or len(rescales) == plus
+        ends.add(settled)
+        assert got == _ref_trial(sim, error, trial_rng(0, i))
+    assert ends == {True, False}  # the sweep holds rows that settle and rows that never do
 
 
 @pytest.mark.parametrize(
