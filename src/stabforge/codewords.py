@@ -201,24 +201,28 @@ def _seed_label(xs, bits) -> int:
     return label
 
 
-def codeword(group: StabilizerGroup, seed, _cls: GeneratorClassification | None = None) -> FormalState:
+def codeword(group: StabilizerGroup, seed) -> FormalState:
     """Orbit sum of an integer seed label under the group, canonically signed.
 
     Returns the zero state iff some type-2 generator has eigenvalue -1 on
     the seed; otherwise exactly 2^b terms with coefficients +/-1.
     """
+    return _orbit_sums(group, classify_generators(group), [_as_label(seed, group.n)])[0]
+
+
+def _orbit_sums(group: StabilizerGroup, cls: GeneratorClassification, labels) -> list[FormalState]:
+    """codeword of each label, with the type-1 group elements enumerated once."""
     if group.a > 24:
         raise GroupTooLargeError(f"2^{group.a} group elements is too many")
-    label = _as_label(seed, group.n)
-    cls = _cls if _cls is not None else classify_generators(group)
-    for g in cls.type2:
-        if (g.z_bits & label).bit_count() % 2:
-            return FormalState(group.n, {})
-    terms: dict[int, int] = {}
-    for p in enumerate_elements(StabilizerGroup(group.n, cls.type1)):
-        phase = -1 if (p.z_bits & label).bit_count() % 2 else 1
-        terms[label ^ p.x_bits] = p.sign * phase
-    return FormalState(group.n, terms).canonical()
+    elements = [(p.x_bits, p.z_bits, p.sign) for p in enumerate_elements(StabilizerGroup(group.n, cls.type1))]
+    states = []
+    for label in labels:
+        terms: dict[int, int] = {}
+        if not any((g.z_bits & label).bit_count() % 2 for g in cls.type2):
+            for x, z, sign in elements:
+                terms[label ^ x] = -sign if (z & label).bit_count() % 2 else sign
+        states.append(FormalState(group.n, terms).canonical())
+    return states
 
 
 def encode(group: StabilizerGroup, seeds: PureXList, logical) -> FormalState:
@@ -253,5 +257,5 @@ def basis(group: StabilizerGroup, seeds: PureXList) -> list[FormalState]:
     if problems := _require_seeds(seeds, group.n, k):
         raise ValueError(problems[0])
     xs = [s.x_bits for s in seeds]
-    cls = classify_generators(group)
-    return [codeword(group, _seed_label(xs, ((i >> r) & 1 for r in range(k))), _cls=cls) for i in range(1 << k)]
+    labels = [_seed_label(xs, ((i >> r) & 1 for r in range(k))) for i in range(1 << k)]
+    return _orbit_sums(group, classify_generators(group), labels)

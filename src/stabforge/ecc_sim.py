@@ -117,7 +117,10 @@ class DepolarizingError:
         if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise TypeError(f"depolarizing probability must be a real number, got {_json_name(self.p)}")
         if not 0 <= self.p <= 1:  # nan too
-            raise ValueError(f"depolarizing probability must lie in [0, 1], got {self.p}")
+            # _json_name names an int of any size (str() refuses over 4,300
+            # digits); a float keeps str(), so nan stays nan
+            name = _json_name(self.p) if isinstance(self.p, int) else self.p
+            raise ValueError(f"depolarizing probability must lie in [0, 1], got {name}")
 
 
 ErrorSpec = Union[PauliError, MatrixError, DepolarizingError]

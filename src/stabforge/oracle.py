@@ -8,9 +8,12 @@ index = basis label as an int (qubit i at bit i-1).
 verify_code works in real arithmetic (the code basis and every Pauli are
 real under Y = XZ).  Its errors are one int64 (x, z) table in iter_errors
 order, with syndromes taken as parities against the generators, and their
-images fill v by one gather per about GRAM_BLOCK_ROWS rows.  The rank is
-the count of eigenvalues sigma^2 > ATOL of the smaller real Gram matrix,
-v v^T or v^T v.
+images fill v by one gather per about GRAM_BLOCK_ROWS rows.  The
+orthogonality scan multiplies v v^T in row blocks that grow from one
+error's rows to GRAM_BLOCK_ROWS.  The rank is the count of eigenvalues
+sigma^2 > ATOL of the smaller real Gram matrix, v v^T (the scan's blocks,
+stacked) or v^T v, taken per exact diagonal block: indices linked by an
+entry != 0 share a block, and each block size gets one batched eigvalsh.
 """
 
 from __future__ import annotations
@@ -171,6 +174,14 @@ def verify_code(code, t: int) -> VerificationReport:
     For a valid code v^T v is the sum over syndromes s of m_s P_s, with P_s
     the projector onto the syndrome-s space and m_s the number of errors
     with syndrome s, so every eigenvalue is a nonnegative integer.
+
+    The orthogonality scan's row blocks start at one error's rows and double
+    up to GRAM_BLOCK_ROWS, so an early violation costs few rows.  When
+    v v^T is the smaller matrix, the scan runs to the end, checking nothing
+    after the first violation, and its blocks stack to v v^T.  The rank
+    splits that Gram matrix into its exact diagonal blocks (_rank); on the
+    j = 3 code v v^T at t = 1 is 200 blocks of 1 x 1, and v^T v at t = 2 is
+    8 blocks of 16 x 16 and 128 of 1 x 1.
     """
     t = _integer(t, "t")
     if t < 0:
@@ -209,24 +220,32 @@ def verify_code(code, t: int) -> VerificationReport:
     lidx = np.tile(np.arange(count), len(descs))
 
     num = len(v)
-    # Gram matrix in row blocks, so peak memory stays O(block * num); the
-    # scan stops at the block holding the first row-major violation
+    # Gram matrix in row blocks, so peak memory stays O(block * num) unless
+    # the blocks are kept as the rows of v v^T (then num <= dim, so they
+    # take no more than v); the blocks grow from one error's rows to
+    # GRAM_BLOCK_ROWS, and the scan stops at the block holding the first
+    # row-major violation, or only stops checking when it keeps the blocks
+    keep = num <= v.shape[1]
+    kept = []
     witness = None
-    for start in range(0, num, GRAM_BLOCK_ROWS):
-        rows = slice(start, start + GRAM_BLOCK_ROWS)
+    start, size = 0, min(count, GRAM_BLOCK_ROWS)
+    while start < num and (keep or witness is None):
+        rows = slice(start, start + size)
         g = v[rows] @ v.T
-        must_vanish = (svals[rows, None] != svals[None, :]) | (lidx[rows, None] != lidx[None, :])
-        violations = must_vanish & (np.abs(g) > ATOL)
-        if violations.any():
-            row, col = map(int, np.argwhere(violations)[0])
-            (e_r, i_r), (e_c, i_c) = divmod(start + row, count), divmod(col, count)
-            witness = (str(materialize(n, descs[e_r])), i_r, str(materialize(n, descs[e_c])), i_c)
-            break
+        if keep:
+            kept.append(g)
+        if witness is None:
+            must_vanish = (svals[rows, None] != svals[None, :]) | (lidx[rows, None] != lidx[None, :])
+            violations = must_vanish & (np.abs(g) > ATOL)
+            if violations.any():
+                row, col = divmod(int(violations.argmax()), num)
+                (e_r, i_r), (e_c, i_c) = divmod(start + row, count), divmod(col, count)
+                witness = (str(materialize(n, descs[e_r])), i_r, str(materialize(n, descs[e_c])), i_c)
+        start, size = start + size, min(2 * size, GRAM_BLOCK_ROWS)
     orth_ok = witness is None
 
     # v v^T and v^T v share their nonzero eigenvalues; take the smaller one
-    small_gram = v @ v.T if num <= v.shape[1] else v.T @ v
-    rank = int(np.count_nonzero(np.linalg.eigvalsh(small_gram) > ATOL))
+    rank = _rank(np.concatenate(kept) if keep else v.T @ v)
     rank_ok = rank == num
     return VerificationReport(
         ok=stab_ok and orth_ok and rank_ok,
@@ -238,3 +257,56 @@ def verify_code(code, t: int) -> VerificationReport:
         rank_ok=rank_ok,
         witness=witness,
     )
+
+
+def _rank(g: np.ndarray) -> int:
+    """The count of eigenvalues > ATOL of the symmetric matrix whose lower
+    triangle g holds (what eigvalsh reads), one exact diagonal block at a time.
+
+    Indices are linked where their entry is != 0, with no tolerance, so g is
+    block-diagonal under a permutation into the linked components, and its
+    eigenvalues are exactly those of its blocks.  Each block keeps its
+    indices ascending, so its lower triangle is g's; the blocks of one size
+    share one batched eigvalsh.
+    """
+    # on a flat bool array: nonzero on floats, or in 2-d, is several times slower
+    i, j = np.divmod(np.flatnonzero(g != 0), len(g))
+    lower = i > j
+    labels = _components(len(g), i[lower], j[lower])
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    rank = 0
+    for size in np.unique(sizes).tolist():
+        idx = order[starts[sizes == size, None] + np.arange(size)]
+        rank += np.count_nonzero(np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]]) > ATOL)
+    return int(rank)
+
+
+def _components(d: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The least index of each index's component in the graph on 0..d-1
+    with the edges i[e] - j[e].
+
+    Each round (_hook) points every root at the least root linked to it.  A
+    root that stays put lies below every root linked to it, so each of those
+    moves to it or below it, and if none moves to it, it moves in the next
+    round.  Every root thus joins another within two rounds, and the roots
+    at least halve: at most 2 ceil(log2 d) rounds, where passing the least
+    index one edge per round would take as many rounds as the longest path
+    has edges.
+    """
+    parent = np.arange(d)
+    while (parent[i] != parent[j]).any():
+        parent = _hook(parent, i, j)
+    return parent
+
+
+def _hook(parent: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """One round: each root, where every index points, moves to the least
+    root linked to it, if that is lower; then every pointer is followed to
+    its root.  Pointers only go down, so no cycle can form."""
+    hooked = parent.copy()
+    np.minimum.at(hooked, parent[i], parent[j])
+    np.minimum.at(hooked, parent[j], parent[i])
+    while ((up := hooked[hooked]) != hooked).any():
+        hooked = up
+    return hooked

@@ -642,10 +642,12 @@ def test_trial_rejects_an_error_on_other_qubits(sim, error, message):
         ((None,), TypeError, "^depolarizing probability must be a real number, got null$"),
         ((0.5 + 0j,), TypeError, "^depolarizing probability must be a real number, got complex$"),
         ((True,), TypeError, "^depolarizing probability must be a real number, got true$"),
+        ((10**5000,), ValueError, r"^depolarizing probability must lie in \[0, 1\], got an integer of 5001 digits$"),
+        ((-(10**5000),), ValueError, r"^depolarizing probability must lie in \[0, 1\], got a negative integer of 5001 digits$"),
     ],
     ids=[
         "p-above-1", "p-below-0", "p-nan", "matrix-nan", "matrix-inf", "matrix-3x3", "matrix-flat", "qubit-float", "qubit-bool",
-        "p-string", "p-none", "p-complex", "p-bool",
+        "p-string", "p-none", "p-complex", "p-bool", "p-huge", "p-huge-negative",
     ],
 )
 def test_error_models_refuse_bad_fields_when_built(fields, error, message):

@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -165,12 +167,15 @@ def test_verify_code_t2_fails(code8):
 
 @pytest.mark.parametrize("t", [1, 2])
 def test_verify_code_blocked_gram_matches_one_block(code8, monkeypatch, t):
-    # one block is the whole Gram matrix; the first witness is row-major
-    monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", 1 << 20)
-    whole = verify_code(code8, t)
-    for block in (1, 7, 64, 256):
-        monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", block)
-        assert verify_code(code8, t) == whole
+    # one block is the whole Gram matrix; the first witness is row-major, and
+    # the kept blocks stack to v v^T whether they start below, at or above one
+    # error's rows (8 on code8, 1 on Z4_CODE)
+    for code in (code8, Z4_CODE):
+        monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", 1 << 20)
+        whole = verify_code(code, t)
+        for block in (1, 2, 3, 7, 64, 256):
+            monkeypatch.setattr(oracle, "GRAM_BLOCK_ROWS", block)
+            assert verify_code(code, t) == whole
 
 
 def test_verify_code_t2_report_is_pinned(code8):
@@ -336,6 +341,100 @@ def test_dense_images_are_real_with_integer_gram_spectrum(group, t):
     small = v.conj() @ v.T if len(v) <= v.shape[1] else v.conj().T @ v
     eig = np.linalg.eigvalsh(small)
     assert np.allclose(eig, np.round(eig), rtol=0, atol=1e-9)
+
+
+def _permuted_block_diagonal(rng, sizes, ranks):
+    """A symmetric PSD matrix with one block A A^T of each size (A of
+    size x rank, so rank-deficient where rank < size), its indices shuffled."""
+    d = sum(sizes)
+    g = np.zeros((d, d))
+    idx = rng.permutation(d)
+    start = 0
+    for size, rank in zip(sizes, ranks):
+        a = rng.standard_normal((size, rank))
+        block = idx[start : start + size]
+        g[np.ix_(block, block)] = a @ a.T
+        start += size
+    return g
+
+
+def _hadamard_rows(rng):
+    """v v^T of +-1 Hadamard rows, some repeated, negated or zero, shuffled:
+    distinct rows cancel to exactly 0.0, and the rank is the distinct rows."""
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    picks = rng.integers(0, 10, 40)
+    v = h[picks] * rng.choice([-1.0, 1.0], (40, 1))
+    v[rng.integers(0, 40, 5)] = 0.0
+    return v @ v.T
+
+
+BLOCK_RANK_CASES = {
+    "diagonal": lambda rng: np.diag(rng.choice([0.0, 1e-12, 1.0, 3.0], 30)),
+    "permuted-blocks": lambda rng: _permuted_block_diagonal(rng, [1, 2, 3, 3, 5, 8, 16, 1], [1, 2, 1, 3, 5, 4, 16, 0]),
+    "many-small-blocks": lambda rng: _permuted_block_diagonal(rng, [2] * 40 + [3] * 20, [1, 2] * 20 + [3, 2] * 10),
+    "exact-cancellation": _hadamard_rows,
+    "zero-rows": lambda rng: np.pad(_permuted_block_diagonal(rng, [4, 4], [4, 2]), (3, 5)),
+    "one-dense-block": lambda rng: _permuted_block_diagonal(rng, [40], [33]),
+    "all-zero": lambda rng: np.zeros((7, 7)),
+    # links are exact: a tolerance would split these into blocks of too small a rank
+    "tiny-entries": lambda rng: _permuted_block_diagonal(rng, [4, 4, 2], [1, 1, 1]) * 1e-6,
+    "entries-below-atol": lambda rng: np.full((2, 2), 0.6 * oracle.ATOL),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_RANK_CASES))
+def test_block_rank_matches_the_whole_spectrum(case):
+    rng = np.random.default_rng(sorted(BLOCK_RANK_CASES).index(case))
+    g = BLOCK_RANK_CASES[case](rng)
+    want = int(np.count_nonzero(np.linalg.eigvalsh(g) > oracle.ATOL))
+    assert oracle._rank(g) == want == np.linalg.matrix_rank(g, tol=oracle.ATOL)
+    # like eigvalsh, the rank reads only the lower triangle, links included
+    lower = np.tril(g)
+    assert oracle._rank(lower) == oracle._rank(lower + np.triu(rng.standard_normal(g.shape), 1)) == want
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_verify_code_rank_takes_no_eigvalsh_above_16_on_code8(code8, monkeypatch, t):
+    # v v^T at t = 1 is 200 blocks of 1 x 1; v^T v at t >= 2 is 8 of 16 x 16 and 128 of 1 x 1
+    sides = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sides.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    want = verify_code(code8, t)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert verify_code(code8, t) == want
+    assert sides and max(sides) <= 16
+
+
+def test_block_components_take_log_rounds_on_a_scrambled_path(monkeypatch):
+    # passing the least label one edge per round takes up to d - 1 rounds on a path
+    d = 4096
+    path = np.random.default_rng(4096).permutation(d)
+    rounds = []
+    hook = oracle._hook
+
+    def counting(*args):
+        rounds.append(1)
+        return hook(*args)
+
+    monkeypatch.setattr(oracle, "_hook", counting)
+    start = time.perf_counter()
+    labels = oracle._components(d, path[:-1], path[1:])
+    elapsed = time.perf_counter() - start
+    assert not labels.any()
+    assert 1 <= len(rounds) <= 2 * math.ceil(math.log2(d)) + 2
+    assert elapsed < 5.0
+    # every other edge dropped: 2048 paths of two, each labelled by its least index
+    pairs = path.reshape(-1, 2)
+    labels = oracle._components(d, pairs[:, 0], pairs[:, 1])
+    want = np.empty(d, dtype=np.int64)
+    want[pairs] = pairs.min(axis=1, keepdims=True)
+    assert np.array_equal(labels, want)
 
 
 def test_verify_trivial_code():
