@@ -12,21 +12,27 @@ Randomness contract: every trial uses a numpy Generator derived from
 are order-independent.  Every campaign (an int seed >= 0) seeds them in
 bulk, by a vectorized port of numpy's seeding checked against trial_rng.
 
-Kernel: a block of trials is one (rows, 2^n) complex array, worked on
-through its float64 view.  The Paulis of all rows are one gather and real
-+-1 signs from oracle.pauli_action, which verify_code shares; a Simulator
-caches its table's correction gathers, read-only.  The squared norms of all
-rows come from one np.vecdot, one BLAS dot per row over its real parts plus
-one over its imaginary parts, as np.linalg.norm reduces them; a division by
-a real is a product with its reciprocal, as numpy divides a complex by a
-real.  No float of a row depends on the other rows, so the output of a
-campaign does not depend on how its trials are split into blocks.  A
-Pauli-damaged row is an exact joint eigenstate: the basis rows are exact +1
-eigenvectors with disjoint supports and one magnitude, a gemv adds only
-exact zeros to c_w B[w, x], gathers are exact and rounding is symmetric in
-sign.  So one gather at its largest float reads every outcome, and of the
-projections only the rescales by 1 / sqrt(p) stay, one per +1 outcome until
-that factor is 1.0: a row that never settles pays all of them.
+Kernels: a campaign runs its trials in blocks, each one (rows, 2^n)
+complex array worked on through its float64 view; Simulator.trial,
+random_logical and measure_syndrome run one 1-D row in a kernel of their
+own, with fewer numpy calls (a lone row pays numpy's per-call cost, not
+arithmetic), and get exactly the floats and draws of that row in a block.
+The shared rules (the outcome of a projection, the depolarizing draws, the
+correction lookup) are one helper each.  The Paulis of all rows are one
+gather and real +-1 signs from oracle.pauli_action, which verify_code
+shares; a Simulator caches its table's correction gathers, read-only.  The
+squared norms of all rows come from one np.vecdot, one BLAS dot per row
+over its real parts plus one over its imaginary parts, as np.linalg.norm
+reduces them, and a lone row makes the same two dots; a division by a real
+is a product with its reciprocal, as numpy divides a complex by a real.  No
+float of a row depends on the other rows, so the output of a campaign does
+not depend on how its trials are split into blocks.  A Pauli-damaged row is
+an exact joint eigenstate: the basis rows are exact +1 eigenvectors with
+disjoint supports and one magnitude, a gemv adds only exact zeros to
+c_w B[w, x], gathers are exact and rounding is symmetric in sign.  So one
+gather at its largest float reads every outcome, and of the projections
+only the rescales by 1 / sqrt(p) stay, one per +1 outcome until that factor
+is 1.0: a row that never settles pays all of them.
 """
 
 from __future__ import annotations
@@ -44,10 +50,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import codewords
+from .family import _validated_group
 from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
 from .pauli import PauliOperator, _integer, _json_name, parse as parse_pauli
 from .stabilizer import (
-    StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome, validate,
+    StabilizerGroup, Syndrome, check_correctability, error_syndromes, iter_errors, materialize, syndrome,
 )
 
 FIDELITY_TOL = 1e-10
@@ -173,7 +180,7 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
     the entries come from stabilizer.error_syndromes in its order, weight
     ascending, so each is a minimal-weight correction.
     """
-    return _syndrome_table(validate(code.n, code.generators), t)
+    return _syndrome_table(_validated_group(code), t)
 
 
 def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
@@ -208,39 +215,57 @@ def _row_sqnorms(f: np.ndarray) -> list[float]:
     return [re + im for re, im in np.vecdot(parts, parts, axis=1).tolist()]
 
 
-def _row_factors(scales: list[float]):
-    """scales as a factor that multiplies row r by scales[r]; a lone row's is a float."""
-    return scales[0] if len(scales) == 1 else np.array(scales)[:, None]
+def _sqnorm(f: np.ndarray) -> float:
+    """_row_sqnorms of the lone row f (1-D): the same two BLAS dots."""
+    re, im = f[0::2], f[1::2]
+    return re.dot(re) + im.dot(im)
+
+
+def _outcome(p_plus: float, rng: np.random.Generator) -> bool:
+    """Whether a projection with +1 probability p_plus (the correctly rounded
+    sqrt and libm pow of np.linalg.norm(plus) ** 2) keeps +1.  Within
+    _PROB_EPS of 0 or 1 is exact, so eigenstates measure deterministically
+    regardless of roundoff; otherwise it draws one rng.random()."""
+    return p_plus >= 1.0 - _PROB_EPS or (p_plus > _PROB_EPS and rng.random() < p_plus)
 
 
 def _apply_paulis(amps: np.ndarray, paulis, gathers) -> np.ndarray:
     """Row r of amps under paulis[r] = (x_bits, z_bits, sign), by one pauli_action gather, or gathers[P]
-    if one Pauli P in it acts on every row; the identity returns amps itself, equal up to the sign of a zero."""
-    rows, size = amps.shape
+    if one Pauli P in it acts on every row, a lone 1-D row included; the identity returns amps itself,
+    equal up to the sign of a zero."""
+    size = amps.shape[-1]
     if paulis.count(paulis[0]) == len(paulis):
         if paulis[0] == (0, 0, 1):  # the identity moves no amplitude
             return amps
         perm, coef = gathers.get(paulis[0]) or pauli_action(size.bit_length() - 1, *paulis[0])
-        out = amps.take(perm, axis=1)
+        out = amps.take(perm, axis=-1)
     else:
+        rows = len(amps)
         perm, coef = pauli_action(size.bit_length() - 1, *np.array(paulis).T[:, :, None])
         out = amps.take(perm + np.arange(0, rows * size, size)[:, None])  # flat index of label perm in each row
     out *= coef
     return out
 
 
+def _eigen_outcomes(f0: float, images) -> Optional[int]:
+    """The syndrome value whose bit j is 1 if images[j], generator j's image
+    of a row's largest float f0, is exactly -f0 and 0 if it is +f0, or None
+    if one image is neither."""
+    value = 0
+    for m in images:
+        if (m == f0) == (m == -f0):  # a zero f0 matches both signs, a nan neither
+            return None
+        value = value << 1 | (m != f0)
+    return value
+
+
 def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
     """The eigenstate step of _measure_rows on the scaled rows f, or None."""
     i0, base = np.abs(f).argmax(axis=1), np.arange(0, f.size, f.shape[1])
     moved = f.take(perms.take(i0, axis=1) + base) * signs.take(i0, axis=1)  # [j, r]: (M_j f_r) at label i0[r]
-    values = []
-    for f0, images in zip(f.take(i0 + base).tolist(), moved.T.tolist()):
-        value = 0
-        for m in images:
-            if (m == f0) == (m == -f0):  # a zero f0 matches both signs, a nan neither
-                return None
-            value = value << 1 | (m != f0)
-        values.append(value)
+    values = [_eigen_outcomes(f0, images) for f0, images in zip(f.take(i0 + base).tolist(), moved.T.tolist())]
+    if None in values:
+        return None
     # round i rescales by 1 / sqrt(p) each row with at least i +1 outcomes (0 bits) and no factor of 1.0 yet
     out, pending, i = f.copy(), [r for r, v in enumerate(values) if v.bit_count() < len(perms)], 0
     while pending:  # a row copy keeps its strides, so its dot and its floats are those in out
@@ -250,7 +275,7 @@ def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
             if (p := math.sqrt(sq) ** 2) < 1.0 - _PROB_EPS:
                 return None  # a projection would draw its outcome
             scales.append(1.0 / math.sqrt(p))
-        sub *= _row_factors(scales)
+        sub *= np.array(scales)[:, None]
         if sub is not out:
             out[pending] = sub
         i += 1
@@ -272,7 +297,7 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
     # numpy divides a complex by a real c as the product of both parts with
     # 1.0 / c, so scaling the float64 view gives the same floats up to the
     # sign of a zero, which no output can see
-    f = amps.view(np.float64) * _row_factors([1.0 / nrm for nrm in norms])
+    f = amps.view(np.float64) * np.array([1.0 / nrm for nrm in norms])[:, None]
     if eigen and (measured := _eigen_rows(f, *actions)):
         return measured
     values = [0] * len(rngs)
@@ -283,11 +308,7 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
         plus *= 0.5
         keep_plus, scales = [], []
         for r, (sq, rng) in enumerate(zip(_row_sqnorms(plus), rngs)):
-            # the correctly rounded sqrt and libm pow of np.linalg.norm(plus) ** 2;
-            # within _PROB_EPS of 0 or 1 is exact, so eigenstates measure
-            # deterministically regardless of roundoff
-            p_plus = math.sqrt(sq) ** 2
-            up = p_plus >= 1.0 - _PROB_EPS or (p_plus > _PROB_EPS and rng.random() < p_plus)
+            up = _outcome(p_plus := math.sqrt(sq) ** 2, rng)
             keep_plus.append(up)
             scales.append(1.0 / math.sqrt(p_plus if up else 1.0 - p_plus))
             values[r] = (values[r] << 1) | (not up)
@@ -295,9 +316,50 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
             f -= moved
             f *= 0.5  # the minus projection
             np.copyto(plus, f, where=~np.array(keep_plus)[:, None])
-        plus *= _row_factors(scales)
+        plus *= np.array(scales)[:, None]
         f = plus
     return values, f.view(np.complex128)
+
+
+def _eigen_row(f, perms, signs) -> Optional[tuple[int, np.ndarray]]:
+    """_eigen_rows on the lone scaled row f (1-D), with the same floats: it
+    reads the outcomes at one label and rescales a copy, so f stays unscaled
+    for the projections if it gives up."""
+    i0 = int(np.abs(f).argmax())
+    images = [m * sign for m, sign in zip(f.take(perms[:, i0]).tolist(), signs[:, i0].tolist())]  # (M_j f) at i0
+    value = _eigen_outcomes(f.item(i0), images)
+    if value is None:
+        return None
+    out = f.copy()
+    for _ in range(len(perms) - value.bit_count()):  # one rescale per +1 outcome, up to a factor of 1.0
+        if (p := math.sqrt(_sqnorm(out)) ** 2) < 1.0 - _PROB_EPS:
+            return None  # a projection would draw its outcome
+        out *= (scale := 1.0 / math.sqrt(p))
+        if scale == 1.0:
+            break
+    return value, out.view(np.complex128)
+
+
+def _measure_row(amps, nrm, actions, rng, eigen=False) -> tuple[int, np.ndarray]:
+    """_measure_rows on the lone row amps (1-D) of norm nrm, with the same
+    floats and draws; the projections swap two buffers."""
+    f = amps.view(np.float64) * (1.0 / nrm)
+    if eigen and (measured := _eigen_row(f, *actions)):
+        return measured
+    value, spare = 0, np.empty_like(f)
+    for perm, sign in zip(*actions):
+        moved = f.take(perm)
+        moved *= sign
+        plus = np.add(f, moved, out=spare)
+        plus *= 0.5
+        if up := _outcome(p_plus := math.sqrt(_sqnorm(plus)) ** 2, rng):
+            f, spare = plus, f
+        else:
+            f -= moved
+            f *= 0.5  # the minus projection
+        f *= 1.0 / math.sqrt(p_plus if up else 1.0 - p_plus)
+        value = value << 1 | (not up)
+    return value, f.view(np.complex128)
 
 
 def measure_syndrome(
@@ -307,16 +369,16 @@ def measure_syndrome(
 
     Bit r of the syndrome is 0 for outcome +1.  Outcome probabilities within
     1e-12 of 0 or 1 are taken as exact so eigenstates measure
-    deterministically regardless of roundoff.  This is the trial kernel's
-    measurement on one row.
+    deterministically regardless of roundoff.  This is Simulator.trial's
+    one-row measurement, with every outcome projected.
     """
     if v.n != group.n:
         raise ValueError("state and group qubit counts differ")
     nrm = v.norm()
     if nrm < _ZERO_NORM:
         raise ValueError("cannot measure the zero state")
-    values, amps = _measure_rows(v.amplitudes[None, :], [nrm], _generator_actions(group), [rng])
-    return Syndrome(values[0], group.a), StateVector(v.n, amps[0])
+    value, amps = _measure_row(v.amplitudes, nrm, _generator_actions(group), rng)
+    return Syndrome(value, group.a), StateVector(v.n, amps)
 
 
 def _unit_scaled(m: np.ndarray) -> np.ndarray:
@@ -336,13 +398,32 @@ def _unit_scaled(m: np.ndarray) -> np.ndarray:
     return m if shift == 0 else np.ldexp(parts, shift).view(np.complex128)
 
 
+def _depolarizing_pauli(rng: np.random.Generator, n: int, p) -> tuple[int, int, int]:
+    """A depolarizing error on n qubits as (x_bits, z_bits, sign): one draw
+    per qubit, then a letter for each hit; the qubits are distinct, so the
+    product of the single-qubit letters has sign +1."""
+    x = z = 0
+    for bit in range(n):
+        if rng.random() < p:
+            letter = rng.integers(3)  # X, Y, Z
+            x |= int(letter != 2) << bit
+            z |= int(letter != 0) << bit
+    return x, z, 1
+
+
+def _recovered(syn: Syndrome, corr: Optional[PauliOperator], overlap: complex) -> RecoveryReport:
+    """The report of a trial whose corrected state has this overlap with its input."""
+    fidelity = abs(overlap)
+    return RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - FIDELITY_TOL)
+
+
 class Simulator:
     """Reusable context for one code: group, dense basis, syndrome table."""
 
     def __init__(self, code, t: int = 1):
         _check_n(code.n)  # before the 2^k basis, which a large code cannot hold
         self.code = code
-        self.group = validate(code.n, code.generators)
+        self.group = _validated_group(code)
         self.table = _syndrome_table(self.group, t)
         problems = codewords.check_seeds(self.group, code.seed_generators)
         if problems:  # the logical basis is built from the seeds
@@ -359,37 +440,57 @@ class Simulator:
         self._corrections = {syn.value: (syn, c, key) for (syn, c), key in zip(self.table.entries.items(), keys)}
 
     def random_logical(self, rng: np.random.Generator) -> StateVector:
-        return StateVector(self.code.n, self._logical_amplitudes([rng], [None])[0])
+        return StateVector(self.code.n, self._logical_row(rng, None))
+
+    def _logical_parts(self, logical) -> np.ndarray:
+        """The real and imaginary parts, shape (2, 2^k), of the coefficients
+        of basis word logical or of the unit amplitudes logical over the
+        words; anything else raises ValueError."""
+        size = 1 << self.k
+        if isinstance(logical, (int, np.integer)):
+            if isinstance(logical, bool) or not 0 <= logical < size:
+                raise ValueError(f"logical word must be an integer in 0..{size - 1}, got {logical!r}")
+            parts = np.zeros((2, size))
+            parts[0, logical] = 1.0  # the gemv adds only exact zeros to its basis row
+            return parts
+        vec = np.asarray(logical, dtype=np.complex128)
+        norm = float(np.linalg.norm(vec))
+        if vec.shape != (size,) or not abs(norm - 1.0) <= FIDELITY_TOL:
+            raise ValueError(
+                f"logical amplitudes need length {size}, got shape {vec.shape}" if vec.shape != (size,)
+                else f"logical amplitudes need 2-norm 1 within {FIDELITY_TOL}, got {norm}"
+            )
+        return np.array([vec.real, vec.imag])
 
     def _logical_amplitudes(self, rngs, logicals) -> np.ndarray:
         """Row r encodes basis word logicals[r], the unit amplitudes
         logicals[r] over the words, or for None a random superposition whose
         real parts, then imaginary parts, are drawn from rngs[r]."""
-        size = 1 << self.k
-        parts = np.zeros((len(rngs), 2, size))
+        parts = np.zeros((len(rngs), 2, 1 << self.k))
         for r, (logical, rng) in enumerate(zip(logicals, rngs)):
             if logical is None:
                 rng.standard_normal(out=parts[r])
-            elif isinstance(logical, (int, np.integer)):
-                if isinstance(logical, bool) or not 0 <= logical < size:
-                    raise ValueError(f"logical word must be an integer in 0..{size - 1}, got {logical!r}")
-                parts[r, 0, logical] = 1.0  # the gemv adds only exact zeros to its basis row
             else:
-                vec = np.asarray(logical, dtype=np.complex128)
-                norm = float(np.linalg.norm(vec))
-                if vec.shape != (size,) or not abs(norm - 1.0) <= FIDELITY_TOL:
-                    raise ValueError(
-                        f"logical amplitudes need length {size}, got shape {vec.shape}" if vec.shape != (size,)
-                        else f"logical amplitudes need 2-norm 1 within {FIDELITY_TOL}, got {norm}"
-                    )
-                parts[r] = vec.real, vec.imag
+                parts[r] = self._logical_parts(logical)
         # one interleaving copy: a + 1j * b rounds nothing, and a zero's sign no output sees
-        f = parts.transpose(0, 2, 1).reshape(len(rngs), 2 * size)
+        f = parts.transpose(0, 2, 1).reshape(len(rngs), 2 << self.k)
         coeffs = f.view(np.complex128)
-        f *= _row_factors([1.0 / math.sqrt(sq) if lg is None else 1.0 for sq, lg in zip(_row_sqnorms(f), logicals)])
+        scales = [1.0 / math.sqrt(sq) if lg is None else 1.0 for sq, lg in zip(_row_sqnorms(f), logicals)]
+        f *= np.array(scales)[:, None]
         return np.matmul(coeffs[:, None, :], self._basis_matrix)[:, 0]  # one gemv per row
 
+    def _logical_row(self, rng: np.random.Generator, logical) -> np.ndarray:
+        """_logical_amplitudes for one row, with the same floats and draws."""
+        parts = rng.standard_normal((2, 1 << self.k)) if logical is None else self._logical_parts(logical)
+        f = np.empty(2 << self.k)
+        f[0::2], f[1::2] = parts
+        if logical is None:
+            f *= 1.0 / math.sqrt(_sqnorm(f))
+        return f.view(np.complex128) @ self._basis_matrix
+
     def _damage(self, error: ErrorSpec, psi: np.ndarray, rngs) -> np.ndarray:
+        """psi, a block of rows or one 1-D row, under the error; a depolarizing
+        row r draws its Pauli from rngs[r]."""
         if isinstance(error, PauliError):
             op = error.op
             if op.n != self.code.n:
@@ -400,19 +501,14 @@ class Simulator:
                 raise ValueError(f"qubit {error.qubit} out of range 1..{self.code.n}")
             return single_qubit_product(_unit_scaled(error.matrix), error.qubit, psi)
         if isinstance(error, DepolarizingError):
-            # one draw per qubit, then a letter for each hit; the qubits are
-            # distinct, so the product of the single-qubit letters has sign +1
-            paulis, p = [], error.p
-            for rng in rngs:
-                x = z = 0
-                for bit in range(self.code.n):
-                    if rng.random() < p:
-                        letter = rng.integers(3)  # X, Y, Z
-                        x |= int(letter != 2) << bit
-                        z |= int(letter != 0) << bit
-                paulis.append((x, z, 1))
+            paulis = [_depolarizing_pauli(rng, self.code.n, error.p) for rng in rngs]
             return _apply_paulis(psi, paulis, self._gathers)
         raise TypeError(f"unsupported error spec {error!r}")
+
+    def _correction(self, value: int) -> tuple[Syndrome, Optional[PauliOperator], tuple[int, int, int]]:
+        """The syndrome of value, its table correction (None outside the
+        table) and that correction's key in _gathers (the identity outside)."""
+        return self._corrections.get(value) or (Syndrome(value, self.group.a), None, (0, 0, 1))
 
     def trial(self, error: ErrorSpec, rng: np.random.Generator, logical=None) -> RecoveryReport:
         """One encode / corrupt / measure / correct round.
@@ -420,9 +516,18 @@ class Simulator:
         ``logical`` is a basis-word index, a unit amplitude vector over the
         logical words, or None for a random superposition; anything else
         raises ValueError.  An error that annihilates the state or a
-        syndrome outside the table is reported, not raised.
+        syndrome outside the table is reported, not raised.  This is the
+        one-row kernel; its report and draws equal those of the row in
+        _trial_block.
         """
-        return self._trial_block(error, [rng], [logical])[0]
+        psi = self._logical_row(rng, logical)
+        damaged = self._damage(error, psi, [rng])
+        nrm = math.sqrt(_sqnorm(damaged.view(np.float64)))
+        if nrm < _ZERO_NORM:
+            return _ANNIHILATED
+        value, out = _measure_row(damaged, nrm, self._generator_actions, rng, not isinstance(error, MatrixError))
+        syn, corr, key = self._correction(value)
+        return _recovered(syn, corr, complex(np.vdot(psi, _apply_paulis(out, [key], self._gathers))))
 
     def _trial_block(self, error: ErrorSpec, rngs, logicals) -> list[RecoveryReport]:
         """Simulator.trial for each (rng, logical) pair, as one row each.
@@ -440,11 +545,10 @@ class Simulator:
         if len(live) < len(rngs):
             psi, damaged, norms, rngs = psi[live], damaged[live], [norms[r] for r in live], [rngs[r] for r in live]
         values, out = _measure_rows(damaged, norms, self._generator_actions, rngs, not isinstance(error, MatrixError))
-        found = [self._corrections.get(v) or (Syndrome(v, self.group.a), None, (0, 0, 1)) for v in values]
+        found = [self._correction(v) for v in values]
         out = _apply_paulis(out, [key for _, _, key in found], self._gathers)
         for r, (syn, corr, _), overlap in zip(live, found, np.vecdot(psi, out).tolist()):
-            fidelity = abs(overlap)
-            reports[r] = RecoveryReport(syn, corr, fidelity, corr is not None and fidelity >= 1.0 - FIDELITY_TOL)
+            reports[r] = _recovered(syn, corr, overlap)
         return reports
 
 

@@ -205,6 +205,13 @@ class CodeSpec:
         return cls.from_json_dict(data)
 
 
+def _validated_group(code) -> StabilizerGroup:
+    """The generators of code, any object with n and generators, as a
+    StabilizerGroup: a CodeSpec's own, which its constructor validated, or
+    else stabilizer.validate's (which raises on an invalid group)."""
+    return code.group() if isinstance(code, CodeSpec) else validate(code.n, code.generators)
+
+
 def _require_n(n: int) -> None:
     """The range of a CodeSpec's n: 1 up to the n of the largest family code."""
     if n < 1:
@@ -228,8 +235,9 @@ def _pure_x_list(n: int, ops) -> PureXList:
             raise ValueError(f"seed generator {idx} is not a +1 pure-X operator on {n} qubits")
     words = (n + 63) // 64
     raw = np.frombuffer(b"".join(op.x_bits.to_bytes(8 * words, "little") for op in ops), dtype="<u8")
-    row, word = np.nonzero(raw.reshape(len(ops), words))
-    which, bit = np.nonzero(np.unpackbits(raw[row * words + word].view(np.uint8).reshape(-1, 8), 1, bitorder="little"))
+    flat = np.flatnonzero(raw)  # flat indices and divmod: numpy's 2-d nonzero is several times slower
+    row, word = np.divmod(flat, words)
+    which, bit = np.divmod(np.flatnonzero(np.unpackbits(raw[flat].view(np.uint8), bitorder="little")), 64)
     return PureXList(n, np.cumsum(np.bincount(row[which], minlength=len(ops))), word[which] * 64 + bit + 1)
 
 

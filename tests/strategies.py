@@ -3,7 +3,7 @@ shared by the tests."""
 
 from hypothesis import strategies as st
 
-from stabforge.pauli import PauliOperator, commutes
+from stabforge.pauli import PauliOperator, commutes, multiply, parse
 from stabforge.stabilizer import validate
 
 
@@ -70,3 +70,37 @@ def valid_groups(draw):
         if rows.insert(x | (z << n)):
             gens.append(op)
     return validate(n, gens)
+
+
+T1_CODES = (
+    (("+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ"), "+XXXXX"),  # the [[5,1,3]] code and a logical X
+    (("+IIIXXXX", "+IXXIIXX", "+XIXIXIX", "+IIIZZZZ", "+IZZIIZZ", "+ZIZIZIZ"), "+ZZZZZZZ"),  # Steane's [[7,1,3]]
+)
+
+
+def _permuted(op: PauliOperator, perm) -> PauliOperator:
+    """op with its qubit at bit i moved to bit perm[i]."""
+    x, z = (sum(1 << perm[i] for i in range(op.n) if bits >> i & 1) for bits in (op.x_bits, op.z_bits))
+    return PauliOperator(op.n, x, z, op.sign)
+
+
+@st.composite
+def t1_groups(draw):
+    """A validated group on 5 or 7 qubits with a t = 1 syndrome table.
+
+    It is the [[5,1,3]] code or Steane's [[7,1,3]] code, with its logical
+    operator as one more generator (k = 0) about half the time, on permuted
+    qubits, its generators multiplied together and their signs drawn.  More
+    generators only split syndromes, so the weight <= 1 errors keep distinct
+    syndromes.  A random group on n <= 7 qubits almost never has them.
+    """
+    texts, logical = draw(st.sampled_from(T1_CODES))
+    gens = [parse(text) for text in texts + ((logical,) if draw(st.booleans()) else ())]
+    n, count = gens[0].n, len(gens)
+    perm = draw(st.permutations(range(n)))
+    gens = [_permuted(g, perm) for g in gens]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)), max_size=2 * count)):
+        if i != j:  # the generators commute, so the product is another +-1-squaring generator
+            gens[i] = multiply(gens[i], gens[j])
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
+    return validate(n, [PauliOperator(n, g.x_bits, g.z_bits, g.sign * s) for g, s in zip(gens, signs)])

@@ -103,6 +103,25 @@ def test_verify_pass(capsys, code_path):
     assert "rank: 200/200" in out
 
 
+def test_simulate_and_verify_oracle_validate_each_spec_once(capsys, code_path, monkeypatch):
+    # the CodeSpec constructor validates at load; Simulator, its syndrome
+    # table and the dense oracle take the spec's group and validate nothing
+    calls, validate = [], stabilizer.validate
+
+    def counting_validate(n, generators):
+        calls.append(n)
+        return validate(n, generators)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stabforge"]:
+        if getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting_validate)
+    simulate = ["simulate", str(code_path), "--model", "depolarizing:0.05", "--trials", "3"]
+    for argv in (simulate, ["verify", str(code_path), "--oracle"]):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [8], argv
+
+
 def test_verify_oracle_json(capsys, code_path):
     code, out, _ = run_cli(capsys, "verify", str(code_path), "--oracle", "--json")
     assert code == 0

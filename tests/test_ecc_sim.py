@@ -33,11 +33,13 @@ from stabforge.ecc_sim import (
     run_campaign,
     trial_rng,
 )
-from stabforge.oracle import StateVector, apply_pauli, apply_single_qubit, pauli_action, single_qubit_product
+from stabforge.oracle import (
+    StateVector, apply_pauli, apply_single_qubit, pauli_action, single_qubit_product, verify_code,
+)
 from stabforge.pauli import PauliOperator, identity, multiply, parse, pure_xs, single
-from stabforge.stabilizer import StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
+from stabforge.stabilizer import NotAbelianError, StabilizerGroup, Syndrome, enumerate_elements, syndrome, validate
 from reference import depolarizing_success, depolarizing_syndrome_distribution, stabilizer_weights
-from strategies import IntEchelon, valid_groups
+from strategies import IntEchelon, t1_groups, valid_groups
 
 
 @pytest.fixture(scope="module")
@@ -518,16 +520,28 @@ def test_table_matches_reference_code8(code8, group8, t):
 
 
 def test_simulator_validates_the_group_once(code8, monkeypatch):
+    # a CodeSpec's constructor validated its generators, so the Simulator
+    # takes its group; any other code is validated here, once
     calls = []
 
     def counting_validate(n, generators):
         calls.append(n)
         return validate(n, generators)
 
-    monkeypatch.setattr(ecc_sim, "validate", counting_validate)
+    monkeypatch.setattr(family, "validate", counting_validate)
     sim = Simulator(code8)
-    assert calls == [8]
+    assert calls == []
+    duck = SimpleNamespace(n=8, generators=code8.generators, seed_generators=code8.seed_generators)
+    assert Simulator(duck).group == sim.group and calls == [8]
     assert sim.table == build_syndrome_table(code8, 1)
+
+
+def test_a_duck_typed_code_with_anticommuting_generators_is_still_refused(code8):
+    # +XI and +ZI anticommute; only a CodeSpec skips validate, and a CodeSpec cannot hold them
+    bad = SimpleNamespace(n=2, generators=(parse("+XI"), parse("+ZI")), seed_generators=pure_xs(2, []))
+    for build in (Simulator, lambda code: build_syndrome_table(code, 1), lambda code: verify_code(code, 1)):
+        with pytest.raises(NotAbelianError):
+            build(bad)
 
 
 @given(valid_groups(), st.integers(0, 3))
@@ -843,26 +857,32 @@ def test_a_row_off_the_premise_sends_its_block_through_the_projections(sim):
     assert ecc_sim._eigen_rows(f, *sim._generator_actions) is not None
 
 
-@pytest.mark.parametrize("error", [PauliError(parse("+IIIIIIII")), PauliError(parse("+IIXIIIII"))], ids=lambda e: str(e.op))
-def test_rescales_run_until_a_factor_of_one_or_through_every_plus_outcome(sim, error, monkeypatch):
+@pytest.mark.parametrize(
+    "error, block",
+    [(PauliError(parse(text)), block) for text, block in (("+IIIIIIII", False), ("+IIXIIIII", False), ("+IIIIIIII", True))],
+    ids=["+IIIIIIII", "+IIXIIIII", "block-+IIIIIIII"],
+)
+def test_rescales_run_until_a_factor_of_one_or_through_every_plus_outcome(sim, error, block, monkeypatch):
     """Round i of the eigenstate step rescales a row for its i-th +1 outcome
     by 1 / sqrt(p), and the row leaves once that factor is 1.0.  Some random
     code8 states never reach 1.0 and pay one rescale per +1 outcome.  Rows
-    of both kinds must equal the per-trial reference bit for bit."""
+    of both kinds must equal the per-trial reference bit for bit, in the
+    one-row kernel of Simulator.trial and in the block kernel on one row."""
     factors = []
-    row_sqnorms = ecc_sim._row_sqnorms
+    name = "_row_sqnorms" if block else "_sqnorm"
+    sqnorms = getattr(ecc_sim, name)
 
     def spy(f):
-        sqs = row_sqnorms(f)
-        factors.append(1.0 / math.sqrt(math.sqrt(sqs[0]) ** 2))
-        return sqs
+        sq = sqnorms(f)
+        factors.append(1.0 / math.sqrt(math.sqrt(sq[0] if block else sq) ** 2))
+        return sq
 
-    monkeypatch.setattr(ecc_sim, "_row_sqnorms", spy)
+    monkeypatch.setattr(ecc_sim, name, spy)
     plus = sim.group.a - syndrome(sim.group, error.op).value.bit_count()
     ends = set()
     for i in range(300):
         factors.clear()
-        got = sim.trial(error, trial_rng(0, i))
+        got = sim._trial_block(error, [trial_rng(0, i)], [None])[0] if block else sim.trial(error, trial_rng(0, i))
         rescales = factors[2:]  # the logical coefficients and the damaged norm come first
         assert 1 <= len(rescales) <= plus and 1.0 not in rescales[:-1]
         settled = rescales[-1] == 1.0
@@ -1078,3 +1098,102 @@ def test_campaign_names_an_integer_too_long_for_str(code8, trials, seed, message
 def test_numpy_integer_trial_count_is_an_int(code8):
     stats = run_campaign(code8, "depolarizing:0.1", np.int64(5), 0)
     assert stats == run_campaign(code8, "depolarizing:0.1", 5, 0) and type(stats.trials) is int
+
+
+# ---------------------------------------------------------------------------
+# The one-row kernel of Simulator.trial, random_logical and measure_syndrome
+# against the block kernel on one row: the same reports, floats compared with
+# ==, and the same generator state after each trial.
+
+
+def _assert_row_is_block_row(sim, error, rng, logical):
+    rng_b = np.random.default_rng()
+    rng_b.bit_generator.state = rng.bit_generator.state
+    got = sim.trial(error, rng, logical)
+    assert got == sim._trial_block(error, [rng_b], [logical])[0]
+    assert type(got.fidelity) is float
+    assert rng.bit_generator.state == rng_b.bit_generator.state
+
+
+ROW_ERRORS = {
+    "pauli-in-table": PauliError(parse("+IIXIIIII")),
+    "pauli-outside-table": PauliError(parse("+XXIIIIII")),  # syndrome 00001
+    "pauli-weight-5": PauliError(parse("-YZXIIIYX")),
+    "matrix-projector": MatrixError(np.array([[0.0, 0.0], [0.0, 1.0]]), 3),
+    "matrix-zero": MatrixError(np.zeros((2, 2)), 2),
+    "matrix": MatrixError(_RANDOM_COMPLEX, 6),
+    "matrix-2^600": MatrixError(_RANDOM_COMPLEX * 2.0**600, 1),
+    "matrix-2^-600": MatrixError(_RANDOM_COMPLEX * 2.0**-600, 8),
+    **{f"depolarizing-{p}": DepolarizingError(p) for p in (0.0, 0.05, 0.3, 1.0)},
+}
+
+
+@pytest.mark.parametrize("error", ROW_ERRORS.values(), ids=ROW_ERRORS.keys())
+def test_one_row_kernel_is_the_block_kernel_on_one_row_on_code8(sim, error):
+    logicals = [None] * 40 + _logical_inputs(sim.k, 13, words=8)
+    for i, logical in enumerate(logicals):
+        _assert_row_is_block_row(sim, error, trial_rng(31, i), logical)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=t1_groups(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_one_row_kernel_is_the_block_kernel_on_one_row_on_t1_codes(group, seed, data):
+    try:
+        seeds = codewords.seed_generators(group)
+    except codewords.MinusSignPureZError:
+        assume(False)
+    sim = Simulator(SimpleNamespace(n=group.n, generators=group.generators, seed_generators=seeds), t=1)
+    n, bits, gen = group.n, st.integers(0, (1 << group.n) - 1), np.random.default_rng(seed)
+    qubit = data.draw(st.integers(1, n))
+    errors = [
+        PauliError(PauliOperator(n, data.draw(bits), data.draw(bits), data.draw(st.sampled_from([1, -1])))),
+        PauliError(single(n, qubit, data.draw(st.sampled_from("XYZ")))),
+        MatrixError(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)), qubit),
+        MatrixError(np.array([[1.0, 0.0], [0.0, 0.0]]), qubit),
+        DepolarizingError(data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))),
+    ]
+    for error in errors:
+        for i, logical in enumerate(_logical_inputs(sim.k, seed, words=4)):
+            _assert_row_is_block_row(sim, error, trial_rng(seed, i), logical)
+
+
+def test_random_logical_and_measure_syndrome_are_the_block_kernel_on_one_row(sim, group8):
+    for t in range(40):
+        rng, rng_b = trial_rng(8, t), trial_rng(8, t)
+        psi = sim.random_logical(rng)
+        want = sim._logical_amplitudes([rng_b], [None])[0]
+        assert np.array_equal(psi.amplitudes.view(np.float64), want.view(np.float64))
+        assert rng.bit_generator.state == rng_b.bit_generator.state
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        qubit = int(rng.integers(1, 9))
+        # a coherent error, then a Pauli one: measure_syndrome projects both
+        for damaged in (apply_single_qubit(m, qubit, psi), apply_pauli(single(8, qubit, "XYZ"[t % 3]), psi)):
+            rng, rng_b = trial_rng(9, t), trial_rng(9, t)
+            syn, collapsed = measure_syndrome(damaged, group8, rng)
+            rows = damaged.amplitudes[None]
+            values, out = ecc_sim._measure_rows(rows, [damaged.norm()], sim._generator_actions, [rng_b])
+            assert syn == Syndrome(values[0], group8.a)
+            assert np.array_equal(collapsed.amplitudes.view(np.float64), out[0].view(np.float64))
+            assert rng.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_a_row_off_the_premise_takes_the_projections_in_the_one_row_kernel(sim):
+    """The rows of the eigen-fallback test above, one at a time: a
+    matrix-damaged row and a row scaled by twice its norm fail the one-row
+    eigenstate step, the second on its first rescale, and are projected
+    unscaled, with the floats and draws of the block kernel on that row."""
+    psi = sim._logical_amplitudes([trial_rng(4, i) for i in range(3)], [None, 2, None])
+    mixed = single_qubit_product(np.array([[0.6, 0.2j], [0.1, 1.0]]), 3, psi[1])
+    norm = math.sqrt(ecc_sim._sqnorm(psi[0].view(np.float64)))
+    for amps, nrm in ((mixed, math.sqrt(ecc_sim._sqnorm(mixed.view(np.float64)))), (psi[0], 2.0 * norm)):
+        f = amps.view(np.float64) * (1.0 / nrm)
+        assert ecc_sim._eigen_row(f, *sim._generator_actions) is None
+        assert ecc_sim._eigen_rows(f[None], *sim._generator_actions) is None
+        for eigen in (True, False):
+            rng, rng_b = trial_rng(5, 0), trial_rng(5, 0)
+            value, out = ecc_sim._measure_row(amps, nrm, sim._generator_actions, rng, eigen)
+            values, want = ecc_sim._measure_rows(amps[None], [nrm], sim._generator_actions, [rng_b], eigen)
+            assert value == values[0] and np.array_equal(out.view(np.float64), want[0].view(np.float64))
+            assert rng.bit_generator.state == rng_b.bit_generator.state
+    # the code state scaled by its own norm takes the eigenstate step
+    assert ecc_sim._eigen_row(psi[0].view(np.float64) * (1.0 / norm), *sim._generator_actions) is not None
