@@ -3,9 +3,10 @@
 The syndrome measurement is modeled as a sequence of projective measurements
 of the generators M_1..M_a in order; the ancilla of the physical protocol is
 kept as classical measurement record only, which is equivalent and halves
-the simulable size.  Coherent errors need not be unitary: the measurement
+the simulable size.  A Simulator takes a CodeSpec and builds its t = 1
+syndrome table.  Coherent errors need not be unitary: the measurement
 collapses any single-qubit error matrix onto one of its Pauli components,
-each of which the table then corrects.
+each of which that table corrects.
 
 Randomness contract: every trial uses a numpy Generator derived from
 (master seed, trial index), so campaigns are reproducible and the trials
@@ -50,7 +51,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import codewords
-from .family import _validated_group
 from .oracle import StateVector, _check_n, dense_from_formal, pauli_action, single_qubit_product
 from .pauli import PauliOperator, _integer, _json_name, parse as parse_pauli
 from .stabilizer import (
@@ -180,11 +180,7 @@ def build_syndrome_table(code, t: int) -> SyndromeTable:
     the entries come from stabilizer.error_syndromes in its order, weight
     ascending, so each is a minimal-weight correction.
     """
-    return _syndrome_table(_validated_group(code), t)
-
-
-def _syndrome_table(group: StabilizerGroup, t: int) -> SyndromeTable:
-    """build_syndrome_table on an already validated group."""
+    group = code.group()
     report = check_correctability(group, t)
     if not report.ok:
         first, second = report.collision
@@ -266,21 +262,22 @@ def _eigen_rows(f, perms, signs) -> Optional[tuple[list[int], np.ndarray]]:
     values = [_eigen_outcomes(f0, images) for f0, images in zip(f.take(i0 + base).tolist(), moved.T.tolist())]
     if None in values:
         return None
-    # round i rescales by 1 / sqrt(p) each row with at least i +1 outcomes (0 bits) and no factor of 1.0 yet
-    out, pending, i = f.copy(), [r for r, v in enumerate(values) if v.bit_count() < len(perms)], 0
-    while pending:  # a row copy keeps its strides, so its dot and its floats are those in out
-        sub = out if len(pending) == len(f) else out[pending]
+    # round i rescales by 1 / sqrt(p) each row with at least i +1 outcomes (0 bits) and no factor of 1.0 yet;
+    # a rescaled row's p is 1 within a few ulps, so only round 0 gives up, before it writes f
+    pending, i = [r for r, v in enumerate(values) if v.bit_count() < len(perms)], 0
+    while pending:  # a row copy keeps its strides, so its dot and its floats are those in f
+        sub = f if len(pending) == len(f) else f[pending]
         scales = []
         for sq in _row_sqnorms(sub):
             if (p := math.sqrt(sq) ** 2) < 1.0 - _PROB_EPS:
                 return None  # a projection would draw its outcome
             scales.append(1.0 / math.sqrt(p))
         sub *= np.array(scales)[:, None]
-        if sub is not out:
-            out[pending] = sub
+        if sub is not f:
+            f[pending] = sub
         i += 1
         pending = [r for r, c in zip(pending, scales) if c != 1.0 and values[r].bit_count() < len(perms) - i]
-    return values, out.view(np.complex128)
+    return values, f.view(np.complex128)
 
 
 def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], np.ndarray]:
@@ -323,21 +320,20 @@ def _measure_rows(amps, norms, actions, rngs, eigen=False) -> tuple[list[int], n
 
 def _eigen_row(f, perms, signs) -> Optional[tuple[int, np.ndarray]]:
     """_eigen_rows on the lone scaled row f (1-D), with the same floats: it
-    reads the outcomes at one label and rescales a copy, so f stays unscaled
-    for the projections if it gives up."""
+    reads the outcomes at one label and rescales f in place, which it leaves
+    unscaled for the projections if it gives up, as only its first rescale can."""
     i0 = int(np.abs(f).argmax())
     images = [m * sign for m, sign in zip(f.take(perms[:, i0]).tolist(), signs[:, i0].tolist())]  # (M_j f) at i0
     value = _eigen_outcomes(f.item(i0), images)
     if value is None:
         return None
-    out = f.copy()
     for _ in range(len(perms) - value.bit_count()):  # one rescale per +1 outcome, up to a factor of 1.0
-        if (p := math.sqrt(_sqnorm(out)) ** 2) < 1.0 - _PROB_EPS:
+        if (p := math.sqrt(_sqnorm(f)) ** 2) < 1.0 - _PROB_EPS:
             return None  # a projection would draw its outcome
-        out *= (scale := 1.0 / math.sqrt(p))
+        f *= (scale := 1.0 / math.sqrt(p))
         if scale == 1.0:
             break
-    return value, out.view(np.complex128)
+    return value, f.view(np.complex128)
 
 
 def _measure_row(amps, nrm, actions, rng, eigen=False) -> tuple[int, np.ndarray]:
@@ -418,19 +414,22 @@ def _recovered(syn: Syndrome, corr: Optional[PauliOperator], overlap: complex) -
 
 
 class Simulator:
-    """Reusable context for one code: group, dense basis, syndrome table."""
+    """Reusable context for one CodeSpec: group, dense basis, t = 1 syndrome
+    table.  With it, Paulis P != Q on one qubit have distinct syndromes, so
+    <psi|P^dag Q|psi> = 0 on code states: a one-qubit matrix m leaves every
+    unit code state the squared norm sum |m_ij|^2 / 2, and a Pauli keeps 1."""
 
-    def __init__(self, code, t: int = 1):
+    def __init__(self, code):
         _check_n(code.n)  # before the 2^k basis, which a large code cannot hold
         self.code = code
-        self.group = _validated_group(code)
-        self.table = _syndrome_table(self.group, t)
+        self.group = code.group()
+        self.table = build_syndrome_table(code, 1)
         problems = codewords.check_seeds(self.group, code.seed_generators)
         if problems:  # the logical basis is built from the seeds
             raise ValueError("; ".join(problems))
         formal = codewords.basis(self.group, code.seed_generators)
         self.basis = [dense_from_formal(s) for s in formal]
-        self.k = code.n - self.group.a
+        self.k = code.k
         self._basis_matrix = np.stack([s.amplitudes for s in self.basis])
         self._generator_actions = _generator_actions(self.group)
         keys = [(c.x_bits, c.z_bits, c.sign) for c in self.table.entries.values()]  # each correction as a Pauli
@@ -538,18 +537,12 @@ class Simulator:
         psi = self._logical_amplitudes(rngs, logicals)
         damaged = self._damage(error, psi, rngs)
         norms = [math.sqrt(sq) for sq in _row_sqnorms(damaged.view(np.float64))]
-        live = [r for r, nrm in enumerate(norms) if nrm >= _ZERO_NORM]
-        reports = [_ANNIHILATED] * len(rngs)
-        if not live:
-            return reports
-        if len(live) < len(rngs):
-            psi, damaged, norms, rngs = psi[live], damaged[live], [norms[r] for r in live], [rngs[r] for r in live]
+        if min(norms) < _ZERO_NORM:  # one norm for all rows, up to rounding (class docstring)
+            return [_ANNIHILATED] * len(rngs)
         values, out = _measure_rows(damaged, norms, self._generator_actions, rngs, not isinstance(error, MatrixError))
         found = [self._correction(v) for v in values]
         out = _apply_paulis(out, [key for _, _, key in found], self._gathers)
-        for r, (syn, corr, _), overlap in zip(live, found, np.vecdot(psi, out).tolist()):
-            reports[r] = _recovered(syn, corr, overlap)
-        return reports
+        return [_recovered(syn, corr, overlap) for (syn, corr, _), overlap in zip(found, np.vecdot(psi, out).tolist())]
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

@@ -205,13 +205,6 @@ class CodeSpec:
         return cls.from_json_dict(data)
 
 
-def _validated_group(code) -> StabilizerGroup:
-    """The generators of code, any object with n and generators, as a
-    StabilizerGroup: a CodeSpec's own, which its constructor validated, or
-    else stabilizer.validate's (which raises on an invalid group)."""
-    return code.group() if isinstance(code, CodeSpec) else validate(code.n, code.generators)
-
-
 def _require_n(n: int) -> None:
     """The range of a CodeSpec's n: 1 up to the n of the largest family code."""
     if n < 1:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .codewords import FormalState, basis as codeword_basis
 from .pauli import PauliOperator, _integer
-from .family import _validated_group
 from .stabilizer import _descriptors, materialize
 
 MAX_QUBITS = 12
@@ -189,7 +188,7 @@ def verify_code(code, t: int) -> VerificationReport:
         raise ValueError("t must be non-negative")
     n = code.n
     _check_n(n)
-    group = _validated_group(code)
+    group = code.group()
     states = np.stack(
         [dense_from_formal(s).amplitudes.real for s in codeword_basis(group, code.seed_generators)]
     )

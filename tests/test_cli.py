@@ -596,6 +596,18 @@ def test_simulate_large_code_exits_2_quickly(capsys, tmp_path):
     assert err.splitlines() == ["error: dense oracle is capped at 12 qubits, got 32"]
 
 
+@pytest.mark.parametrize("model", ["exhaustive", "matrix:1,0,0,0@1"])
+def test_simulate_refuses_a_code_with_no_t1_table(capsys, tmp_path, model):
+    # <ZZ> gives X_1 and Y_1 one syndrome, so the Simulator's t = 1 table does
+    # not exist, whatever the model
+    path = tmp_path / "zz.json"
+    spec = {"n": 2, "k": 1, "j": 1, "generators": ["+ZZ"], "seed_generators": [[1, 2]], "version": 2}
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--model", model)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: syndrome 1 of +YI already assigned to +XI"]
+
+
 def _refused_quickly(capsys, *argv):
     """Run argv and return its one-line error message, requiring exit 2, no
     stdout and a run under 2 s."""

@@ -482,30 +482,29 @@ def test_measure_syndrome_reuses_the_simulator_actions(code8, group8):
 
 
 def _simulator_for(group: StabilizerGroup) -> Simulator:
-    """A t = 1 Simulator on the group, t = 0 if its syndromes collide; a
-    group whose seeds fall to MinusSignPureZError is skipped."""
+    """A Simulator on a t1_groups group, as a CodeSpec with the group's seeds;
+    a group whose seeds fall to MinusSignPureZError is skipped."""
     try:
         seeds = codewords.seed_generators(group)
     except codewords.MinusSignPureZError:
         assume(False)
-    code = SimpleNamespace(n=group.n, generators=group.generators, seed_generators=seeds)
-    try:
-        return Simulator(code, t=1)
-    except DegenerateSyndromesError:
-        return Simulator(code, t=0)
+    return Simulator(family.CodeSpec(group.n, group.n - group.a, 0, group.generators, seeds))
 
 
 @settings(max_examples=40, deadline=None)
-@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
+@given(group=t1_groups(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([0.1, 0.5]))
 def test_random_groups_match_per_trial_reference(group, seed, p):
-    # signed generators and codes of every shape on n <= 7 qubits
+    # signed, multiplied generators of two t = 1 codes on permuted qubits
     sim = _simulator_for(group)
-    rng = np.random.default_rng(seed)
+    n, rng = group.n, np.random.default_rng(seed)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    for error in (DepolarizingError(p), MatrixError(m, int(rng.integers(1, group.n + 1)))):
+    light = PauliError(single(n, int(rng.integers(1, n + 1)), "XYZ"[int(rng.integers(3))]))
+    for error in (DepolarizingError(p), MatrixError(m, int(rng.integers(1, n + 1))), light):
         rngs = [trial_rng(seed, i) for i in range(5)]
         block = sim._trial_block(error, rngs, [None] * 5)
         assert block == [_ref_trial(sim, error, trial_rng(seed, i)) for i in range(5)]
+    # the weight-1 error is its own correction, which the table applies
+    assert all(r.success and r.correction == light.op != identity(n) for r in block)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -520,33 +519,39 @@ def test_table_matches_reference_code8(code8, group8, t):
 
 
 def test_simulator_validates_the_group_once(code8, monkeypatch):
-    # a CodeSpec's constructor validated its generators, so the Simulator
-    # takes its group; any other code is validated here, once
+    # the CodeSpec constructor validates its generators; the Simulator, its
+    # table and the dense oracle take the spec's group and validate nothing
     calls = []
 
     def counting_validate(n, generators):
         calls.append(n)
         return validate(n, generators)
 
-    monkeypatch.setattr(family, "validate", counting_validate)
-    sim = Simulator(code8)
-    assert calls == []
-    duck = SimpleNamespace(n=8, generators=code8.generators, seed_generators=code8.seed_generators)
-    assert Simulator(duck).group == sim.group and calls == [8]
-    assert sim.table == build_syndrome_table(code8, 1)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stabforge"]:
+        if getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting_validate)
+    code = family.CodeSpec(8, code8.k, code8.j, code8.generators, code8.seed_generators)
+    assert calls == [8]
+    sim = Simulator(code)
+    assert sim.group == code8.group() and sim.table == build_syndrome_table(code, 1) and verify_code(code, 1).ok
+    assert calls == [8]
 
 
-def test_a_duck_typed_code_with_anticommuting_generators_is_still_refused(code8):
-    # +XI and +ZI anticommute; only a CodeSpec skips validate, and a CodeSpec cannot hold them
+def test_an_object_that_is_not_a_codespec_fails_at_group():
+    # +XI and +ZI anticommute, so no CodeSpec can hold them, and the dense
+    # layer takes nothing else: any other object fails at code.group()
     bad = SimpleNamespace(n=2, generators=(parse("+XI"), parse("+ZI")), seed_generators=pure_xs(2, []))
+    with pytest.raises(NotAbelianError, match="^generators 1 and 2 anticommute$"):
+        family.CodeSpec(2, 0, 0, bad.generators, bad.seed_generators)
     for build in (Simulator, lambda code: build_syndrome_table(code, 1), lambda code: verify_code(code, 1)):
-        with pytest.raises(NotAbelianError):
+        with pytest.raises(AttributeError, match="has no attribute 'group'$"):
             build(bad)
 
 
 @given(valid_groups(), st.integers(0, 3))
 def test_table_matches_reference_random(group, t):
-    code = SimpleNamespace(n=group.n, generators=group.generators)
+    # the constructor does not check the seed count, so a spec with no seeds holds any group
+    code = family.CodeSpec(group.n, group.n - group.a, 0, group.generators, pure_xs(group.n, []))
     try:
         expected = _ref_table(group, t)
     except DegenerateSyndromesError as exc:
@@ -557,26 +562,58 @@ def test_table_matches_reference_random(group, t):
         assert build_syndrome_table(code, t) == expected
 
 
-def _toy_code():
-    # <ZZ> on two qubits: logical words |00> and |11>, so a |1><1| projector
-    # on qubit 1 annihilates word 0 and keeps word 1
-    return family.CodeSpec(n=2, k=1, j=0, generators=(parse("+ZZ"),), seed_generators=pure_xs(2, [[1, 2]]))
-
-
-def test_kernel_raises_no_numpy_warnings(code8):
-    toy = Simulator(_toy_code(), t=0)
-    projector = MatrixError(np.array([[0.0, 0.0], [0.0, 1.0]]), 1)
+def test_kernel_raises_no_numpy_warnings(sim, code8):
+    logicals = [0, 1, 0, None]
+    errors = [MatrixError(m, 1) for m in (np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))]
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in ("matrix:0,0,0,0@1", "depolarizing:0", "depolarizing:1", "depolarizing:0.3"):
             for trials in (1, B + 1):
                 run_campaign(code8, model, trials, 4)
-        # dead and live rows in one block
-        reports = toy._trial_block(projector, [trial_rng(2, i) for i in range(4)], [0, 1, 0, None])
-    assert reports[0] == reports[2] == RecoveryReport(None, None, 0.0, False)
-    assert reports[1].syndrome is not None and reports[1].success
-    for i, logical in enumerate([0, 1, 0, None]):
-        assert reports[i] == _ref_trial(toy, projector, trial_rng(2, i), logical=logical)
+        # a projector's block and an annihilated one, then the same rows alone
+        blocks = [sim._trial_block(error, [trial_rng(2, i) for i in range(4)], logicals) for error in errors]
+        lone = [[sim.trial(error, trial_rng(2, i), lg) for i, lg in enumerate(logicals)] for error in errors]
+    assert blocks == lone
+    assert all(r.success for r in blocks[0]) and blocks[1] == [RecoveryReport(None, None, 0.0, False)] * 4
+    assert blocks[0] == [_ref_trial(sim, errors[0], trial_rng(2, i), logical=lg) for i, lg in enumerate(logicals)]
+
+
+def _assert_damaged_rows_keep_the_matrix_norm(sim, seed, matrices):
+    """Blocks of B rows, random and basis-word code states, under random
+    one-qubit matrices, some with a zeroed row, some all zero, scaled by
+    2^-600, 1 or 2^600: at t = 1 every damaged row has the squared norm
+    sum |m_ij|^2 / 2 of the scaled matrix m, so a block is annihilated
+    whole or not at all, in a block and in a lone trial."""
+    gen, n = np.random.default_rng(seed), sim.code.n
+    inputs = _logical_inputs(sim.k, seed, words=8)
+    logicals = inputs + [None] * (B - len(inputs))
+    for i in range(matrices):
+        m = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+        if i % 3 == 1:
+            m[int(gen.integers(2))] = 0
+        elif i % 10 == 2:
+            m[:] = 0
+        error = MatrixError(m * 2.0 ** float(gen.choice([-600, 0, 600])), int(gen.integers(1, n + 1)))
+        rngs = [trial_rng(seed, r) for r in range(B)]
+        damaged = sim._damage(error, sim._logical_amplitudes(rngs, logicals), rngs)
+        want = float(np.sum(np.abs(ecc_sim._unit_scaled(error.matrix)) ** 2)) / 2
+        assert want >= 0.5 or not m.any()
+        for sq in ecc_sim._row_sqnorms(damaged.view(np.float64)):
+            assert abs(sq - want) <= 1e-12 * want, (i, sq, want)
+    zero = MatrixError(np.zeros((2, 2)), int(gen.integers(1, n + 1)))
+    annihilated = RecoveryReport(None, None, 0.0, False)
+    assert sim._trial_block(zero, [trial_rng(seed, r) for r in range(B)], logicals) == [annihilated] * B
+    assert all(sim.trial(zero, trial_rng(seed, r), lg) == annihilated for r, lg in enumerate(logicals))
+
+
+def test_damaged_rows_keep_the_matrix_norm_on_code8(sim):
+    _assert_damaged_rows_keep_the_matrix_norm(sim, 23, 300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group=t1_groups(), seed=st.integers(0, 2**32 - 1))
+def test_damaged_rows_keep_the_matrix_norm_on_t1_codes(group, seed):
+    _assert_damaged_rows_keep_the_matrix_norm(_simulator_for(group), seed, 20)
 
 
 def test_simulator_rejects_large_code_before_building_it():
@@ -794,26 +831,39 @@ def test_eigen_step_matches_reference_on_code8(sim, error):
 
 
 @settings(max_examples=60, deadline=None)
-@given(group=valid_groups(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@given(group=t1_groups(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_eigen_step_matches_reference_on_random_groups(group, seed, data):
     sim = _simulator_for(group)
     n, bits = group.n, st.integers(0, (1 << group.n) - 1)
     op = PauliOperator(n, data.draw(bits), data.draw(bits), data.draw(st.sampled_from([1, -1])))
+    light = PauliError(single(n, data.draw(st.integers(1, n)), data.draw(st.sampled_from("XYZ"))))
     logicals = _logical_inputs(sim.k, seed, words=4)
-    for error in (PauliError(op), DepolarizingError(data.draw(st.sampled_from([0.0, 0.2, 1.0])))):
+    for error in (PauliError(op), DepolarizingError(data.draw(st.sampled_from([0.0, 0.2, 1.0]))), light):
         block = sim._trial_block(error, [trial_rng(seed, i) for i in range(len(logicals))], logicals)
         assert block == [_ref_trial(sim, error, trial_rng(seed, i), logical=lg) for i, lg in enumerate(logicals)]
+    assert all(r.success and r.correction == light.op != identity(n) for r in block)
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_eigen_step_on_the_empty_group(n):
-    # a = 0: no generator, every row has syndrome 0 and is rescaled by nothing
-    sim = _simulator_for(validate(n, []))
-    assert sim.group.a == 0 and sim._generator_actions[0].shape == (0, 2 << n)
-    logicals = _logical_inputs(sim.k, 3, words=4)
-    for error in (PauliError(PauliOperator(n, 1, 1, -1)), DepolarizingError(0.5)):
-        block = sim._trial_block(error, [trial_rng(6, i) for i in range(len(logicals))], logicals)
-        assert block == [_ref_trial(sim, error, trial_rng(6, i), logical=lg) for i, lg in enumerate(logicals)]
+def test_measure_syndrome_on_the_empty_group(n):
+    # a = 0: no generator, so every state has the empty syndrome and is only
+    # scaled to norm 1, the same in both kernels, eigenstate step or not
+    group = validate(n, [])
+    actions = ecc_sim._generator_actions(group)
+    assert actions[0].shape == actions[1].shape == (0, 2 << n)
+    gen = np.random.default_rng(n)
+    for t in range(10):
+        v = StateVector(n, gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n))
+        rng = trial_rng(6, t)
+        syn, collapsed = measure_syndrome(v, group, rng)
+        assert syn == Syndrome(0, 0) and rng.bit_generator.state == trial_rng(6, t).bit_generator.state  # no draw
+        assert np.allclose(collapsed.amplitudes, v.amplitudes / v.norm(), rtol=0, atol=1e-15)
+        for eigen in (False, True):
+            value, row = ecc_sim._measure_row(v.amplitudes, v.norm(), actions, trial_rng(6, t), eigen)
+            values, rows = ecc_sim._measure_rows(v.amplitudes[None], [v.norm()], actions, [trial_rng(6, t)], eigen)
+            assert value == values[0] == 0
+            for got in (row, rows[0]):
+                assert np.array_equal(got.view(np.float64), collapsed.amplitudes.view(np.float64))
 
 
 def test_pauli_rows_skip_the_projections_and_matrix_rows_take_them(code8, monkeypatch):
@@ -846,7 +896,9 @@ def test_a_row_off_the_premise_sends_its_block_through_the_projections(sim):
     mixed_norms = [math.sqrt(sq) for sq in ecc_sim._row_sqnorms(mixed.view(np.float64))]
     for amps, norms in ((mixed, mixed_norms), (psi, [2.0 * nrm for nrm in true_norms])):
         f = amps.view(np.float64) * np.array([[1.0 / nrm] for nrm in norms])
+        before = f.copy()
         assert ecc_sim._eigen_rows(f, *sim._generator_actions) is None
+        assert np.array_equal(f, before)  # a give-up leaves the rows it rescales in place unscaled
         eigen_rngs, projected_rngs = ([trial_rng(5, i) for i in range(3)] for _ in range(2))
         values, out = ecc_sim._measure_rows(amps, norms, sim._generator_actions, eigen_rngs, True)
         want_values, want = ecc_sim._measure_rows(amps, norms, sim._generator_actions, projected_rngs)
@@ -1138,11 +1190,7 @@ def test_one_row_kernel_is_the_block_kernel_on_one_row_on_code8(sim, error):
 @settings(max_examples=40, deadline=None)
 @given(group=t1_groups(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_one_row_kernel_is_the_block_kernel_on_one_row_on_t1_codes(group, seed, data):
-    try:
-        seeds = codewords.seed_generators(group)
-    except codewords.MinusSignPureZError:
-        assume(False)
-    sim = Simulator(SimpleNamespace(n=group.n, generators=group.generators, seed_generators=seeds), t=1)
+    sim = _simulator_for(group)
     n, bits, gen = group.n, st.integers(0, (1 << group.n) - 1), np.random.default_rng(seed)
     qubit = data.draw(st.integers(1, n))
     errors = [
@@ -1187,8 +1235,11 @@ def test_a_row_off_the_premise_takes_the_projections_in_the_one_row_kernel(sim):
     norm = math.sqrt(ecc_sim._sqnorm(psi[0].view(np.float64)))
     for amps, nrm in ((mixed, math.sqrt(ecc_sim._sqnorm(mixed.view(np.float64)))), (psi[0], 2.0 * norm)):
         f = amps.view(np.float64) * (1.0 / nrm)
+        before = f.copy()
         assert ecc_sim._eigen_row(f, *sim._generator_actions) is None
+        assert np.array_equal(f, before)  # a give-up leaves the row it rescales in place unscaled
         assert ecc_sim._eigen_rows(f[None], *sim._generator_actions) is None
+        assert np.array_equal(f, before)
         for eigen in (True, False):
             rng, rng_b = trial_rng(5, 0), trial_rng(5, 0)
             value, out = ecc_sim._measure_row(amps, nrm, sim._generator_actions, rng, eigen)
